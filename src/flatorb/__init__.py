@@ -31,7 +31,6 @@ from .lattices import (
 from .reps import (
     IsotypicComponent,
     IsotypicReport,
-    commutant_basis,
     invariant_forms_basis,
     isotypic_decompose,
     teich_report,
@@ -56,7 +55,6 @@ __all__ = [
     "check_diameter_bound",
     "classify2",
     "collapse",
-    "commutant_basis",
     "covering_radius",
     "fundamental_cell_check",
     "generalized_klein_bottle",

@@ -3,7 +3,7 @@
 Verbs: analyze, teich, collapse, classify2, reduce-lattice, limit-seq,
 resolve, verify-theorem-c, catalog, render-svg.  Output is deterministic
 plain text, or a stable JSON document with ``--json``.  Exit codes:
-0 success, 1 domain error (bad group, irrational subspace, unknown key),
+0 success, 1 domain error (bad group, bad subspace, unknown key),
 2 usage error.
 """
 
@@ -306,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_group_args(p):
         p.add_argument("--group", help="path to a group JSON file")
         p.add_argument("--catalog", help="built-in catalog key")
-        p.add_argument("--seed", type=int, default=0, help="seed for the decomposition")
+        p.add_argument("--seed", type=int, default=0, help="ignored; accepted for compatibility")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("analyze", help="holonomy, torsion, volume, Betti numbers, deformations")

@@ -10,8 +10,11 @@ interval, circle, or a wallpaper class).
 
 ``rational_closure`` enlarges a direction that is not rational or not
 invariant to the smallest subspace that is both: saturation under the
-point group, plus promotion of non-rationalizable float directions to the
-full isotypic component containing them.
+point group, plus promotion of non-rationalizable float directions to
+every rational isotypic component they meet.  The components come from
+the exact class-sum decomposition in ``reps.rational_components``, which
+``rational_isotypic_components`` and ``invariant_directions`` read too;
+no float is ever turned back into a component basis.
 
 ``product_resolution`` builds the block-diagonal flat manifold that
 resolves an orbifold against a torsion-free partner with isomorphic
@@ -39,7 +42,8 @@ from .groups import (
     holonomy_signature,
     _freeze_int_mat,
 )
-from .reps import isotypic_decompose
+# isotypic_decompose is not called here; it stays importable from this module
+from .reps import isotypic_decompose, rational_components  # noqa: F401
 from .wallpaper import OrbifoldLabel, POINT_LABEL, classify_low_dim
 
 RATIONALIZE_DEN = 10**6
@@ -51,11 +55,11 @@ class NotInvariantError(FlatOrbError):
     pass
 
 
-class NotRationalError(FlatOrbError):
+class NoIsomorphismError(FlatOrbError):
     pass
 
 
-class NoIsomorphismError(FlatOrbError):
+class InvalidSubspaceError(FlatOrbError):
     pass
 
 
@@ -86,22 +90,18 @@ def is_invariant(group: CrystalGroup, basis: list[list[Fraction]]) -> bool:
     return len(_saturate(group, span)) == len(span)
 
 
-def _try_rationalize(
-    v: np.ndarray, max_den: int = RATIONALIZE_DEN, tol: float = 1e-14
-) -> list[Fraction] | None:
+def _try_rationalize(v: np.ndarray) -> list[Fraction] | None:
     """Per-coordinate rational reconstruction, or None past the tolerance.
 
-    The default settings implement an *exactness* test: a coordinate must
-    sit within 1e-14 (relative) of a fraction with denominator <= 10^6,
-    which genuine rationals of that height do and quadratic irrationals do
-    not.  Numerically computed basis vectors use a looser variant with
-    small denominators.
+    This is an *exactness* test for float input: a coordinate must sit
+    within 1e-14 (relative) of a fraction with denominator <= 10^6, which
+    genuine rationals of that height do and quadratic irrationals do not.
     """
     out = []
     for x in v:
         x = float(x)
-        f = Fraction(x).limit_denominator(max_den)
-        if abs(float(f) - x) > tol * max(1.0, abs(x)):
+        f = Fraction(x).limit_denominator(RATIONALIZE_DEN)
+        if abs(float(f) - x) > 1e-14 * max(1.0, abs(x)):
             return None
         out.append(f)
     if not any(out):
@@ -109,35 +109,12 @@ def _try_rationalize(
     return out
 
 
-def _rational_span_from_float(cols: np.ndarray) -> list[list[Fraction]] | None:
-    """Exact basis of a rational subspace given any float basis of it.
-
-    The reduced row echelon form of the span is basis independent and has
-    rational entries whenever the subspace is rational; those entries are
-    reconstructed with small denominators.
-    """
-    A = np.array(cols.T, dtype=float)
-    m, n = A.shape
-    r = 0
-    for c in range(n):
-        if r == m:
-            break
-        piv = r + int(np.argmax(np.abs(A[r:, c])))
-        if abs(A[piv, c]) < 1e-9:
-            continue
-        A[[r, piv]] = A[[piv, r]]
-        A[r] = A[r] / A[r, c]
-        for i in range(m):
-            if i != r:
-                A[i] = A[i] - A[i, c] * A[r]
-        r += 1
-    rows = []
-    for i in range(r):
-        rat = _try_rationalize(A[i], max_den=1000, tol=1e-6)
-        if rat is None:
-            return None
-        rows.append(rat)
-    return rows if len(rows) == m else None
+def _check_vectors(n: int, vectors) -> None:
+    if len(vectors) == 0:
+        raise InvalidSubspaceError("empty subspace: give at least one vector")
+    for v in vectors:
+        if len(v) != n:
+            raise InvalidSubspaceError(f"subspace vector has {len(v)} entries; the group has dimension {n}")
 
 
 def rational_closure(group: CrystalGroup, vectors, seed: int = 0) -> list[list[Fraction]]:
@@ -145,10 +122,14 @@ def rational_closure(group: CrystalGroup, vectors, seed: int = 0) -> list[list[F
 
     Exact rational vectors (ints, Fractions, 'p/q' strings) close under the
     point group only.  Float vectors are first rationalized with
-    denominators up to 10^6; directions that fail are promoted to the full
-    isotypic component containing them before saturation.
+    denominators up to 10^6; a direction that fails is promoted to every
+    Q-isotypic component whose exact projector does not kill it, before
+    saturation.  An irrational line therefore closes to its rational
+    isotypic component.  ``seed`` is ignored; it is accepted for
+    compatibility.
     """
     grp = group if group.normalized else group.normalize()
+    _check_vectors(grp.n, vectors)
     exact: list[list[Fraction]] = []
     floats: list[np.ndarray] = []
     for v in vectors:
@@ -156,31 +137,19 @@ def rational_closure(group: CrystalGroup, vectors, seed: int = 0) -> list[list[F
             exact.append(ra.vec(v))
         else:
             arr = np.asarray([float(x) for x in v], dtype=float)
+            if not arr.any():
+                raise InvalidSubspaceError("zero vector in subspace")
             r = _try_rationalize(arr)
             if r is not None:
                 exact.append(r)
             else:
                 floats.append(arr)
     if floats:
-        hol = grp.holonomy()
-        report = isotypic_decompose(hol.elements, grp.gram, seed=seed)
-        G = np.array([[float(x) for x in row] for row in grp.gram])
-        for w in floats:
-            hit = False
-            for comp in report.components:
-                proj = comp.basis @ (comp.basis.T @ (G @ w))
-                if np.linalg.norm(proj) > 1e-8 * max(1.0, float(np.linalg.norm(w))):
-                    hit = True
-                    span = _rational_span_from_float(comp.basis)
-                    if span is None:
-                        raise NotRationalError(
-                            "isotypic component is not rational; cannot close this direction"
-                        )
-                    exact.extend(span)
-            if not hit:
-                raise NotRationalError("direction has no isotypic support")
-    if not exact:
-        raise ValueError("empty subspace")
+        G = ra.mat(grp.gram)
+        for piece in rational_components(grp.holonomy().elements):
+            P = np.array(ra.gram_orth_projector(G, ra.transpose(piece)), dtype=float)
+            if any(np.linalg.norm(P @ w) > 1e-9 * np.linalg.norm(w) for w in floats):
+                exact.extend(piece)
     return _saturate(grp, exact)
 
 
@@ -211,6 +180,7 @@ def collapse(group: CrystalGroup, subspace, *, closure: bool = True) -> Collapse
     if closure:
         W = rational_closure(grp, subspace)
     else:
+        _check_vectors(n, subspace)
         W = _span_basis([ra.vec(v) for v in subspace])
         if not is_invariant(grp, W):
             raise NotInvariantError("subspace is not invariant under the holonomy action")
@@ -477,72 +447,14 @@ CLAIMED_3MFD_LIMIT_LABELS = {
 }
 
 
-def _cyclotomic_factors(order: int):
-    polys = {
-        1: [-1, 1],
-        2: [1, 1],
-        3: [1, 1, 1],
-        4: [1, 0, 1],
-        6: [1, -1, 1],
-    }
-    return [(d, polys[d]) for d in (1, 2, 3, 4, 6) if order % d == 0]
-
-
-def _eval_poly(coeffs, M):
-    n = len(M)
-    out = ra.zeros(n, n)
-    P = ra.identity(n)
-    for c in coeffs:
-        for i in range(n):
-            for j in range(n):
-                out[i][j] += c * P[i][j]
-        P = ra.mat_mul(P, M)
-    return out
-
-
 def rational_isotypic_components(group: CrystalGroup) -> list[list[list[Fraction]]]:
-    """Exact isotypic components for groups with abelian holonomy.
+    """Exact Q-isotypic components of the holonomy action, in canonical order.
 
-    Joint kernels of cyclotomic-polynomial evaluations of the holonomy
-    elements; exact and deterministic.  Raises for nonabelian holonomy.
+    Each component is the reduced row echelon basis of its span; the
+    trivial component comes first, then by leading coordinate.
     """
     grp = group if group.normalized else group.normalize()
-    hol = grp.holonomy()
-    for A in hol.elements:
-        for B in hol.elements:
-            if ra.mat_mul(ra.mat(A), ra.mat(B)) != ra.mat_mul(ra.mat(B), ra.mat(A)):
-                raise FlatOrbError("exact components need abelian holonomy; use the numeric route")
-    pieces = [[list(e) for e in ra.identity(grp.n)]]
-    for A in hol.elements:
-        M = ra.mat(A)
-        order = ra.matrix_order(M, cap=24)
-        if order is None or any(order % d == 0 for d in (5, 7, 8, 9)) or order > 12:
-            # cyclotomic pieces of degree > 2 would merge distinct real
-            # isotypic components; those groups go through the numeric route
-            raise FlatOrbError("exact components support element orders {1,2,3,4,6} only")
-        new_pieces = []
-        for piece in pieces:
-            split = []
-            for d, poly in _cyclotomic_factors(order):
-                PM = _eval_poly(poly, M)
-                images = [ra.mat_vec(PM, list(v)) for v in piece]
-                # coefficients c with sum c_i * images_i = 0
-                ker_coords = ra.kernel(ra.transpose(images))
-                if not ker_coords:
-                    continue
-                sub = [
-                    [sum(c[i] * piece[i][j] for i in range(len(piece))) for j in range(grp.n)]
-                    for c in ker_coords
-                ]
-                sub = _span_basis(sub)
-                if sub:
-                    split.append(sub)
-            if sum(len(s) for s in split) != len(piece):
-                raise FlatOrbError("cyclotomic refinement failed")  # non-semisimple input
-            new_pieces.extend(split)
-        pieces = new_pieces
-    # canonical order: trivial component first, then by leading coordinate
-    pieces = [_span_basis(p) for p in pieces]
+    pieces = rational_components(grp.holonomy().elements)
     pieces.sort(key=lambda p: _component_sort_key(grp, p))
     return pieces
 
@@ -603,21 +515,7 @@ def _sublattice_basis(piece) -> list[list[Fraction]]:
 def invariant_directions(group: CrystalGroup, slope_bound: int = SLOPE_BOUND):
     """Named invariant rational subspaces to sweep for a collapse survey."""
     grp = group if group.normalized else group.normalize()
-    try:
-        comps = rational_isotypic_components(grp)
-    except FlatOrbError:
-        # nonabelian or large-order holonomy: numeric components, rationalized
-        hol = grp.holonomy()
-        report = isotypic_decompose(hol.elements, grp.gram)
-        comps = []
-        for comp in report.components:
-            span = _rational_span_from_float(comp.basis)
-            if span is None:
-                raise NotRationalError(
-                    "isotypic component is not rational; no sweep available"
-                )
-            comps.append(_span_basis(span))
-        comps.sort(key=lambda p: _component_sort_key(grp, p))
+    comps = rational_isotypic_components(grp)
     directions: list[tuple[str, list[list[Fraction]]]] = []
     for idx, piece in enumerate(comps, start=1):
         directions.append((f"W{idx}", piece))

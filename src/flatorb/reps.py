@@ -1,46 +1,60 @@
-"""Isotypic decomposition of a finite orthogonal group action.
+"""Exact isotypic decomposition of a finite group of integer matrices.
 
-The decomposition itself is numerical: a random symmetric operator is
-averaged over the group in a gram-orthonormal frame, its eigenspaces are
-split into irreducibles, and irreducibles are grouped into isotypic classes
-by testing for nonzero equivariant maps.  The division type of a class is
-read off the dimension of the equivariant endomorphism algebra of one
-irreducible (1, 2 or 4), and the deformation-space dimension of a class of
+The Q-isotypic components are the joint eigenspaces of the rational class
+sums Z_R, the sum of all g in a rational class R (a conjugacy class merged
+with the classes of the powers g^k, k coprime to the order of g).  Z_R acts
+on a Q-irreducible constituent as the scalar sum of |C| chi(g) / chi(1)
+over the classes C in R; that scalar is an algebraic integer fixed by
+Galois, hence an integer in [-|R|, |R|], so the eigenvalues are integer
+roots of the characteristic polynomial and every step is exact (Serre,
+*Linear Representations of Finite Groups*, sections 12-13).
+
+For a component V with character chi, take c = <chi, chi> (the commutant
+dimension), s = (1/|H|) sum (chi(g)^2 + chi(g^2)) / 2 (the invariant
+symmetric forms) and d = the rank of the class sums restricted to V (the
+degree of the character field).  Over R, V splits into k Galois-conjugate
+components of one division type:
+
+    type R if s/c > 1/2, C if s/c = 1/2, H if s/c < 1/2;
+    k = d, except k = d/2 for type C;
+    multiplicity m = c / (2s - c) (R), m^2 = c / d (C), m = c / (2c - 4s) (H),
+
+and the deformation-space dimension of one real component of
 multiplicity m is
 
     m(m+1)/2   real type,
     m^2        complex type,
     m(2m-1)    quaternionic type.
 
-Two independent cross-checks guard the numerics: the summed factor
-dimensions must equal the exact (rational) dimension of the space of
-invariant symmetric forms, and a rerun with the next seed must reproduce
-the same component signature.  Any disagreement raises
-``DecompositionUnstableError`` rather than returning a silently wrong
-answer.
+Floats only give gram-orthonormal bases to subspaces whose dimensions are
+already known exactly.  A component with k > 1 is split by the eigenspaces
+of a self-adjoint central element whose minimal polynomial on V is checked
+exactly to have degree k.  The summed factor dimensions are checked
+against the dimension of the invariant symmetric forms, computed
+independently as an exact kernel over a generating set.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import rational as ra
-from .groups import CrystalGroup, FlatOrbError
+from .groups import CrystalGroup, FlatOrbError, _freeze_int_mat
 
-EIG_TOL = 1e-8
+# Entry bound for the int64 arithmetic on elements, class sums and scaled
+# bases: with n * |H| < 2^23 no product below can reach 2^63.
+ENTRY_CAP = 2**20
 
 FACTOR_DIM = {
     "R": lambda m: m * (m + 1) // 2,
     "C": lambda m: m * m,
     "H": lambda m: m * (2 * m - 1),
 }
-
-
-class DecompositionUnstableError(FlatOrbError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -76,24 +90,7 @@ class IsotypicReport:
         return f"components: {parts}; dim {self.total_dim}"
 
 
-# -- exact commutant / invariant forms -----------------------------------
-
-
-def commutant_basis(elements, n: int) -> list[ra.Mat]:
-    """Exact basis of matrices commuting with every element of the list."""
-    rows: list[list[Fraction]] = []
-    for A in elements:
-        M = ra.mat(A)
-        # (A X - X A) entry (i,j) as a linear form in vec(X)
-        for i in range(n):
-            for j in range(n):
-                row = [Fraction(0)] * (n * n)
-                for k in range(n):
-                    row[k * n + j] += M[i][k]
-                    row[i * n + k] -= M[k][j]
-                rows.append(row)
-    ker = ra.kernel(rows) if rows else [e for e in ra.identity(n * n)]
-    return [[v[i * n : (i + 1) * n] for i in range(n)] for v in ker]
+# -- exact invariant forms -------------------------------------------------
 
 
 def invariant_forms_basis(elements, n: int) -> list[ra.Mat]:
@@ -127,195 +124,258 @@ def invariant_form_dim(elements, n: int) -> int:
     return len(invariant_forms_basis(elements, n))
 
 
-# -- numerical isotypic decomposition ------------------------------------
+# -- conjugacy classes ---------------------------------------------------------
 
 
-def _orthonormal_frame(gram) -> tuple[np.ndarray, np.ndarray]:
-    G = np.array([[float(x) for x in row] for row in gram])
-    L = np.linalg.cholesky(G)
-    return L, np.linalg.inv(L)
+def _int64(rows) -> np.ndarray:
+    arr = np.array(rows, dtype=object)
+    if arr.size and np.abs(arr).max() > ENTRY_CAP:
+        raise FlatOrbError(f"matrix entries exceed the cap {ENTRY_CAP} of the exact int64 class sums")
+    return arr.astype(np.int64)
 
 
-def _orthogonal_images(elements, L, Linv) -> list[np.ndarray]:
-    # lattice matrix A acts as L^T A L^{-T} on the orthonormal frame
-    return [L.T @ np.array(A, dtype=float) @ Linv.T for A in elements]
+@dataclass(frozen=True)
+class _Classes:
+    mats: np.ndarray  # (|H|, n, n) integer elements
+    generators: tuple[int, ...]  # element indices, picked greedily
+    classes: tuple[tuple[int, ...], ...]  # element indices per conjugacy class
+    sums: np.ndarray  # class sums, one n x n integer matrix per class
+    square: tuple[int, ...]  # class of g^2 for g in each class
+    inverse: tuple[int, ...]  # class of g^-1
+    rational: tuple[tuple[int, ...], ...]  # class indices per rational class
 
 
-def _averaged_operator(ops, rng, dim, basis=None) -> np.ndarray:
-    k = dim if basis is None else basis.shape[1]
-    S = rng.standard_normal((k, k))
-    S = (S + S.T) / 2
-    if basis is not None:
-        S_full = basis @ S @ basis.T
-    else:
-        S_full = S
-    avg = sum(O.T @ S_full @ O for O in ops) / len(ops)
-    avg = (avg + avg.T) / 2
-    if basis is not None:
-        avg = basis.T @ avg @ basis
-    nrm = np.linalg.norm(avg)
-    return avg / nrm if nrm > 0 else avg
+def _conjugacy_classes(elements) -> _Classes:
+    mats = _int64([_freeze_int_mat(A) for A in elements])
+    h, n = len(mats), len(elements[0])
+    index = {m.tobytes(): i for i, m in enumerate(mats)}
+
+    def lookup(products) -> list[int]:
+        try:
+            return [index[p.tobytes()] for p in products]
+        except KeyError:
+            raise FlatOrbError("the matrices do not form a group") from None
+
+    ident = lookup([np.eye(n, dtype=np.int64)])[0]
+    right: dict[int, list[int]] = {}  # generator -> (i -> index of mats[i] @ g)
+    reached = {ident}
+    for g in range(h):
+        if g in reached:
+            continue
+        right[g] = lookup(mats @ mats[g])
+        frontier = list(reached)
+        while frontier:
+            new = []
+            for i in frontier:
+                for perm in right.values():
+                    if perm[i] not in reached:
+                        reached.add(perm[i])
+                        new.append(perm[i])
+            frontier = new
+    conj = [lookup(mats[g] @ mats @ mats[perm.index(ident)]) for g, perm in right.items()]
+
+    label = [-1] * h
+    classes: list[list[int]] = []
+    for i in range(h):
+        if label[i] >= 0:
+            continue
+        members = [i]
+        label[i] = len(classes)
+        for x in members:
+            for perm in conj:
+                if label[perm[x]] < 0:
+                    label[perm[x]] = len(classes)
+                    members.append(perm[x])
+        classes.append(members)
+
+    square, inverse, rational, merged = [], [], [], set()
+    for ci, members in enumerate(classes):
+        g = mats[members[0]]
+        powers = [members[0]]  # g, g^2, ..., g^order = 1
+        P = g
+        while powers[-1] != ident:
+            P = P @ g
+            powers.extend(lookup([P]))
+        order = len(powers)
+        square.append(label[powers[1 % order]])
+        inverse.append(label[powers[(order - 2) % order]])
+        if ci not in merged:
+            rclass = sorted({label[powers[k - 1]] for k in range(1, order + 1) if math.gcd(k, order) == 1})
+            merged.update(rclass)
+            rational.append(tuple(rclass))
+    sums = np.array([mats[c].sum(axis=0) for c in classes])
+    return _Classes(
+        mats, tuple(right), tuple(map(tuple, classes)), sums, tuple(square), tuple(inverse), tuple(rational)
+    )
 
 
-def _cluster_eigens(w, V, tol=EIG_TOL):
-    blocks = []
-    start = 0
-    for i in range(1, len(w) + 1):
-        if i == len(w) or w[i] - w[i - 1] > tol:
-            blocks.append((np.mean(w[start:i]), V[:, start:i]))
-            start = i
-    return blocks
+# -- exact Q-isotypic components ----------------------------------------------
 
 
-def _restricted_ops(ops, basis) -> list[np.ndarray]:
-    return [basis.T @ O @ basis for O in ops]
+def _scaled_columns(B: ra.Mat) -> tuple[np.ndarray, list[int], int]:
+    """delta * B^T as integers, the pivots of B and the common denominator delta.
+
+    For an invariant subspace with reduced row echelon basis B, the rows
+    ``pivots`` of Z @ (delta * B^T) are delta times the matrix of Z on it.
+    """
+    delta = math.lcm(*(x.denominator for row in B for x in row))
+    cols = _int64([[int(x * delta) for x in row] for row in B]).T
+    return cols, [next(j for j, x in enumerate(row) if x) for row in B], delta
 
 
-def _hom_space_dim(ops_a, ops_b, tol=EIG_TOL) -> int:
-    """dim of equivariant maps from rep a (dim p) to rep b (dim q)."""
-    p = ops_a[0].shape[0]
-    q = ops_b[0].shape[0]
-    rows = []
-    for Ma, Mb in zip(ops_a, ops_b):
-        # X Ma - Mb X = 0, X is q x p
-        rows.append(np.kron(Ma.T, np.eye(q)) - np.kron(np.eye(p), Mb))
-    stack = np.vstack(rows)
-    s = np.linalg.svd(stack, compute_uv=False)
-    return int(np.sum(s <= tol * max(1.0, s[0])))
+def _restrict(Z: np.ndarray, cols: np.ndarray, pivots: list[int]) -> np.ndarray:
+    """delta times the matrices Z (stacked or single) on the subspace."""
+    return (Z @ cols)[..., pivots, :]
 
 
-def _sym_end_dim(sub_ops, tol=EIG_TOL) -> int:
-    """dim of symmetric equivariant endomorphisms; 1 iff irreducible."""
-    d = sub_ops[0].shape[0]
-    pairs = [(i, j) for i in range(d) for j in range(i, d)]
-    rows = []
-    for M in sub_ops:
-        block = np.zeros((d * d, len(pairs)))
-        for col, (i, j) in enumerate(pairs):
-            S = np.zeros((d, d))
-            S[i, j] = 1.0
-            S[j, i] = 1.0
-            block[:, col] = (M.T @ S @ M - S).ravel()
-        rows.append(block)
-    stack = np.vstack(rows)
-    s = np.linalg.svd(stack, compute_uv=False)
-    return int(np.sum(s <= tol * max(1.0, s[0])))
+def _is_scalar(M: np.ndarray) -> bool:
+    return bool(np.all(M == M[..., :1, :1] * np.eye(M.shape[-1], dtype=M.dtype)))
 
 
-def _split_into_irreducibles(ops, basis, rng, depth=0) -> list[np.ndarray]:
-    """Recursively split an invariant subspace into irreducible pieces."""
-    if _sym_end_dim(_restricted_ops(ops, basis)) == 1:
-        return [basis]
-    if depth > 6:
-        raise DecompositionUnstableError("decomposition unstable; retry with new seed")
-    avg = _averaged_operator(ops, rng, basis.shape[0], basis=basis)
-    w, V = np.linalg.eigh(avg)
-    blocks = _cluster_eigens(w, V)
-    if len(blocks) == 1:
-        raise DecompositionUnstableError("decomposition unstable; retry with new seed")
+def _eigenspaces(Z: np.ndarray, bound: int, B: ra.Mat) -> list[ra.Mat]:
+    """Eigenspaces of Z on span(B); the eigenvalues are integers in [-bound, bound]."""
+    cols, pivots, delta = _scaled_columns(B)
+    M = _restrict(Z, cols, pivots)
+    if _is_scalar(M):
+        return [B]
+    M = [[Fraction(int(x)) for x in row] for row in M]
+    poly = [int(c) for c in ra.char_poly(M)]  # integer coefficients, roots delta * lambda
     pieces = []
-    for _, Vb in blocks:
-        pieces.extend(_split_into_irreducibles(ops, basis @ Vb, rng, depth + 1))
+    for lam in range(-bound, bound + 1):
+        if sum(c * (lam * delta) ** k for k, c in enumerate(poly)) != 0:
+            continue
+        shifted = [[x - lam * delta if i == j else x for j, x in enumerate(row)] for i, row in enumerate(M)]
+        R, rank_pivots = ra.rref(ra.mat_mul(ra.kernel(shifted), B))
+        pieces.append(R[: len(rank_pivots)])
+    if sum(map(len, pieces)) != len(B):
+        raise FlatOrbError("a class sum is not diagonalisable over Q; the matrices do not form a finite group")
     return pieces
 
 
-def _decompose_once(elements, gram, seed):
-    n = len(gram)
-    L, Linv = _orthonormal_frame(gram)
-    ops = _orthogonal_images(elements, L, Linv)
-    rng = np.random.default_rng(seed)
-    avg = _averaged_operator(ops, rng, n)
-    w, V = np.linalg.eigh(avg)
-    irreducibles = []
-    for _, Vb in _cluster_eigens(w, V):
-        irreducibles.extend(_split_into_irreducibles(ops, Vb, rng))
+def _q_components(cl: _Classes) -> list[ra.Mat]:
+    pieces = [ra.identity(cl.mats.shape[1])]
+    for rclass in cl.rational:
+        Z = cl.sums[list(rclass)].sum(axis=0)
+        bound = sum(len(cl.classes[c]) for c in rclass)
+        pieces = [sub for B in pieces for sub in _eigenspaces(Z, bound, B)]
+    return pieces
 
-    # group irreducibles into isotypic classes
-    restricted = [_restricted_ops(ops, B) for B in irreducibles]
-    classes: list[list[int]] = []
-    for i, Bi in enumerate(irreducibles):
-        placed = False
-        for cls in classes:
-            j = cls[0]
-            if Bi.shape[1] != irreducibles[j].shape[1]:
-                continue
-            if _hom_space_dim(restricted[i], restricted[j]) > 0:
-                cls.append(i)
-                placed = True
-                break
-        if not placed:
-            classes.append([i])
 
-    comps = []
-    for cls in classes:
-        reps_ops = restricted[cls[0]]
-        end_dim = _hom_space_dim(reps_ops, reps_ops)
-        if end_dim not in (1, 2, 4):
-            raise DecompositionUnstableError("decomposition unstable; retry with new seed")
-        if len(cls) >= 2:
-            second = _hom_space_dim(restricted[cls[1]], restricted[cls[1]])
-            if second != end_dim:
-                raise DecompositionUnstableError("decomposition unstable; retry with new seed")
-        dtype = {1: "R", 2: "C", 4: "H"}[end_dim]
-        m = len(cls)
-        basis_on = np.hstack([irreducibles[i] for i in cls])
-        basis_lattice = Linv.T @ basis_on
-        comps.append(
-            IsotypicComponent(
-                basis=basis_lattice,
-                irreducible_dim=irreducibles[cls[0]].shape[1],
-                multiplicity=m,
-                division_type=dtype,
-                factor_dim=FACTOR_DIM[dtype](m),
-            )
-        )
-    comps.sort(key=lambda c: (c.irreducible_dim, c.multiplicity, c.division_type))
+def rational_components(elements) -> list[ra.Mat]:
+    """Exact Q-isotypic components of a finite group of integer matrices.
 
-    # reconstruction and invariance checks
-    total = sum(c.dim for c in comps)
-    if total != n:
-        raise DecompositionUnstableError("decomposition unstable; retry with new seed")
-    all_on = np.hstack([L.T @ c.basis for c in comps])
-    if np.linalg.norm(all_on.T @ all_on - np.eye(n)) > 1e-6:
-        raise DecompositionUnstableError("decomposition unstable; retry with new seed")
-    for c in comps:
-        Bon = L.T @ c.basis
-        P = Bon @ Bon.T
-        for O in ops:
-            img = O @ Bon
-            if np.linalg.norm(img - P @ img) > 1e-6:
-                raise DecompositionUnstableError("decomposition unstable; retry with new seed")
-    return comps
+    ``elements`` is the complete list of group elements.  Each component is
+    returned as the reduced row echelon basis of its span.
+    """
+    return _q_components(_conjugacy_classes(list(elements)))
+
+
+# -- real components and their types -------------------------------------------
+
+
+def _whole(q: Fraction, what: str) -> int:
+    if q.denominator != 1 or q < 0:
+        raise FlatOrbError(f"character sums give a non-integral {what}")
+    return int(q)
+
+
+def _rank(rows) -> int:
+    return ra.rank([[Fraction(int(x)) for x in row] for row in rows])
+
+
+def _splitting_element(cl: _Classes, cols, pivots, k: int) -> np.ndarray:
+    """A self-adjoint central element whose minimal polynomial on V has degree k.
+
+    Each sum Z_C + Z_{C^-1} is tried, then the combinations with weights
+    1, t, t^2, ...; two real components differ in some such sum, so at most
+    (number of sums - 1) values of t per pair of components can fail.
+    """
+    pairs = [
+        (cl.sums[i] + cl.sums[cl.inverse[i]]).astype(object)
+        for i in range(len(cl.sums))
+        if i <= cl.inverse[i]
+    ]
+    weighted = (sum(t**j * Y for j, Y in enumerate(pairs)) for t in range(2, 2 + len(pairs) * k * k))
+    cols = cols.astype(object)
+    for y in itertools.chain(pairs, weighted):
+        Y = _restrict(y, cols, pivots)
+        powers = [np.eye(len(pivots), dtype=object)]
+        for _ in range(k):
+            powers.append(Y @ powers[-1])
+        if _rank([P.ravel() for P in powers]) == k:
+            return y.astype(float)
+    raise FlatOrbError("no central element separates the real components")
+
+
+def _real_components(cl: _Classes, B: ra.Mat, gram: np.ndarray) -> list[IsotypicComponent]:
+    h = len(cl.mats)
+    cols, pivots, delta = _scaled_columns(B)
+    reps = cl.mats[[c[0] for c in cl.classes]]
+    chi = [Fraction(int(np.trace(M)), delta) for M in _restrict(reps, cols, pivots)]
+    sizes = [len(c) for c in cl.classes]
+    c = _whole(sum(size * x * x for size, x in zip(sizes, chi)) / h, "commutant dimension")
+    s = _whole(
+        sum(size * (x * x + chi[sq]) for size, x, sq in zip(sizes, chi, cl.square)) / (2 * h),
+        "number of invariant forms",
+    )
+    restricted = _restrict(cl.sums, cols, pivots)
+    d = 1 if _is_scalar(restricted) else _rank(M.ravel() for M in restricted)
+    if 2 * s > c:
+        dtype, k, m = "R", d, _whole(Fraction(c, 2 * s - c), "multiplicity")
+    elif 2 * s == c:
+        dtype, k, m = "C", d // 2, math.isqrt(c // d)
+        if d % 2 or m * m * d != c:
+            raise FlatOrbError("character sums give an inconsistent complex-type component")
+    else:
+        dtype, k, m = "H", d, _whole(Fraction(c, 2 * c - 4 * s), "multiplicity")
+    irreducible_dim = _whole(Fraction(len(B), k * m), "irreducible dimension")
+
+    # gram-orthonormal float basis of V, split into k eigenspaces of equal size
+    Bf = np.array(B, dtype=float).T
+    Q = Bf @ np.linalg.inv(np.linalg.cholesky(Bf.T @ gram @ Bf)).T
+    blocks = [Q]
+    if k > 1:
+        y = _splitting_element(cl, cols, pivots, k)
+        Y = Q.T @ gram @ y @ Q
+        _, U = np.linalg.eigh((Y + Y.T) / 2)
+        size = len(B) // k
+        blocks = [Q @ U[:, i * size : (i + 1) * size] for i in range(k)]
+    return [IsotypicComponent(b, irreducible_dim, m, dtype, FACTOR_DIM[dtype](m)) for b in blocks]
 
 
 def isotypic_decompose(elements, gram, seed: int = 0) -> IsotypicReport:
-    """Decompose the action into isotypic components with a doubled run.
+    """Decompose the action into real isotypic components, exactly.
 
-    ``elements`` is the complete list of point-group matrices (integer or
-    rational entries) preserving ``gram``.  The result is checked against
-    the exact invariant-form dimension and against a rerun with seed + 1.
+    ``elements`` is the complete list of point-group matrices (integer
+    entries) preserving ``gram``.  The summed factor dimensions are checked
+    against the invariant-form dimension computed as an exact kernel over a
+    generating set.  ``seed`` is ignored; it is accepted for compatibility.
     """
     elements = list(elements)
     n = len(gram)
-    comps = _decompose_once(elements, gram, seed)
-    comps2 = _decompose_once(elements, gram, seed + 1)
-    sig = tuple(sorted(c.signature() for c in comps))
-    if sig != tuple(sorted(c.signature() for c in comps2)):
-        raise DecompositionUnstableError("decomposition unstable; retry with new seed")
+    cl = _conjugacy_classes(elements)
+    G = np.array([[float(x) for x in row] for row in gram])
+    comps = [comp for B in _q_components(cl) for comp in _real_components(cl, B, G)]
+    comps.sort(key=lambda c: (c.irreducible_dim, c.multiplicity, c.division_type))
     total = sum(c.factor_dim for c in comps)
-    exact = invariant_form_dim(elements, n)
+    exact = invariant_form_dim([elements[g] for g in cl.generators], n)
     if total != exact:
-        raise DecompositionUnstableError("decomposition unstable; retry with new seed")
+        raise FlatOrbError(
+            f"character sums give {total} invariant forms, the exact kernel {exact}"
+        )
     return IsotypicReport(
         n=n, components=tuple(comps), total_dim=total, invariant_form_dim=exact
     )
 
 
 def teich_report(group: CrystalGroup, seed: int = 0) -> IsotypicReport:
-    """Holonomy, then decomposition; enforces the reducibility consequences."""
+    """Holonomy, then decomposition; enforces the reducibility consequences.
+
+    ``seed`` is ignored; it is accepted for compatibility.
+    """
     grp = group if group.normalized else group.normalize()
     hol = grp.holonomy()
-    report = isotypic_decompose(hol.elements, grp.gram, seed=seed)
+    report = isotypic_decompose(hol.elements, grp.gram)
     if grp.is_torsion_free().torsion_free and hol.order > 1:
         if len(report.components) < 2 or report.total_dim < 2:
             raise FlatOrbError(

@@ -48,6 +48,14 @@ def test_collapse_irrational_subspace(capsys):
     assert "circle" in out
 
 
+@pytest.mark.parametrize("subspace", ["1,0", ""])
+def test_collapse_bad_subspace_is_a_domain_error(capsys, subspace):
+    code, _, err = run(capsys, "collapse", "--catalog", "G6", "--subspace", subspace)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_classify2_cli(capsys):
     code, out, _ = run(capsys, "classify2", "--catalog", "p4g")
     assert code == 0

@@ -2,20 +2,24 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from flatorb import rational as ra
 from flatorb.catalog import catalog_get, generalized_klein_bottle, torus
 from flatorb.collapse import (
+    InvalidSubspaceError,
     NoIsomorphismError,
     collapse,
     invariant_directions,
+    is_invariant,
     product_resolution,
     rational_closure,
     rational_isotypic_components,
     verify_theorem_c,
 )
 from flatorb.groups import CrystalGroup, holonomy_signature
+from flatorb.reps import teich_report
 
 
 def kb():
@@ -37,6 +41,23 @@ def test_closure_of_irrational_direction_fills_component():
     closed = rational_closure(b2, [[1.0, s, 0.0]])
     # the trivial isotypic plane of B2 is spanned by the first two vectors
     assert len(closed) == 2
+
+
+def test_closure_of_irrational_line_in_k5_fills_rational_component():
+    # the order-5 holonomy splits R^4 into two complex-type planes with
+    # golden-ratio coordinates; together they form one rational component
+    k5 = catalog_get("K5").group
+    comp = next(c for c in teich_report(k5).components if c.signature() == (2, 1, "C", 1))
+    line = [list(comp.basis[:, 0])]
+    assert len(rational_closure(k5, line)) == 4
+    assert collapse(k5, line).label.orbifold_name == "circle"
+
+
+@pytest.mark.parametrize("vectors", [[], [[1, 0]], [[1, 0, 0], [0, 1]], [[0.0, 0.0, 0.0]]])
+def test_closure_rejects_bad_vectors(vectors):
+    g6 = catalog_get("G6").group
+    with pytest.raises(InvalidSubspaceError):
+        rational_closure(g6, vectors)
 
 
 def test_closure_axis_direction_klein_bottle():
@@ -132,6 +153,43 @@ def test_collapse_dim_additivity():
         for _, basis in invariant_directions(grp, slope_bound=1):
             res = collapse(grp, basis)
             assert res.quotient.n + res.collapsed_dim == grp.n
+
+
+def _signed_permutation_group(gens):
+    n = len(gens[0])
+    return CrystalGroup.make(n, [(g, [0] * n) for g in gens], name="point group").normalize()
+
+
+@pytest.mark.parametrize(
+    "grp",
+    [
+        catalog_get("p4m").group,
+        catalog_get("p6m").group,
+        # permutations of three axes: trivial line plus standard plane
+        _signed_permutation_group([[[0, 0, 1], [1, 0, 0], [0, 1, 0]], [[0, 1, 0], [1, 0, 0], [0, 0, 1]]]),
+        # all signed permutations of three axes, order 48
+        _signed_permutation_group(
+            [[[0, 0, 1], [1, 0, 0], [0, 1, 0]], [[0, 1, 0], [1, 0, 0], [0, 0, 1]], [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]]
+        ),
+    ],
+    ids=["p4m", "p6m", "S3", "B3-48"],
+)
+def test_rational_components_of_nonabelian_holonomy(grp):
+    hol = grp.holonomy()
+    assert any(ra.mat_mul(ra.mat(A), ra.mat(B)) != ra.mat_mul(ra.mat(B), ra.mat(A))
+               for A in hol.elements for B in hol.elements)
+    pieces = rational_isotypic_components(grp)
+    assert sum(len(p) for p in pieces) == grp.n
+    assert ra.rank([v for p in pieces for v in p]) == grp.n
+    for p in pieces:
+        assert is_invariant(grp, p)
+    for comp in teich_report(grp).components:
+        homes = 0
+        for p in pieces:
+            span = np.array(p, dtype=float).T
+            coef = np.linalg.lstsq(span, comp.basis, rcond=None)[0]
+            homes += np.linalg.norm(span @ coef - comp.basis) < 1e-9
+        assert homes == 1
 
 
 def test_iterated_collapse_commutes():

@@ -5,7 +5,6 @@ import numpy as np
 from flatorb import rational as ra
 from flatorb.groups import CrystalGroup
 from flatorb.reps import (
-    commutant_basis,
     invariant_form_dim,
     isotypic_decompose,
     teich_report,
@@ -23,20 +22,6 @@ def rot4_block():
     return CrystalGroup.make(
         3, [([[1, 0, 0], [0, 0, -1], [0, 1, 0]], ["1/4", 0, 0])]
     ).normalize()
-
-
-def test_commutant_trivial_group():
-    assert len(commutant_basis([ra.identity(3)], 3)) == 9
-
-
-def test_commutant_klein_bottle():
-    els = kb().holonomy().elements
-    assert len(commutant_basis(els, 2)) == 2
-
-
-def test_commutant_rot4_plus_axis():
-    els = rot4_block().holonomy().elements
-    assert len(commutant_basis(els, 3)) == 3
 
 
 def test_invariant_forms_trivial():
