@@ -35,7 +35,7 @@ from .reps import (
     isotypic_decompose,
     teich_report,
 )
-from .wallpaper import OrbifoldLabel, classify2, fundamental_cell_check, render_svg, singular_locus
+from .wallpaper import OrbifoldLabel, classify2, render_svg, singular_locus
 
 __version__ = "0.1.0"
 
@@ -56,7 +56,6 @@ __all__ = [
     "classify2",
     "collapse",
     "covering_radius",
-    "fundamental_cell_check",
     "generalized_klein_bottle",
     "group_from_dict",
     "group_to_dict",

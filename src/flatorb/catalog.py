@@ -46,8 +46,7 @@ def catalog_list() -> list[str]:
     return sorted(_index()["entries"].keys())
 
 
-def _resolve(key: str) -> str:
-    idx = _index()
+def _resolve(idx: dict, key: str) -> str:
     if key in idx["entries"]:
         return key
     aliases = idx.get("aliases", {})
@@ -69,8 +68,9 @@ def _run_recipe(group: CrystalGroup, recipe: dict) -> None:
 
 
 def catalog_get(key: str) -> CatalogEntry:
-    canonical = _resolve(key)
-    meta = _index()["entries"][canonical]
+    idx = _index()
+    canonical = _resolve(idx, key)
+    meta = idx["entries"][canonical]
     with open(DATA_DIR / meta["file"], "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     group = group_from_dict(doc)

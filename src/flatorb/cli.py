@@ -4,20 +4,23 @@ Verbs: analyze, teich, collapse, classify2, reduce-lattice, limit-seq,
 resolve, verify-theorem-c, catalog, render-svg.  Output is deterministic
 plain text, or a stable JSON document with ``--json``.  Exit codes:
 0 success, 1 domain error (bad group, bad subspace, unknown key),
-2 usage error.
+2 usage error.  When the reader of stdout goes away early (``flatorb ...
+| head``), stdout is pointed at ``os.devnull`` and the exit code is 1,
+as the Python documentation advises for SIGPIPE ("Note on SIGPIPE").
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
 
 from . import rational as ra
 from .catalog import catalog_get, catalog_list
-from .collapse import collapse, product_resolution, verify_theorem_c
+from .collapse import InvalidSubspaceError, collapse, product_resolution, verify_theorem_c
 from .groups import CrystalGroup, FlatOrbError, load_group
 from .lattices import Lattice, axis_scaling_family, sequence_limit, special_basis
 from .reps import teich_report
@@ -39,9 +42,12 @@ def _parse_vector(text: str):
 def _coerce_entry(x: str):
     # decimal notation signals a float (possibly irrational) direction;
     # exact rationals are integers or p/q strings
-    if "." in x or "e" in x or "E" in x:
-        return float(x)
-    return ra.frac(x)
+    try:
+        if "." in x or "e" in x or "E" in x:
+            return float(x)
+        return ra.frac(x)
+    except (ValueError, ZeroDivisionError):
+        raise InvalidSubspaceError(f"subspace entry {x!r} is not a number") from None
 
 
 def _parse_subspace(text: str):
@@ -366,7 +372,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except FlatOrbError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

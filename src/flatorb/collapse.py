@@ -41,6 +41,7 @@ from .groups import (
     FlatOrbError,
     holonomy_signature,
     _freeze_int_mat,
+    _int_mul,
 )
 # isotypic_decompose is not called here; it stays importable from this module
 from .reps import isotypic_decompose, rational_components  # noqa: F401
@@ -288,9 +289,7 @@ def _iso_search(els_a, els_b):
     idx_b = {B: i for i, B in enumerate(els_b)}
 
     def table(els, idx):
-        return [
-            [idx[_freeze_int_mat(ra.mat_mul(ra.mat(x), ra.mat(y)))] for y in els] for x in els
-        ]
+        return [[idx[_int_mul(x, y)] for y in els] for x in els]
 
     ta = table(els_a, idx_a)
     tb = table(els_b, idx_b)
@@ -383,9 +382,7 @@ def product_resolution(
         pairing = { _freeze_int_mat(k): _freeze_int_mat(v) for k, v in pairing.items() }
         for A in hol_o.elements:
             for B in hol_o.elements:
-                AB = _freeze_int_mat(ra.mat_mul(ra.mat(A), ra.mat(B)))
-                img = _freeze_int_mat(ra.mat_mul(ra.mat(pairing[A]), ra.mat(pairing[B])))
-                if pairing[AB] != img:
+                if pairing[_int_mul(A, B)] != _int_mul(pairing[A], pairing[B]):
                     raise NoIsomorphismError("supplied pairing is not a homomorphism")
         if len(set(pairing.values())) != hol_m.order:
             raise NoIsomorphismError("supplied pairing is not a bijection")

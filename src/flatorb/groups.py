@@ -4,7 +4,9 @@ A group is stored as a set of affine generators over a provisional
 translation lattice Z^n, together with a rational Gram form encoding the
 flat metric.  ``normalize`` absorbs any hidden pure translations the
 generators produce, refines the lattice so translations are exactly Z^n,
-and rewrites everything in the new basis.  All group arithmetic is exact.
+and rewrites everything in the new basis.  All group arithmetic is exact:
+linear parts compose in Python integers, and one coset closure serves
+both ``normalize`` and ``holonomy``.
 
 Conventions:
   * an element (A, v) acts by x -> A x + v, composition
@@ -20,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from . import rational as ra
@@ -33,6 +36,10 @@ class FlatOrbError(Exception):
 
 class NotCrystallographicError(FlatOrbError):
     pass
+
+
+class CapExceededError(FlatOrbError):
+    """A resource cap was reached; the message names what was counted."""
 
 
 class GroupNotNormalizedError(FlatOrbError):
@@ -60,6 +67,16 @@ def _freeze_vec(v) -> FracVec:
     return tuple(ra.frac(x) for x in v)
 
 
+def _int_identity(n: int) -> IntMat:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
+def _int_mul(A: IntMat, B: IntMat) -> IntMat:
+    """Product of two integer matrices, kept in Python integers."""
+    cols = tuple(zip(*B))
+    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in A)
+
+
 @dataclass(frozen=True)
 class AffineElement:
     """Affine isometry (A, v) in lattice coordinates."""
@@ -83,15 +100,17 @@ class AffineElement:
         return self == AffineElement.identity(self.dim)
 
     def is_translation(self) -> bool:
-        return self.linear == _freeze_int_mat(ra.identity(self.dim))
+        return self.linear == _int_identity(self.dim)
 
     def __mul__(self, other: "AffineElement") -> "AffineElement":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch in composition")
-        A = ra.mat(self.linear)
-        AB = ra.mat_mul(A, ra.mat(other.linear))
-        v = ra.vec_add(ra.mat_vec(A, list(other.translation)), list(self.translation))
-        return AffineElement(_freeze_int_mat(AB), tuple(v))
+        w = other.translation
+        v = tuple(
+            sum((a * x for a, x in zip(row, w) if a), t)
+            for row, t in zip(self.linear, self.translation)
+        )
+        return AffineElement(_int_mul(self.linear, other.linear), v)
 
     def inverse(self) -> "AffineElement":
         Ainv = ra.inverse(ra.mat(self.linear))
@@ -124,17 +143,51 @@ class HolonomyData:
     def cocycle_defects(self) -> list[tuple[IntMat, IntMat]]:
         """Pairs violating v_{AB} = A v_B + v_A (mod Z^n); empty when valid."""
         bad = []
-        for A in self.elements:
-            for B in self.elements:
-                AB = _freeze_int_mat(ra.mat_mul(ra.mat(A), ra.mat(B)))
-                lhs = self.translations[AB]
-                rhs = ra.vec_add(
-                    ra.mat_vec(ra.mat(A), list(self.translations[B])),
-                    list(self.translations[A]),
-                )
-                if _frac_part(tuple(lhs)) != _frac_part(tuple(rhs)):
+        for A, vA in self.items():
+            for B, vB in self.items():
+                AB = AffineElement(A, vA) * AffineElement(B, vB)
+                if _frac_part(self.translations[AB.linear]) != _frac_part(AB.translation):
                     bad.append((A, B))
         return bad
+
+
+def _coset_closure(
+    n: int, generators: tuple[AffineElement, ...], basis: ra.Mat | None
+) -> tuple[dict[IntMat, FracVec] | None, ra.Vec | None]:
+    """Close the generator cosets modulo the lattice spanned by ``basis``.
+
+    ``basis`` holds the lattice basis as columns; ``None`` stands for Z^n.
+    Each coset translation is reduced into the half-open cell of the basis.
+    Returns ``(table, None)``, the reduced translation v_A of every linear
+    part A, or ``(None, t)`` with ``t`` the first pure translation found
+    outside the lattice: two cosets with one linear part differ by one.
+    """
+    if basis is None:
+        reduce = _frac_part
+    else:
+        basis_inv = ra.inverse(basis)
+
+        def reduce(v):
+            coords = ra.mat_vec(basis_inv, list(v))
+            return tuple(ra.mat_vec(basis, [c - math.floor(c) for c in coords]))
+
+    table: dict[IntMat, FracVec] = {_int_identity(n): (Fraction(0),) * n}
+    frontier = list(generators) + [g.inverse() for g in generators]
+    queue = list(frontier)
+    while queue:
+        g = queue.pop()
+        v = reduce(g.translation)
+        seen = table.get(g.linear)
+        if seen is not None:
+            if seen != v:
+                return None, ra.vec_sub(list(v), list(seen))
+            continue
+        table[g.linear] = v
+        if len(table) > POINT_GROUP_CAP:
+            raise CapExceededError(f"point group has more than {POINT_GROUP_CAP} elements")
+        coset = AffineElement(g.linear, v)
+        queue.extend(coset * h for h in frontier)
+    return table, None
 
 
 @dataclass(frozen=True)
@@ -197,50 +250,16 @@ class CrystalGroup:
             return self
         self.validate()
         n = self.n
-        basis = ra.identity(n)  # columns: current lattice basis in original coords
-
-        def reduce_mod(v, basis_cols):
-            coords = ra.solve(basis_cols, list(v))
-            assert coords is not None
-            fracs = [c - math.floor(c) for c in coords]
-            return tuple(ra.mat_vec(basis_cols, fracs))
-
+        basis = None  # columns: current lattice basis in original coords; None is Z^n
         while True:
-            # close the generator cosets modulo the current lattice
-            elems: dict[IntMat, FracVec] = {
-                _freeze_int_mat(ra.identity(n)): tuple([Fraction(0)] * n)
-            }
-            frontier = list(self.generators) + [g.inverse() for g in self.generators]
-            new_translation = None
-            queue = [(g.linear, g.translation) for g in frontier]
-            while queue:
-                A, v = queue.pop()
-                v = reduce_mod(v, basis)
-                if A in elems:
-                    if elems[A] != v:
-                        # two cosets share a linear part: their difference is a
-                        # pure translation missing from the lattice
-                        new_translation = ra.vec_sub(list(v), list(elems[A]))
-                        break
-                    continue
-                if _freeze_int_mat(A) == _freeze_int_mat(ra.identity(n)) and any(v):
-                    new_translation = list(v)
-                    break
-                elems[_freeze_int_mat(A)] = v
-                if len(elems) > POINT_GROUP_CAP:
-                    raise NotCrystallographicError(
-                        "point-group enumeration exceeded cap; not crystallographic as presented"
-                    )
-                for g in frontier:
-                    w = AffineElement.of(A, v) * g
-                    queue.append((w.linear, w.translation))
-            if new_translation is None:
+            table, translation = _coset_closure(n, self.generators, basis)
+            if translation is None:
                 break
-            cols = ra.transpose(basis)  # rows = basis vectors
-            refined = ra.lattice_basis(cols + [new_translation])
-            if len(refined) != n:
-                raise NotCrystallographicError("translations do not span a full lattice")
-            basis = ra.transpose(refined)
+            rows = ra.transpose(basis) if basis else ra.identity(n)
+            basis = ra.transpose(ra.lattice_basis(rows + [translation]))
+        # on an unchanged lattice the closure is already the holonomy
+        holonomy = HolonomyData(n, tuple(sorted(table)), table) if basis is None else None
+        basis = basis or ra.identity(n)
 
         # rewrite generators and gram in the refined basis
         Binv = ra.inverse(basis)
@@ -272,6 +291,7 @@ class CrystalGroup:
         )
         out.notes["basis_change"] = [[ra.fraction_str(x) for x in row] for row in basis]
         out.validate()
+        out._holonomy_cache = holonomy
         return out
 
     # -- holonomy ------------------------------------------------------
@@ -281,35 +301,11 @@ class CrystalGroup:
             raise GroupNotNormalizedError("call normalize() before holonomy()")
         if self._holonomy_cache is not None:
             return self._holonomy_cache
-        n = self.n
-        ident = _freeze_int_mat(ra.identity(n))
-        elems: dict[IntMat, FracVec] = {ident: tuple([Fraction(0)] * n)}
-        frontier = list(self.generators) + [g.inverse() for g in self.generators]
-        queue = [(g.linear, _frac_part(g.translation)) for g in frontier]
-        while queue:
-            A, v = queue.pop()
-            A = _freeze_int_mat(A)
-            v = _frac_part(v)
-            if A in elems:
-                if elems[A] != v:
-                    raise GroupNotNormalizedError(
-                        "pure fractional translation found; group is not normalized"
-                    )
-                continue
-            if A == ident and any(v):
-                raise GroupNotNormalizedError(
-                    "pure fractional translation found; group is not normalized"
-                )
-            elems[A] = v
-            if len(elems) > POINT_GROUP_CAP:
-                raise NotCrystallographicError("holonomy enumeration exceeded cap")
-            for g in frontier:
-                w = AffineElement.of(A, v) * g
-                queue.append((w.linear, _frac_part(w.translation)))
-        order = sorted(elems)
-        data = HolonomyData(n=n, elements=tuple(order), translations=dict(elems))
-        self._holonomy_cache = data
-        return data
+        table, _ = _coset_closure(self.n, self.generators, None)
+        if table is None:
+            raise GroupNotNormalizedError("pure fractional translation found; group is not normalized")
+        self._holonomy_cache = HolonomyData(self.n, tuple(sorted(table)), table)
+        return self._holonomy_cache
 
     # -- invariants ----------------------------------------------------
 
@@ -326,7 +322,7 @@ class CrystalGroup:
         I = ra.identity(n)
         G = ra.mat(self.gram)
         for A in hol.elements:
-            if A == _freeze_int_mat(I):
+            if A == _int_identity(n):
                 continue
             v = list(hol.translations[A])
             Am = ra.mat(A)
@@ -355,19 +351,25 @@ class CrystalGroup:
         return math.sqrt(float(ra.det(ra.mat(self.gram)))) / hol.order
 
     def betti(self, k: int) -> int:
-        """Dimension of the holonomy-fixed subspace of the k-th exterior power."""
+        """Dimension of the holonomy-fixed subspace of the k-th exterior power.
+
+        That is the character sum (1/|H|) sum_A tr(Lambda^k A), where
+        tr(Lambda^k A) = (-1)^k c_{n-k}(A) for the characteristic
+        polynomial sum_j c_j(A) x^j of A.
+        """
         if not 0 <= k <= self.n:
             raise ValueError("degree out of range")
-        hol = self.holonomy()
-        if k == 0:
-            return 1
-        dim = math.comb(self.n, k)
-        rows: list[list[Fraction]] = []
-        I = ra.identity(dim)
-        for A in hol.elements:
-            E = ra.exterior_power(ra.mat(A), k)
-            rows.extend([[E[i][j] - I[i][j] for j in range(dim)] for i in range(dim)])
-        return len(ra.kernel(rows)) if rows else dim
+        order = self.holonomy().order
+        total = (-1) ** k * self._char_poly_sum[self.n - k]
+        if total % order:
+            raise FlatOrbError(f"Betti character sum {total} is not divisible by the holonomy order {order}")
+        return int(total) // order
+
+    @cached_property
+    def _char_poly_sum(self) -> list[Fraction]:
+        """Coefficientwise sum of the characteristic polynomials of the holonomy."""
+        polys = [ra.char_poly(ra.mat(A)) for A in self.holonomy().elements]
+        return [sum(coeffs) for coeffs in zip(*polys)]
 
 
 # -- JSON interchange ---------------------------------------------------

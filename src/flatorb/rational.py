@@ -9,7 +9,6 @@ arbitrary precision by construction; overflow cannot occur.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 
 Vec = list[Fraction]
@@ -178,14 +177,6 @@ def kernel(A: Mat) -> list[Vec]:
     return basis
 
 
-def solve_rational(A: Mat, b: Vec) -> tuple[Vec, list[Vec]] | None:
-    """Exact particular solution plus kernel basis, or None if inconsistent."""
-    x = solve(A, b)
-    if x is None:
-        return None
-    return x, kernel(A)
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
     while ng:
@@ -300,18 +291,6 @@ def integer_combination(target: Vec, generators: list[Vec]) -> list[int] | None:
     return [sum(c * u for c, u in zip(coeff, col)) for col in zip(*U)]
 
 
-def lattice_member(v: Vec, basis_vectors: list[Vec]) -> bool:
-    """Exact test: is v an integer combination of a full-rank basis?"""
-    B = [vec(b) for b in basis_vectors]
-    if rank(B) != len(B):
-        raise ValueError("basis is rank-deficient")
-    cols = transpose(B)
-    x = solve(cols, vec(v))
-    if x is None:
-        return False
-    return all(xi.denominator == 1 for xi in x)
-
-
 def gram_orth_projector(G: Mat, W_cols: Mat) -> Mat:
     """Projector onto span of the columns of W, orthogonal w.r.t. G."""
     Wt = transpose(W_cols)
@@ -356,20 +335,6 @@ def is_positive_definite(G: Mat) -> bool:
     """Sylvester criterion on leading principal minors."""
     n = len(G)
     return all(det([row[: k + 1] for row in G[: k + 1]]) > 0 for k in range(n))
-
-
-def exterior_power(M: Mat, k: int) -> Mat:
-    """k-th compound matrix: entries are k x k minors, subsets in lex order."""
-    n = len(M)
-    subsets = list(combinations(range(n), k))
-    out = []
-    for rows_idx in subsets:
-        out_row = []
-        for cols_idx in subsets:
-            minor = [[M[i][j] for j in cols_idx] for i in rows_idx]
-            out_row.append(det(minor) if k else Fraction(1))
-        out.append(out_row)
-    return out
 
 
 def fraction_str(x: Fraction) -> str:

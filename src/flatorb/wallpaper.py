@@ -409,57 +409,6 @@ def cone_point_classes(group: CrystalGroup) -> list[int]:
     return sorted(orders)
 
 
-def fundamental_cell_check(group: CrystalGroup, rect, grid: int = 200, word_len: int = 4):
-    """Sampled check that every orbit meets a rectangle (lattice coordinates).
-
-    Works on the group *as presented* (generators plus the provisional
-    lattice Z^2), so the rectangle lives in presentation coordinates.
-    Returns (True, None) or (False, witness_point).  The orbit of each
-    sample is explored with words of bounded length in the generators,
-    with integer translations free; membership in the rectangle is tested
-    modulo Z^2 componentwise.
-    """
-    (x0, x1), (y0, y1) = rect
-    gens = list(group.generators)
-    maps: dict[tuple, tuple] = {}
-    ident = ((1, 0), (0, 1))
-    maps[(ident, (0.0, 0.0))] = (np.eye(2), np.zeros(2))
-    frontier = list(maps.values())
-    base = []
-    for g in gens + [h.inverse() for h in gens]:
-        A = np.array([[float(x) for x in row] for row in g.linear])
-        t = np.array([float(x) for x in g.translation])
-        base.append((A, t))
-    for _ in range(word_len):
-        new = []
-        for A1, t1 in frontier:
-            for A2, t2 in base:
-                A = A2 @ A1
-                t = A2 @ t1 + t2
-                key = (tuple(map(tuple, A.astype(int))), tuple(np.round(t % 1.0, 9)))
-                if key not in maps:
-                    maps[key] = (A, t)
-                    new.append((A, t))
-        frontier = new
-        if not new:
-            break
-
-    xs = (np.arange(grid) + 0.5) / grid
-    pts = np.stack(np.meshgrid(xs, xs, indexing="ij"), axis=-1).reshape(-1, 2)
-    hit = np.zeros(len(pts), dtype=bool)
-    wx = x1 - x0
-    wy = y1 - y0
-    for A, t in maps.values():
-        img = pts @ A.T + t
-        okx = (wx >= 1 - 1e-12) | (((img[:, 0] - x0) % 1.0) <= wx + 1e-12)
-        oky = (wy >= 1 - 1e-12) | (((img[:, 1] - y0) % 1.0) <= wy + 1e-12)
-        hit |= okx & oky
-        if hit.all():
-            return True, None
-    idx = int(np.argmin(hit))
-    return False, tuple(pts[idx])
-
-
 SVG_COLORS = {
     "cell": "#000000",
     "center": "#cc0000",

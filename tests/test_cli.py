@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from flatorb import groups
 from flatorb.cli import main
 from flatorb.groups import dump_group
 from flatorb.catalog import catalog_get
@@ -48,7 +53,7 @@ def test_collapse_irrational_subspace(capsys):
     assert "circle" in out
 
 
-@pytest.mark.parametrize("subspace", ["1,0", ""])
+@pytest.mark.parametrize("subspace", ["1,0", "", "a,1,0"])
 def test_collapse_bad_subspace_is_a_domain_error(capsys, subspace):
     code, _, err = run(capsys, "collapse", "--catalog", "G6", "--subspace", subspace)
     assert code == 1
@@ -136,6 +141,50 @@ def test_group_file_loading(tmp_path, capsys):
     code, out, _ = run(capsys, "classify2", "--group", str(path))
     assert code == 0
     assert "pg" in out
+
+
+def test_point_group_cap_is_a_domain_error(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "signed-perms.json"
+    path.write_text(
+        json.dumps(
+            {
+                "dimension": 4,
+                "generators": [
+                    {"linear": M, "translation": [0, 0, 0, 0]}
+                    for M in (
+                        [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                        [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+                        [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+                    )
+                ],
+            }
+        )
+    )
+    monkeypatch.setattr(groups, "POINT_GROUP_CAP", 100)
+    code, _, err = run(capsys, "analyze", "--group", str(path))
+    assert code == 1
+    assert err == "error: point group has more than 100 elements\n"
+
+
+def test_closed_stdout_pipe_is_not_a_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "flatorb.cli", "teich", "--catalog", "G3", "--json"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
 
 
 def test_usage_error_exit_code():

@@ -1,13 +1,19 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
+from flatorb import groups
 from flatorb import rational as ra
+from flatorb.catalog import catalog_get, generalized_klein_bottle
 from flatorb.groups import (
     AffineElement,
+    CapExceededError,
     CrystalGroup,
+    FlatOrbError,
     GroupNotNormalizedError,
+    HolonomyData,
     group_from_dict,
     group_to_dict,
 )
@@ -155,6 +161,49 @@ def test_betti_hantzsche_wendt():
     ).normalize()
     assert grp.betti(1) == 0
     assert grp.is_torsion_free().torsion_free
+
+
+def signed_permutations_z4():
+    """The order-384 group of signed permutation matrices acting on Z^4."""
+    swap = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    cycle = [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    flip = [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    return CrystalGroup.make(4, [(M, [0, 0, 0, 0]) for M in (swap, cycle, flip)])
+
+
+def test_point_group_cap_is_reported_as_a_cap(monkeypatch):
+    assert signed_permutations_z4().normalize().holonomy().order == 384
+    monkeypatch.setattr(groups, "POINT_GROUP_CAP", 100)
+    with pytest.raises(CapExceededError, match="point group has more than 100 elements"):
+        signed_permutations_z4().normalize()
+
+
+def _fixed_exterior_dim(grp, k):
+    # reference: kernel of the stacked (Lambda^k A - I), Lambda^k A from k x k minors
+    subsets = list(combinations(range(grp.n), k))
+    rows = []
+    for A in grp.holonomy().elements:
+        for r, rs in enumerate(subsets):
+            minors = [ra.det([[ra.frac(A[i][j]) for j in cs] for i in rs]) for cs in subsets]
+            rows.append([m - (r == c) for c, m in enumerate(minors)])
+    return len(ra.kernel(rows))
+
+
+def test_betti_character_sums_match_fixed_exterior_forms():
+    grps = [klein_bottle(), pillowcase(), generalized_klein_bottle(5), signed_permutations_z4().normalize()]
+    grps += [catalog_get(key).group for key in ("G2", "G6", "B4", "joyce-O1")]
+    for grp in grps:
+        for k in range(1, grp.n + 1):
+            assert grp.betti(k) == _fixed_exterior_dim(grp, k), (grp.name, k)
+
+
+def test_betti_rejects_a_sum_no_group_gives():
+    grp = CrystalGroup.make(2, []).normalize()
+    zero = (Fraction(0), Fraction(0))
+    not_a_group = (((1, 0), (0, 1)), ((-1, 0), (0, 1)), ((1, 0), (0, -1)))
+    grp._holonomy_cache = HolonomyData(2, not_a_group, dict.fromkeys(not_a_group, zero))
+    with pytest.raises(FlatOrbError, match="not divisible"):
+        grp.betti(1)
 
 
 def test_gram_preserved_by_holonomy():

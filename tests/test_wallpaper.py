@@ -8,7 +8,6 @@ from flatorb.groups import CrystalGroup
 from flatorb.wallpaper import (
     classify2,
     classify_low_dim,
-    fundamental_cell_check,
     render_svg,
     singular_locus,
 )
@@ -157,28 +156,6 @@ def test_centers_fixed_by_witness():
                 if all(x.denominator == 1 for x in diff):
                     fixed_by_some = True
             assert fixed_by_some, (name, pt, order)
-
-
-def test_fundamental_cell_g1():
-    # orbits of the point-reflection/glide presentation meet [0,1/4]x[-1/2,1/2]
-    grp = CrystalGroup.make(2, [(NEG, [0, 0]), (MIRX, ["1/2", "1/2"])])
-    ok, witness = fundamental_cell_check(grp, ((0, 0.25), (-0.5, 0.5)), grid=60)
-    assert ok, witness
-
-
-def test_fundamental_cell_g3():
-    # presentation with the hidden half translation: rectangle in the
-    # presentation coordinates, not the refined lattice
-    grp = CrystalGroup.make(2, [(MIRY, [0, 0]), (MIRY, [0, "1/2"])])
-    ok, witness = fundamental_cell_check(grp, ((0, 0.5), (0, 0.5)), grid=60)
-    assert ok, witness
-
-
-def test_fundamental_cell_p1_half_fails():
-    grp = wallpaper_groups()["p1"]
-    ok, witness = fundamental_cell_check(grp, ((0, 0.5), (0, 1.0)), grid=40)
-    assert not ok
-    assert witness is not None
 
 
 def test_classify_low_dim():
