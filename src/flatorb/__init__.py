@@ -23,7 +23,6 @@ from .lattices import (
     SpecialBasis,
     check_diameter_bound,
     covering_radius,
-    reduced_basis,
     sequence_limit,
     short_vectors,
     special_basis,
@@ -65,7 +64,6 @@ __all__ = [
     "product_resolution",
     "rational_closure",
     "rational_isotypic_components",
-    "reduced_basis",
     "render_svg",
     "sequence_limit",
     "short_vectors",

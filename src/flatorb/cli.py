@@ -22,7 +22,7 @@ from . import rational as ra
 from .catalog import catalog_get, catalog_list
 from .collapse import InvalidSubspaceError, collapse, product_resolution, verify_theorem_c
 from .groups import CrystalGroup, FlatOrbError, load_group
-from .lattices import Lattice, axis_scaling_family, sequence_limit, special_basis
+from .lattices import InvalidLatticeError, Lattice, axis_scaling_family, sequence_limit, special_basis
 from .reps import teich_report
 from .wallpaper import classify2, render_svg
 
@@ -59,12 +59,16 @@ def _parse_subspace(text: str):
             vectors.append([float(x) for x in vec])
         else:
             vectors.append(vec)
+    if len({len(v) for v in vectors}) > 1:
+        raise InvalidSubspaceError("subspace vectors differ in length")
     return vectors
 
 
 def _parse_matrix(text: str) -> np.ndarray:
-    rows = [[float(x) for x in _parse_vector(chunk)] for chunk in text.split(";")]
-    return np.asarray(rows, dtype=float)
+    try:
+        return np.array([[float(x) for x in _parse_vector(chunk)] for chunk in text.split(";")])
+    except ValueError:
+        raise InvalidLatticeError(f"lattice {text!r} is not a matrix of numbers") from None
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -200,7 +204,10 @@ def cmd_limit_seq(args) -> int:
             raise FlatOrbError("limit-seq expects a lattice (a group with no nontrivial generators)")
         G = np.array([[float(x) for x in row] for row in grp.gram])
         L = Lattice(np.linalg.cholesky(G).T)
-    schedule = [float(x) for x in _parse_vector(args.schedule)]
+    try:
+        schedule = [float(x) for x in _parse_vector(args.schedule)]
+    except ValueError:
+        raise InvalidLatticeError(f"schedule {args.schedule!r} is not a list of numbers") from None
     directions = np.array(
         [[float(x) for x in v] for v in _parse_subspace(args.subspace)], dtype=float
     ).T
@@ -382,7 +389,7 @@ def main(argv=None) -> int:
     except FlatOrbError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

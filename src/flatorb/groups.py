@@ -46,6 +46,10 @@ class GroupNotNormalizedError(FlatOrbError):
     pass
 
 
+class InvalidGroupError(FlatOrbError, ValueError):
+    """A group description that names no crystallographic group."""
+
+
 IntMat = tuple[tuple[int, ...], ...]
 FracVec = tuple[Fraction, ...]
 
@@ -228,19 +232,19 @@ class CrystalGroup:
     def validate(self) -> None:
         G = ra.mat(self.gram)
         if len(G) != self.n or any(len(r) != self.n for r in G):
-            raise ValueError("gram form has the wrong shape")
+            raise InvalidGroupError("gram form has the wrong shape")
         if not ra.is_symmetric(G):
-            raise ValueError("gram form must be symmetric")
+            raise InvalidGroupError("gram form must be symmetric")
         if not ra.is_positive_definite(G):
-            raise ValueError("gram form must be positive definite")
+            raise InvalidGroupError("gram form must be positive definite")
         for g in self.generators:
-            if g.dim != self.n:
-                raise ValueError("generator dimension mismatch")
+            if g.dim != self.n or len(g.linear) != self.n or any(len(r) != self.n for r in g.linear):
+                raise InvalidGroupError("generator dimension mismatch")
             A = ra.mat(g.linear)
             if abs(ra.det(A)) != 1:
-                raise ValueError("generator linear part is not unimodular")
+                raise InvalidGroupError("generator linear part is not unimodular")
             if not ra.mat_eq(ra.mat_mul(ra.transpose(A), ra.mat_mul(G, A)), G):
-                raise ValueError("generator does not preserve the gram form")
+                raise InvalidGroupError("generator does not preserve the gram form")
 
     # -- normalization -------------------------------------------------
 
@@ -393,15 +397,25 @@ def group_to_dict(group: CrystalGroup) -> dict:
 
 
 def group_from_dict(d: dict) -> CrystalGroup:
-    n = int(d["dimension"])
-    gram = d.get("gram")
-    gens = [(g["linear"], g["translation"]) for g in d.get("generators", [])]
-    return CrystalGroup.make(n, gens, gram=gram, name=d.get("name"))
+    try:
+        n = d["dimension"]
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"dimension {n!r} is not a positive integer")
+        gram = d.get("gram")
+        gens = [(g["linear"], g["translation"]) for g in d.get("generators", [])]
+        return CrystalGroup.make(n, gens, gram=gram, name=d.get("name"))
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise InvalidGroupError(f"bad group description: {detail}") from None
 
 
 def load_group(path: str | Path) -> CrystalGroup:
     with open(path, "r", encoding="utf-8") as fh:
-        return group_from_dict(json.load(fh))
+        try:
+            d = json.load(fh)
+        except ValueError as exc:
+            raise InvalidGroupError(f"{path} is not JSON: {exc}") from None
+    return group_from_dict(d)
 
 
 def dump_group(group: CrystalGroup, path: str | Path) -> None:

@@ -1,15 +1,19 @@
 """Lattice reduction and flat-torus geometry at desk scale.
 
-Implements angle-bounded reduced bases, the canonical "special basis"
-(the lexicographic minimum, by non-increasing norm tuples, of all
-angle-bounded bases inside the closed ball of radius R0), certified
-covering-radius enclosures, the diameter lower bound diam >= beta_n |u1|,
-and limit extraction for collapsing families of lattices.
+Implements the canonical "special basis" (the lexicographic minimum, by
+non-increasing norm tuples, of all angle-bounded bases inside the closed
+ball of radius R0), certified covering-radius enclosures, the diameter
+lower bound diam >= beta_n |u1|, and limit extraction for collapsing
+families of lattices.
 
 The angle constant is theta_n = arcsin(2^(-n(n-1)/4)) and
 beta_n = min(1/2, sin(2 theta_n)); in particular beta_2 = beta_3 = 1/2.
-Everything is exhaustive search over short-vector enumerations, which is
-exactly what these desk-scale inputs (n <= 4) need.
+An LLL basis (delta = 3/4) satisfies |det B| >= 2^(-n(n-1)/4) prod |b_j|,
+and sin angle(b_i, rest) >= |det B| / prod |b_j|, so it is angle-bounded
+and R0 is at most its longest norm.  The special basis comes from one
+exhaustive search over the short vectors of that ball: u_1 scans upward
+in norm, and the first norm at which it completes an angle-bounded basis
+is R0.  This is what these desk-scale inputs (n <= 4) need.
 """
 
 from __future__ import annotations
@@ -30,6 +34,10 @@ ANGLE_SLACK = 1e-9
 
 class LatticeEnumerationError(FlatOrbError):
     pass
+
+
+class InvalidLatticeError(FlatOrbError, ValueError):
+    """A basis, schedule or direction set that describes no lattice family."""
 
 
 class NoLimitError(FlatOrbError):
@@ -56,9 +64,13 @@ class Lattice:
         B = np.asarray(self.basis, dtype=float)
         object.__setattr__(self, "basis", B)
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
-            raise ValueError("basis must be a square matrix of column vectors")
+            raise InvalidLatticeError("basis must be a square matrix of column vectors")
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(B).all() and np.isfinite(B.T @ B).all()
+        if not finite:
+            raise InvalidLatticeError("basis entries and their inner products must be finite")
         if abs(np.linalg.det(B)) < 1e-12:
-            raise ValueError("basis is singular")
+            raise InvalidLatticeError("basis is singular")
 
     @staticmethod
     def from_rows(rows) -> "Lattice":
@@ -160,13 +172,6 @@ def _min_sine(cols: np.ndarray) -> float:
     return worst
 
 
-def _sorted_by_norm(cols_list):
-    def skey(v):
-        return (-float(np.linalg.norm(v)), tuple(np.round(_signfix(v), 9)))
-
-    return sorted(cols_list, key=skey)
-
-
 def _signfix(v: np.ndarray) -> np.ndarray:
     for x in v:
         if x > 1e-12:
@@ -187,45 +192,36 @@ def _candidate_list(lattice: Lattice, r: float):
     return items
 
 
-def _basis_ok(combo, *, angle_bound, det_bound) -> bool:
-    n = len(combo)
+def _basis_ok(combo, angle_bound: float) -> bool:
     Z = np.array([z for _, _, z, _ in combo]).T
     if abs(round(np.linalg.det(Z))) != 1:
         return False
     cols = np.column_stack([v for _, _, _, v in combo])
-    if det_bound:
-        bound = 2.0 ** (-n * (n - 1) / 4.0) * np.prod([nm for nm, _, _, _ in combo])
-        if abs(np.linalg.det(cols)) < bound * (1 - 1e-12):
-            return False
-    if angle_bound is not None and _min_sine(cols) < angle_bound - ANGLE_SLACK:
-        return False
-    return True
+    return _min_sine(cols) >= angle_bound - ANGLE_SLACK
 
 
-def _search_bases(candidates, n, *, angle_bound, det_bound, shell_indices=None, first_only=False):
-    """Pruned DFS for the lexicographically minimal admissible basis.
+def _search_bases(candidates, n, *, angle_bound, start):
+    """Pruned DFS for the lexicographically least angle-bounded basis.
 
     ``candidates`` is sorted ascending by (norm, coords); a basis is built
     in canonical order u_1, ..., u_n with strictly decreasing candidate
-    indices, i.e. non-increasing (norm, coords).  The u_1 pool is either
-    ``shell_indices`` (the R0 shell, for the canonical-basis search) or all
-    indices.  ``first_only`` turns the search into an existence test that
-    scans u_1 from the largest candidate down.  Returns the winning combo
-    (position order u_1 first) or None.
+    indices, i.e. non-increasing (norm, coords).  u_1 scans upward from
+    index ``start`` and every deeper pool ascends below the previous index,
+    so each depth stops at the first prefix whose norms exceed the best
+    key's.  The key starts with |u_1|, hence the first u_1 norm that
+    completes a basis is R0 and the scan ends past it.  ``COMBO_CAP``
+    bounds the nodes this search visits, and it is the only search per
+    ``special_basis`` call.  Returns the winning combo (u_1 first) or None.
     """
     best_key = None
     best_combo = None
-    counter = [0]
+    nodes = 0
 
-    def partial_independent(combo) -> bool:
-        cols = np.column_stack([v for _, _, _, v in combo])
-        return np.linalg.matrix_rank(cols, tol=1e-10) == len(combo)
-
-    def dfs(prev_idx, combo):
-        nonlocal best_key, best_combo
+    def dfs(pool, combo):
+        nonlocal best_key, best_combo, nodes
         depth = len(combo)
         if depth == n:
-            if _basis_ok(combo, angle_bound=angle_bound, det_bound=det_bound):
+            if _basis_ok(combo, angle_bound):
                 key = (
                     tuple(round(nm, 12) for nm, _, _, _ in combo),
                     tuple(x for _, ct, _, _ in combo for x in ct),
@@ -234,33 +230,22 @@ def _search_bases(candidates, n, *, angle_bound, det_bound, shell_indices=None, 
                     best_key = key
                     best_combo = list(combo)
             return
-        if depth == 0:
-            pool = shell_indices if shell_indices is not None else list(range(len(candidates)))
-            if first_only:
-                pool = list(reversed(pool))
-        else:
-            pool = range(prev_idx)  # ascending scan below the previous index
         for idx in pool:
-            counter[0] += 1
-            if counter[0] > COMBO_CAP:
+            nodes += 1
+            if nodes > COMBO_CAP:
                 raise LatticeEnumerationError("basis search cap exceeded")
             entry = candidates[idx]
             if best_key is not None:
-                if first_only:
-                    return
                 prefix = tuple(round(c[0], 12) for c in combo) + (round(entry[0], 12),)
                 if prefix > best_key[0][: depth + 1]:
-                    if depth > 0:
-                        break  # pool ascends in norm: no later candidate can help
-                    continue
+                    break  # the pool ascends in norm: no later candidate can help
             combo.append(entry)
-            if partial_independent(combo):
-                dfs(idx, combo)
+            cols = np.column_stack([v for _, _, _, v in combo])
+            if np.linalg.matrix_rank(cols, tol=1e-10) == len(combo):
+                dfs(range(idx), combo)
             combo.pop()
-            if first_only and best_key is not None:
-                return
 
-    dfs(len(candidates), [])
+    dfs(range(start, len(candidates)), [])
     return best_combo
 
 
@@ -305,37 +290,19 @@ def lll_reduce(basis: np.ndarray, delta: float = 0.75) -> np.ndarray:
     return B
 
 
-def reduced_basis(lattice: Lattice) -> np.ndarray:
-    """A basis meeting det(B) >= 2^(-n(n-1)/4) * prod |v_i| (columns).
+def _spanning_index(cands, n: int) -> int:
+    """Index of the candidate that first brings the span to dimension n.
 
-    LLL already guarantees the inequality; the exhaustive search is kept
-    as a fallback for floating-point edge cases.
+    No basis can use only earlier candidates, so this is where the scan
+    of u_1 starts; its norm is the successive minimum lambda_n.
     """
-    n = lattice.n
-    B = lll_reduce(lattice.basis)
-    bound = 2.0 ** (-n * (n - 1) / 4.0) * np.prod(np.linalg.norm(B, axis=0))
-    if abs(np.linalg.det(B)) >= bound * (1 - 1e-12):
-        order = np.argsort([-np.linalg.norm(B[:, j]) for j in range(n)], kind="stable")
-        return np.column_stack([_signfix(B[:, j]) for j in order])
-    r = float(max(np.linalg.norm(B[:, j]) for j in range(n)))
-    for _ in range(60):
-        cands = _candidate_list(lattice, r)
-        combo = _search_bases(cands, n, angle_bound=None, det_bound=True, first_only=True)
-        if combo is not None:
-            return np.column_stack([v for _, _, _, v in combo])
-        r *= 1.5
-    raise LatticeEnumerationError("no admissible basis found within the search radius cap")
-
-
-def _independent_radius(cands, n: int) -> float:
-    """Smallest norm at which n linearly independent candidates exist."""
     picked: list[np.ndarray] = []
-    for nm, _, _, v in cands:
+    for idx, (_, _, _, v) in enumerate(cands):
         trial = picked + [v]
         if np.linalg.matrix_rank(np.column_stack(trial), tol=1e-10) == len(trial):
             picked.append(v)
             if len(picked) == n:
-                return nm
+                return idx
     raise LatticeEnumerationError("candidate list does not span the lattice")
 
 
@@ -345,60 +312,31 @@ def special_basis(lattice: Lattice) -> SpecialBasis:
     R0 is the smallest radius whose closed ball contains an angle-bounded
     basis; among all such bases (ordered by non-increasing norm) the
     lexicographically minimal norm tuple wins, with a deterministic
-    coordinate tie-break between equal-norm bases.
+    coordinate tie-break between equal-norm bases.  The LLL basis is
+    angle-bounded, so the ball of its longest vector holds the answer.
     """
     n = lattice.n
     bound = math.sin(theta_n(n))
     seed = lll_reduce(lattice.basis)
-    r_found = float(max(np.linalg.norm(seed[:, j]) for j in range(n)))
     if _min_sine(seed) < bound - ANGLE_SLACK:
-        # extremely rare fp corner: fall back to a growing existence search
-        for _ in range(60):
-            cands = _candidate_list(lattice, r_found)
-            if _search_bases(cands, n, angle_bound=bound, det_bound=False, first_only=True):
-                break
-            r_found *= 1.5
-        else:
-            raise LatticeEnumerationError("no angle-bounded basis found")
-    all_cands = _candidate_list(lattice, r_found * (1 + 1e-12))
-    lam_n = _independent_radius(all_cands, n)
-    norms = sorted({c[0] for c in all_cands if lam_n - 1e-12 <= c[0] <= r_found * (1 + 1e-12)})
-
-    def feasible(rad: float) -> bool:
-        cands = [c for c in all_cands if c[0] <= rad * (1 + 1e-12)]
-        return (
-            _search_bases(cands, n, angle_bound=bound, det_bound=False, first_only=True)
-            is not None
-        )
-
-    lo, hi = 0, len(norms) - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if feasible(norms[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    R0 = norms[lo]
-
-    cands = [c for c in all_cands if c[0] <= R0 * (1 + 1e-12)]
-    shell = [i for i, c in enumerate(cands) if c[0] >= R0 - 1e-9 * max(1.0, R0)]
-    combo = _search_bases(cands, n, angle_bound=bound, det_bound=False, shell_indices=shell)
-    assert combo is not None
+        raise LatticeEnumerationError("LLL basis is not angle-bounded")
+    radius = float(max(np.linalg.norm(seed[:, j]) for j in range(n)))
+    cands = _candidate_list(lattice, radius * (1 + 1e-12))
+    combo = _search_bases(cands, n, angle_bound=bound, start=_spanning_index(cands, n))
+    if combo is None:
+        raise LatticeEnumerationError("no angle-bounded basis within the LLL radius")
     vectors = tuple(v for _, _, _, v in combo)
     Binv = np.linalg.inv(lattice.basis)
     coeffs = np.rint(Binv @ np.column_stack(vectors)).astype(int)
     if not np.allclose(lattice.basis @ coeffs, np.column_stack(vectors), atol=1e-8):
         raise LatticeEnumerationError("special basis is not integral in the input basis")
-    sb = SpecialBasis(
+    return SpecialBasis(
         vectors=vectors,
         coefficients=coeffs,
-        R0=float(R0),
+        R0=combo[0][0],
         theta=theta_n(n),
         beta=beta_n(n),
     )
-    if abs(sb.norms[0] - R0) > 1e-9 * max(1.0, R0):
-        raise LatticeEnumerationError("special basis does not realize R0")
-    return sb
 
 
 # -- covering radius ------------------------------------------------------
@@ -538,9 +476,9 @@ def sequence_limit(
     """
     ts = list(t_schedule)
     if len(ts) < 3:
-        raise ValueError("schedule needs at least three values")
-    if any(b >= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("schedule must be strictly decreasing")
+        raise InvalidLatticeError("schedule needs at least three values")
+    if not (all(b < a for a, b in zip(ts, ts[1:])) and ts[-1] > 0):
+        raise InvalidLatticeError("schedule must be positive and strictly decreasing")
     bases = []
     for t in ts:
         L = family(t)
@@ -589,6 +527,8 @@ def axis_scaling_family(lattice: Lattice, directions: np.ndarray) -> Callable[[f
     D = np.asarray(directions, dtype=float)
     if D.ndim == 1:
         D = D[:, None]
+    if D.ndim != 2 or D.shape[0] != lattice.n or np.linalg.matrix_rank(D) != D.shape[1]:
+        raise InvalidLatticeError(f"directions must be independent vectors of length {lattice.n}")
     Q, _ = np.linalg.qr(D)
     P = Q @ Q.T
 

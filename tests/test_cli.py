@@ -61,6 +61,60 @@ def test_collapse_bad_subspace_is_a_domain_error(capsys, subspace):
     assert "Traceback" not in err
 
 
+LIMIT = ["limit-seq", "--lattice", "1,0;0,1", "--subspace", "0,1", "--schedule"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        LIMIT + ["a,1"],
+        ["limit-seq", "--lattice", "1,0;0,x", "--subspace", "0,1", "--schedule", "1,0.5,0.1"],
+        LIMIT + ["1,0.5"],
+        LIMIT + ["0.1,0.5,1"],
+        ["reduce-lattice", "abc"],
+        ["reduce-lattice", "1,0;1,0"],
+        ["reduce-lattice", "1,0,0;0,1"],
+        ["reduce-lattice", "1,0;0,nan"],
+        ["reduce-lattice", "1,0;0,inf"],
+        ["reduce-lattice", "1,0;0,1e300"],
+        ["limit-seq", "--lattice", "1,0;0,1", "--subspace", "0,1,0", "--schedule", "1,0.5,0.1"],
+    ],
+)
+def test_bad_lattice_input_is_a_domain_error(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+BAD_GROUP_FILES = {
+    "zero-denominator": '{"dimension": 2, "generators": [{"linear": [[1, 0], [0, -1]], "translation": ["1/0", "0"]}]}',
+    "missing-translation": '{"dimension": 2, "generators": [{"linear": [[1, 0], [0, -1]]}]}',
+    "malformed-json": '{"dimension": 2, "generators": [',
+    "non-numeric-entry": '{"dimension": 2, "generators": [{"linear": [["x", 0], [0, -1]], "translation": [0, 0]}]}',
+    "indefinite-gram": '{"dimension": 2, "gram": [[1, 0], [0, -1]], "generators": []}',
+    "wrong-dimension": '{"dimension": 2, "generators": [{"linear": [[1, 0, 0], [0, -1, 0], [0, 0, 1]], "translation": ["1/2", 0, 0]}]}',
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_GROUP_FILES))
+def test_bad_group_file_is_a_domain_error(tmp_path, capsys, name):
+    path = tmp_path / f"{name}.json"
+    path.write_text(BAD_GROUP_FILES[name])
+    code, _, err = run(capsys, "analyze", "--group", str(path))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    with pytest.raises(groups.InvalidGroupError):
+        groups.load_group(path).normalize()
+
+
+def test_group_path_that_is_a_directory_is_a_domain_error(tmp_path, capsys):
+    code, _, err = run(capsys, "analyze", "--group", str(tmp_path))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_classify2_cli(capsys):
     code, out, _ = run(capsys, "classify2", "--catalog", "p4g")
     assert code == 0

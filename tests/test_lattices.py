@@ -4,14 +4,17 @@ import random
 import numpy as np
 import pytest
 
+from flatorb import lattices
 from flatorb.lattices import (
+    InvalidLatticeError,
     Lattice,
+    LatticeEnumerationError,
     NoLimitError,
     axis_scaling_family,
     beta_n,
     check_diameter_bound,
     covering_radius,
-    reduced_basis,
+    lll_reduce,
     sequence_limit,
     short_vectors,
     special_basis,
@@ -42,29 +45,6 @@ def test_short_vectors_hexagonal_kissing():
 def test_short_vectors_z3_sqrt2():
     vs = short_vectors(Lattice(np.eye(3)), math.sqrt(2) + 1e-9)
     assert len(vs) == 18
-
-
-def test_reduced_basis_zn():
-    for n in (2, 3):
-        B = reduced_basis(Lattice(np.eye(n)))
-        norms = sorted(np.linalg.norm(B, axis=0))
-        assert norms == pytest.approx([1.0] * n)
-
-
-def test_reduced_basis_hexagonal_defect():
-    B = reduced_basis(HEX)
-    det = abs(np.linalg.det(B))
-    prod = np.prod(np.linalg.norm(B, axis=0))
-    assert det / prod >= 2 ** (-0.5) - 1e-12
-    assert det / prod == pytest.approx(math.sin(math.pi / 3), abs=1e-9)
-
-
-def test_reduced_basis_skewed():
-    L = Lattice.from_rows([[1.0, 0.0], [0.9, 0.1]])
-    B = reduced_basis(L)
-    det = abs(np.linalg.det(B))
-    prod = np.prod(np.linalg.norm(B, axis=0))
-    assert det / prod >= 2 ** (-0.5) - 1e-12
 
 
 def test_special_basis_z2():
@@ -155,6 +135,100 @@ def test_special_basis_against_oracle_random_2d():
         done += 1
 
 
+def _oracle_special_3d(rows):
+    """Brute force over a coefficient box that provably holds the search ball.
+
+    Any LLL basis has longest norm at most 2^((n-1)/2) lambda_n <= 2 max|row|
+    for n = 3, and R0 is at most that, so every vector of a special basis
+    has coefficients bounded by ||B^-1|| times this radius.
+    """
+    B = np.asarray(rows, dtype=float)  # rows are basis vectors
+    bound = math.sin(theta_n(3))
+    radius = 2 * max(np.linalg.norm(B, axis=1))
+    Z = math.ceil(np.linalg.norm(np.linalg.inv(B), 2) * radius)
+    rng_ = np.arange(-Z, Z + 1)
+    coeffs = np.stack(np.meshgrid(rng_, rng_, rng_, indexing="ij"), -1).reshape(-1, 3)
+    # one of each +-pair: first nonzero coefficient positive
+    first = coeffs[np.arange(len(coeffs)), np.argmax(coeffs != 0, axis=1)]
+    coeffs = coeffs[first > 0]
+    vecs = coeffs @ B
+    norms = np.linalg.norm(vecs, axis=1)
+    keep = norms <= radius + 1e-9
+    coeffs, vecs, norms = coeffs[keep], vecs[keep], norms[keep]
+    order = np.argsort(norms, kind="stable")
+    coeffs, vecs, norms = coeffs[order], vecs[order], norms[order]
+
+    def admissible(i, j, k):
+        if abs(round(np.linalg.det(coeffs[[i, j, k]]))) != 1:
+            return False
+        a, b, c = vecs[i], vecs[j], vecs[k]
+        vol = abs(np.dot(a, np.cross(b, c)))
+        sines = (
+            vol / (np.linalg.norm(a) * np.linalg.norm(np.cross(b, c))),
+            vol / (np.linalg.norm(b) * np.linalg.norm(np.cross(a, c))),
+            vol / (np.linalg.norm(c) * np.linalg.norm(np.cross(a, b))),
+        )
+        return min(sines) >= bound - 1e-9
+
+    best = None
+    for k in range(len(vecs)):  # k carries the longest vector u1
+        if best is not None and norms[k] > best[0] + 1e-9:
+            break
+        for j in range(k):
+            for i in range(j):
+                if admissible(i, j, k):
+                    key = (norms[k], norms[j], norms[i])
+                    if best is None or key < best:
+                        best = key
+    return best[0], best
+
+
+def test_special_basis_against_oracle_random_3d():
+    rng = random.Random(11)
+    done = 0
+    while done < 24:
+        rows = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(3)]
+        if abs(np.linalg.det(np.asarray(rows, dtype=float))) < 0.5:
+            continue
+        sb = special_basis(Lattice.from_rows(rows))
+        r0, norms = _oracle_special_3d(rows)
+        assert sb.R0 == pytest.approx(r0, abs=1e-9)
+        assert sb.norms == pytest.approx(norms, abs=1e-9)
+        done += 1
+
+
+def test_special_basis_rejects_a_seed_that_is_not_angle_bounded(monkeypatch):
+    # a 2-D basis at angle ~6 degrees is far below theta_2 = 45 degrees
+    monkeypatch.setattr(lattices, "lll_reduce", lambda B: np.array([[1.0, 0.9], [0.0, 0.1]]))
+    with pytest.raises(LatticeEnumerationError, match="not angle-bounded"):
+        special_basis(Lattice(np.eye(2)))
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [[1.0, 0.0], [1.0, 0.0]],
+        [[1.0, 0.0], [0.0, math.nan]],
+        [[1.0, 0.0], [0.0, math.inf]],
+        [[1.0, 0.0], [0.0, 1e300]],
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+    ],
+)
+def test_lattice_rejects_bad_bases(rows):
+    with pytest.raises(InvalidLatticeError):
+        Lattice.from_rows(rows)
+
+
+def test_sequence_limit_rejects_bad_schedules_and_directions():
+    fam = axis_scaling_family(Lattice(np.eye(2)), np.array([0.0, 1.0]))
+    for sched in ([1, 0.5], [0.1, 0.5, 1], [1, 0.5, 0.0], [1, math.nan, 0.1]):
+        with pytest.raises(InvalidLatticeError):
+            sequence_limit(fam, sched)
+    for directions in (np.array([0.0, 1.0, 0.0]), np.zeros(2), np.array([[1.0, 2.0], [0.0, 0.0]])):
+        with pytest.raises(InvalidLatticeError):
+            axis_scaling_family(Lattice(np.eye(2)), directions)
+
+
 def test_covering_radius_zn_closed_form():
     for n in (1, 2, 3):
         lo, hi = covering_radius(Lattice(np.eye(n)), 1e-6)
@@ -183,29 +257,31 @@ def test_diameter_bound_z2():
 
 def test_special_basis_properties_random():
     rng = random.Random(41)
-    done = 0
-    while done < 25:
+    # D4*: its four shortest independent vectors e_i span only Z^4, index 2
+    d4_dual = Lattice.from_rows(np.vstack([np.eye(4)[:3], [0.5] * 4]))
+    inputs = [HEX, Lattice.from_rows([[1.0, 0.0], [0.9, 0.1]]), d4_dual]
+    while len(inputs) < 28:
         n = rng.choice([2, 3])
         rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         M = np.asarray(rows, dtype=float)
         if abs(np.linalg.det(M)) < 0.5:
             continue
-        L = Lattice.from_rows(rows)
+        inputs.append(Lattice.from_rows(rows))
+    for L in inputs:
+        n = L.n
         sb = special_basis(L)
         # unimodular in the input basis
         assert abs(round(np.linalg.det(sb.coefficients))) == 1
         # angle bound with the stated slack
-        from flatorb.lattices import _min_sine
-
-        assert _min_sine(sb.matrix()) >= math.sin(sb.theta) - 1e-9
+        assert lattices._min_sine(sb.matrix()) >= math.sin(sb.theta) - 1e-9
         # norms non-increasing and |u1| = R0
         assert all(a >= b - 1e-12 for a, b in zip(sb.norms, sb.norms[1:]))
-        assert sb.norms[0] == pytest.approx(sb.R0, abs=1e-9)
-        B = reduced_basis(L)
+        assert sb.norms[0] == sb.R0
+        # the LLL seed meets the determinant inequality the search relies on
+        B = lll_reduce(L.basis)
         det = abs(np.linalg.det(B))
         prod = np.prod(np.linalg.norm(B, axis=0))
         assert det / prod >= 2 ** (-n * (n - 1) / 4.0) - 1e-12
-        done += 1
 
 
 def test_diameter_bound_random_battery():
