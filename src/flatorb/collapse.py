@@ -116,6 +116,8 @@ def _check_vectors(n: int, vectors) -> None:
     for v in vectors:
         if len(v) != n:
             raise InvalidSubspaceError(f"subspace vector has {len(v)} entries; the group has dimension {n}")
+        if all((x if isinstance(x, float) else ra.frac(x)) == 0 for x in v):
+            raise InvalidSubspaceError("zero vector in subspace")
 
 
 def rational_closure(group: CrystalGroup, vectors, seed: int = 0) -> list[list[Fraction]]:
@@ -138,8 +140,6 @@ def rational_closure(group: CrystalGroup, vectors, seed: int = 0) -> list[list[F
             exact.append(ra.vec(v))
         else:
             arr = np.asarray([float(x) for x in v], dtype=float)
-            if not arr.any():
-                raise InvalidSubspaceError("zero vector in subspace")
             r = _try_rationalize(arr)
             if r is not None:
                 exact.append(r)

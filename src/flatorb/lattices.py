@@ -14,6 +14,14 @@ and R0 is at most its longest norm.  The special basis comes from one
 exhaustive search over the short vectors of that ball: u_1 scans upward
 in norm, and the first norm at which it completes an angle-bounded basis
 is R0.  This is what these desk-scale inputs (n <= 4) need.
+
+The ball is enumerated once, Fincke-Pohst style, in the norm-sorted LLL
+basis, which stays well conditioned when the input basis is not; the
+innermost coordinate comes out as a whole integer interval.  The
+candidates are arrays (coefficients, vectors, norms, coordinates) in one
+order, by norm rounded to 12 digits and then by coordinates, so ties
+between equal norms never depend on the input basis.  Independence is
+one Gram-Schmidt residual step over a whole candidate pool.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from .groups import FlatOrbError
 ENUM_CAP = 1_000_000
 COMBO_CAP = 2_000_000
 ANGLE_SLACK = 1e-9
+INDEPENDENCE_TOL = 1e-6
 
 
 class LatticeEnumerationError(FlatOrbError):
@@ -101,151 +110,186 @@ class SpecialBasis:
         return np.column_stack(self.vectors)
 
 
-def short_vectors(lattice: Lattice, r: float) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """All nonzero lattice vectors with |v| <= r, both signs included.
+def _ball(lattice: Lattice, r: float, seed: np.ndarray) -> np.ndarray:
+    """Coefficients, in the input basis, of the nonzero vectors with |v| <= r.
 
-    Exhaustive Fincke-Pohst style enumeration with per-coordinate bounds
-    from the Cholesky factor of the gram matrix.
+    One row per +-pair.  Fincke-Pohst enumeration in ``seed``, a norm-sorted
+    LLL basis of the same lattice, with per-coordinate bounds from the
+    Cholesky factor of its gram matrix: the outer coordinates recurse in
+    Python and the innermost one is a whole integer interval, so the Python
+    work is per outer prefix.  A pair is listed by its member whose last
+    nonzero seed coordinate is positive.  ``ENUM_CAP`` bounds the number of
+    ball vectors with both signs; it is checked before each interval is
+    allocated.
     """
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    B = lattice.basis
     n = lattice.n
-    R = np.linalg.cholesky(lattice.gram).T  # upper triangular, G = R^T R
-    out: list[tuple[tuple[int, ...], np.ndarray]] = []
+    U = np.rint(np.linalg.solve(lattice.basis, seed)).astype(np.int64)
+    if abs(round(np.linalg.det(U))) != 1:
+        raise LatticeEnumerationError("reduced basis does not span the input lattice")
+    R = np.linalg.cholesky(seed.T @ seed).T  # upper triangular, G = R^T R
+    y = np.zeros(n, dtype=np.int64)
+    chunks: list[np.ndarray] = []
+    count = 0
 
-    def recurse(k: int, partial: np.ndarray, coeffs: list[int], budget: float):
-        if k < 0:
-            if any(coeffs):
-                z = tuple(coeffs)
-                out.append((z, B @ np.array(z)))
-                if len(out) > ENUM_CAP:
-                    raise LatticeEnumerationError("short-vector enumeration cap exceeded; radius too large")
-            return
+    def recurse(k: int, partial: np.ndarray, budget: float, leading: bool):
+        nonlocal count
         rkk = R[k, k]
         center = -partial[k] / rkk
         span = math.sqrt(max(budget, 0.0)) / abs(rkk)
         lo = math.ceil(center - span - 1e-12)
         hi = math.floor(center + span + 1e-12)
+        if leading:  # every later coordinate is zero: keep the positive member
+            lo = max(lo, 1 if k == 0 else 0)
+        rem = lambda zk: budget - (partial[k] + rkk * zk) ** 2
+        if k == 0:
+            while lo <= hi and rem(lo) < -1e-12:
+                lo += 1
+            while hi >= lo and rem(hi) < -1e-12:
+                hi -= 1
+            if lo > hi:
+                return
+            count += 2 * (hi - lo + 1)
+            if count > ENUM_CAP:
+                raise LatticeEnumerationError("short-vector enumeration cap exceeded; radius too large")
+            block = np.tile(y, (hi - lo + 1, 1))
+            block[:, 0] = np.arange(lo, hi + 1)
+            chunks.append(block)
+            return
         for zk in range(lo, hi + 1):
-            val = partial[k] + rkk * zk
-            rem = budget - val * val
-            if rem < -1e-12:
+            left = rem(zk)
+            if left < -1e-12:
                 continue
-            child = coeffs[:]
-            child[k] = zk
-            recurse(k - 1, partial + R[:, k] * zk, child, rem)
+            y[k] = zk
+            recurse(k - 1, partial + R[:, k] * zk, left, leading and zk == 0)
+        y[k] = 0
 
-    recurse(n - 1, np.zeros(n), [0] * n, r * r * (1 + 1e-12))
-    out.sort(key=lambda t: (float(np.linalg.norm(t[1])), t[0]))
-    return out
-
-
-def _canonical_sign(z: tuple[int, ...]) -> tuple[int, ...]:
-    for x in z:
-        if x > 0:
-            return z
-        if x < 0:
-            return tuple(-y for y in z)
-    return z
+    recurse(n - 1, np.zeros(n), r * r * (1 + 1e-12), True)
+    Y = np.concatenate(chunks) if chunks else np.zeros((0, n), dtype=np.int64)
+    return Y @ U.T
 
 
-def _half_set(vectors):
-    seen = {}
-    for z, v in vectors:
-        zc = _canonical_sign(z)
-        if zc not in seen:
-            seen[zc] = v if zc == z else -v
-    return list(seen.items())
+def _sorted_seed(basis: np.ndarray) -> np.ndarray:
+    """The LLL basis of ``basis`` with its columns in ascending norm."""
+    seed = lll_reduce(basis)
+    return seed[:, np.argsort(np.linalg.norm(seed, axis=0), kind="stable")]
+
+
+def short_vectors(lattice: Lattice, r: float) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """All nonzero lattice vectors with |v| <= r, both signs included.
+
+    Pairs of input-basis coefficients and vectors, sorted by (norm,
+    coefficients).  A view of the enumeration ``special_basis`` runs.
+    """
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    half = _ball(lattice, r, _sorted_seed(lattice.basis))
+    Z = np.concatenate([half, -half])
+    V = Z @ lattice.basis.T
+    order = np.lexsort((*Z.T[::-1], np.linalg.norm(V, axis=1)))
+    return [(tuple(Z[i].tolist()), V[i]) for i in order]
 
 
 def _min_sine(cols: np.ndarray) -> float:
-    """min over i of sin(angle(v_i, span of the others))."""
-    n = cols.shape[1]
-    worst = 1.0
-    for i in range(n):
-        v = cols[:, i]
-        others = np.delete(cols, i, axis=1)
-        Q, _ = np.linalg.qr(others)
-        resid = v - Q @ (Q.T @ v)
-        worst = min(worst, float(np.linalg.norm(resid) / np.linalg.norm(v)))
-    return worst
+    """min over i of sin(angle(v_i, span of the others)), for n independent columns.
+
+    Row i of the inverse is orthogonal to every other column and has inner
+    product 1 with column i, so the residual of v_i off the others has
+    length 1 / |row i|.
+    """
+    rows = np.linalg.inv(cols)
+    return float(np.min(1.0 / (np.linalg.norm(cols, axis=0) * np.linalg.norm(rows, axis=1))))
 
 
-def _signfix(v: np.ndarray) -> np.ndarray:
-    for x in v:
-        if x > 1e-12:
-            return v
-        if x < -1e-12:
-            return -v
-    return v
+def _candidates(lattice: Lattice, r: float, seed: np.ndarray):
+    """The half set of the closed r-ball as arrays in one tie-stable order.
+
+    Returns (Z, V, norms, coords): input-basis coefficient rows, vectors
+    whose first coordinate beyond 1e-12 is positive, their norms rounded to
+    12 digits and their coordinates rounded to 9, sorted by (norms, coords).
+    Equal-norm ties thus break on coordinates alone.
+    """
+    Z = _ball(lattice, r, seed)
+    V = Z @ lattice.basis.T
+    big = np.abs(V) > 1e-12
+    lead = V[np.arange(len(V)), np.argmax(big, axis=1)]
+    sign = np.where(big.any(axis=1) & (lead < 0), -1, 1)
+    Z, V = Z * sign[:, None], V * sign[:, None]
+    norms = np.round(np.linalg.norm(V, axis=1), 12)
+    coords = np.round(V, 9)
+    order = np.lexsort((*coords.T[::-1], norms))
+    return Z[order], V[order], norms[order], coords[order]
 
 
-def _candidate_list(lattice: Lattice, r: float):
-    """Canonical-sign half set of short vectors, sorted by (norm, coords)."""
-    vecs = _half_set(short_vectors(lattice, r))
-    items = [
-        (float(np.linalg.norm(v)), tuple(np.round(_signfix(v), 9)), z, _signfix(v))
-        for z, v in vecs
-    ]
-    items.sort(key=lambda t: (t[0], t[1]))
-    return items
+def _independent(V: np.ndarray, lengths: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Indices of the rows of V off the span of the orthonormal columns Q.
+
+    One Gram-Schmidt residual step for all rows.  A row counts as dependent
+    when its residual is below ``INDEPENDENCE_TOL`` of its length; an
+    angle-bounded basis never needs such a row, since the angle bound asks
+    for far more.
+    """
+    resid = V - (V @ Q) @ Q.T
+    return np.flatnonzero(np.linalg.norm(resid, axis=1) > INDEPENDENCE_TOL * lengths)
 
 
-def _basis_ok(combo, angle_bound: float) -> bool:
-    Z = np.array([z for _, _, z, _ in combo]).T
+def _extend(Q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Q with v's normalized residual appended (Gram-Schmidt, applied twice)."""
+    for _ in range(2):
+        v = v - Q @ (Q.T @ v)
+    return np.column_stack([Q, v / np.linalg.norm(v)])
+
+
+def _basis_ok(Z: np.ndarray, cols: np.ndarray, angle_bound: float) -> bool:
+    """Coefficient rows Z unimodular and the columns ``cols`` angle-bounded."""
     if abs(round(np.linalg.det(Z))) != 1:
         return False
-    cols = np.column_stack([v for _, _, _, v in combo])
     return _min_sine(cols) >= angle_bound - ANGLE_SLACK
 
 
-def _search_bases(candidates, n, *, angle_bound, start):
+def _search_bases(Z, V, norms, coords, *, angle_bound, start):
     """Pruned DFS for the lexicographically least angle-bounded basis.
 
-    ``candidates`` is sorted ascending by (norm, coords); a basis is built
-    in canonical order u_1, ..., u_n with strictly decreasing candidate
-    indices, i.e. non-increasing (norm, coords).  u_1 scans upward from
-    index ``start`` and every deeper pool ascends below the previous index,
-    so each depth stops at the first prefix whose norms exceed the best
-    key's.  The key starts with |u_1|, hence the first u_1 norm that
-    completes a basis is R0 and the scan ends past it.  ``COMBO_CAP``
-    bounds the nodes this search visits, and it is the only search per
-    ``special_basis`` call.  Returns the winning combo (u_1 first) or None.
+    The candidates (``_candidates``) ascend by (norm, coords); a basis is
+    built in canonical order u_1, ..., u_n with strictly decreasing
+    candidate indices, i.e. non-increasing (norm, coords).  u_1 scans upward
+    from index ``start`` and every deeper pool holds the earlier candidates
+    independent of the prefix, ascending, so each depth stops at the first
+    prefix whose norms exceed the best key's.  The key starts with |u_1|,
+    hence the first u_1 norm that completes a basis is R0 and the scan ends
+    past it.  ``COMBO_CAP`` bounds the independent prefixes this search
+    visits, and it is the only search per ``special_basis`` call.  Returns
+    the winning candidate indices (u_1 first) or None.
     """
+    n = V.shape[1]
+    lengths = np.linalg.norm(V, axis=1)
+    rounded = norms.tolist()
     best_key = None
     best_combo = None
     nodes = 0
 
-    def dfs(pool, combo):
+    def dfs(pool, combo, Q):
         nonlocal best_key, best_combo, nodes
         depth = len(combo)
-        if depth == n:
-            if _basis_ok(combo, angle_bound):
-                key = (
-                    tuple(round(nm, 12) for nm, _, _, _ in combo),
-                    tuple(x for _, ct, _, _ in combo for x in ct),
-                )
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_combo = list(combo)
-            return
         for idx in pool:
             nodes += 1
             if nodes > COMBO_CAP:
                 raise LatticeEnumerationError("basis search cap exceeded")
-            entry = candidates[idx]
             if best_key is not None:
-                prefix = tuple(round(c[0], 12) for c in combo) + (round(entry[0], 12),)
+                prefix = tuple(rounded[i] for i in combo) + (rounded[idx],)
                 if prefix > best_key[0][: depth + 1]:
                     break  # the pool ascends in norm: no later candidate can help
-            combo.append(entry)
-            cols = np.column_stack([v for _, _, _, v in combo])
-            if np.linalg.matrix_rank(cols, tol=1e-10) == len(combo):
-                dfs(range(idx), combo)
+            combo.append(idx)
+            if depth + 1 < n:
+                Qi = _extend(Q, V[idx])
+                dfs(_independent(V[:idx], lengths[:idx], Qi).tolist(), combo, Qi)
+            elif _basis_ok(Z[combo], V[combo].T, angle_bound):
+                key = (tuple(rounded[i] for i in combo), tuple(coords[combo].ravel().tolist()))
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best_combo = list(combo)
             combo.pop()
 
-    dfs(range(start, len(candidates)), [])
+    dfs(range(start, len(V)), [], np.zeros((n, 0)))
     return best_combo
 
 
@@ -290,20 +334,23 @@ def lll_reduce(basis: np.ndarray, delta: float = 0.75) -> np.ndarray:
     return B
 
 
-def _spanning_index(cands, n: int) -> int:
+def _spanning_index(V: np.ndarray) -> int:
     """Index of the candidate that first brings the span to dimension n.
 
     No basis can use only earlier candidates, so this is where the scan
-    of u_1 starts; its norm is the successive minimum lambda_n.
+    of u_1 starts; its norm is the successive minimum lambda_n.  Each step
+    takes the first later candidate off the span so far.
     """
-    picked: list[np.ndarray] = []
-    for idx, (_, _, _, v) in enumerate(cands):
-        trial = picked + [v]
-        if np.linalg.matrix_rank(np.column_stack(trial), tol=1e-10) == len(trial):
-            picked.append(v)
-            if len(picked) == n:
-                return idx
-    raise LatticeEnumerationError("candidate list does not span the lattice")
+    lengths = np.linalg.norm(V, axis=1)
+    Q = np.zeros((V.shape[1], 0))
+    idx = -1
+    for _ in range(V.shape[1]):
+        later = _independent(V[idx + 1 :], lengths[idx + 1 :], Q)
+        if len(later) == 0:
+            raise LatticeEnumerationError("candidate list does not span the lattice")
+        idx += 1 + int(later[0])
+        Q = _extend(Q, V[idx])
+    return idx
 
 
 def special_basis(lattice: Lattice) -> SpecialBasis:
@@ -317,23 +364,19 @@ def special_basis(lattice: Lattice) -> SpecialBasis:
     """
     n = lattice.n
     bound = math.sin(theta_n(n))
-    seed = lll_reduce(lattice.basis)
+    seed = _sorted_seed(lattice.basis)
     if _min_sine(seed) < bound - ANGLE_SLACK:
         raise LatticeEnumerationError("LLL basis is not angle-bounded")
-    radius = float(max(np.linalg.norm(seed[:, j]) for j in range(n)))
-    cands = _candidate_list(lattice, radius * (1 + 1e-12))
-    combo = _search_bases(cands, n, angle_bound=bound, start=_spanning_index(cands, n))
+    radius = float(np.linalg.norm(seed[:, -1]))
+    Z, V, norms, coords = _candidates(lattice, radius * (1 + 1e-12), seed)
+    combo = _search_bases(Z, V, norms, coords, angle_bound=bound, start=_spanning_index(V))
     if combo is None:
         raise LatticeEnumerationError("no angle-bounded basis within the LLL radius")
-    vectors = tuple(v for _, _, _, v in combo)
-    Binv = np.linalg.inv(lattice.basis)
-    coeffs = np.rint(Binv @ np.column_stack(vectors)).astype(int)
-    if not np.allclose(lattice.basis @ coeffs, np.column_stack(vectors), atol=1e-8):
-        raise LatticeEnumerationError("special basis is not integral in the input basis")
+    vectors = tuple(lattice.basis @ Z[i] for i in combo)  # each exactly B z for its coefficients z
     return SpecialBasis(
         vectors=vectors,
-        coefficients=coeffs,
-        R0=combo[0][0],
+        coefficients=Z[combo].T.copy(),
+        R0=float(np.linalg.norm(vectors[0])),
         theta=theta_n(n),
         beta=beta_n(n),
     )
@@ -363,6 +406,14 @@ def covering_radius(
     lattices; branch-and-bound over the fundamental cell otherwise.  With
     ``lower_target`` set, returns early once lo certifies the target.
     """
+    return _covering_enclosure(lattice, eps, lower_target, None)
+
+
+def _covering_enclosure(
+    lattice: Lattice, eps: float, lower_target: float | None, special: SpecialBasis | None
+) -> tuple[float, float]:
+    """``covering_radius``, refining over the cell of ``special`` when given
+    (it must be the special basis of ``lattice``) instead of recomputing it."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     n = lattice.n
@@ -374,7 +425,7 @@ def covering_radius(
         mu = 0.5 * math.sqrt(float(np.sum(np.diag(G))))
         return (mu, mu)
 
-    B = special_basis(lattice).matrix()
+    B = (special if special is not None else special_basis(lattice)).matrix()
     window = 2
     offsets = np.array(list(product(range(-window, window + 1), repeat=n)))
     signs = np.array(list(product([-1.0, 1.0], repeat=n)))
@@ -426,7 +477,7 @@ def check_diameter_bound(lattice: Lattice) -> DiameterReport:
     lo = hi = 0.0
     holds = False
     for _ in range(8):
-        lo, hi = covering_radius(lattice, eps, lower_target=bound)
+        lo, hi = _covering_enclosure(lattice, eps, bound, sb)
         if lo >= bound - 1e-12:
             holds = True
             break

@@ -53,7 +53,7 @@ def test_collapse_irrational_subspace(capsys):
     assert "circle" in out
 
 
-@pytest.mark.parametrize("subspace", ["1,0", "", "a,1,0"])
+@pytest.mark.parametrize("subspace", ["1,0", "", "a,1,0", "0,0,0", "0.0,0,0", "1,0,0;0,0,0"])
 def test_collapse_bad_subspace_is_a_domain_error(capsys, subspace):
     code, _, err = run(capsys, "collapse", "--catalog", "G6", "--subspace", subspace)
     assert code == 1

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -360,3 +361,213 @@ def test_hausdorff_slack_of_vanishing_part():
         # distance to the 1-d sublattice torus spanned by e1
         d = abs(p[1] - round(p[1] / t_last) * t_last)
         assert d <= slack + 1e-12
+
+
+def test_short_vectors_match_a_coefficient_box():
+    rng = random.Random(3)
+    done = 0
+    while done < 12:
+        n = rng.choice([2, 3])
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        B = np.asarray(rows, dtype=float).T
+        if abs(np.linalg.det(B)) < 0.5:
+            continue
+        r = 1.5 * max(np.linalg.norm(B, axis=0))
+        box = math.ceil(np.linalg.norm(np.linalg.inv(B), 2) * r)
+        axis = np.arange(-box, box + 1)
+        Z = np.stack(np.meshgrid(*(axis,) * n, indexing="ij"), -1).reshape(-1, n)
+        nv = np.linalg.norm(Z @ B.T, axis=1)
+        expected = sorted(map(tuple, Z[(nv > 0) & (nv <= r)].tolist()))
+        got = short_vectors(Lattice(B), r)
+        assert expected == sorted(z for z, _ in got)
+        norms = [float(np.linalg.norm(v)) for _, v in got]
+        assert norms == sorted(norms)
+        for z, v in got:
+            assert np.allclose(v, B @ np.array(z))
+        done += 1
+
+
+def test_special_basis_of_an_ill_conditioned_input_basis():
+    # the hexagonal lattice shrunk along (1, 1) at t = 1e-3, as a nearly
+    # singular input basis: enumerating in this basis lost an LLL vector at
+    # the edge of the ball and ended in "does not span"
+    rows = [[0.5005000000000004, -0.4994999999999998], [-0.1823296891903267, 0.1836957145941117]]
+    L = Lattice.from_rows(rows)
+    sb = special_basis(L)
+    assert abs(round(np.linalg.det(sb.coefficients))) == 1
+    assert np.allclose(L.basis @ sb.coefficients, sb.matrix(), rtol=0, atol=1e-12)
+    assert lattices._min_sine(sb.matrix()) >= math.sin(sb.theta) - 1e-9
+    reference = special_basis(Lattice(lll_reduce(L.basis)))
+    assert sb.norms == pytest.approx(reference.norms, rel=1e-9)
+
+
+def _rotation(g, n):
+    Q, R = np.linalg.qr(g.normal(size=(n, n)))
+    return Q * np.sign(np.diag(R))
+
+
+def _unimodular(rng, n):
+    U = np.eye(n, dtype=int)
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        U[i] += rng.choice((-1, 1)) * U[j]
+    return U
+
+
+@pytest.mark.parametrize(
+    "basis",
+    [
+        np.eye(2),
+        np.array([[1.0, 0.5], [0.0, math.sqrt(3) / 2]]),
+        np.array([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]]),
+    ],
+    ids=["square", "hexagonal", "fcc"],
+)
+def test_special_basis_does_not_depend_on_the_input_basis(basis):
+    # equal-norm ties break on coordinates alone, so a symmetric lattice gets
+    # one answer in every input basis
+    g = np.random.default_rng(8)
+    rng = random.Random(8)
+    n = basis.shape[0]
+    for _ in range(3):
+        RB = _rotation(g, n) @ basis
+        answers = [special_basis(Lattice(RB @ _unimodular(rng, n))).matrix() for _ in range(4)]
+        for other in answers[1:]:
+            assert np.array_equal(np.round(other, 9), np.round(answers[0], 9))
+
+
+@pytest.mark.parametrize(
+    "basis, t, k",
+    [
+        (np.diag([1.0, 1e-5]), 1e-5, 1),
+        (np.array([[1e-5, 0.5e-5], [0.0, math.sqrt(3) / 2]]), 1e-5, 1),
+        (np.diag([1.0, 1.0, 1e-3]), 1e-3, 1),
+        (np.diag([1.0, 3e-3, 3e-3]), 3e-3, 2),
+    ],
+    ids=["rectangle-1e-5", "hexagonal-1e-5", "cube-axis-1e-3", "cube-plane-3e-3"],
+)
+def test_special_basis_at_collapse_scales(basis, t, k):
+    # each lattice is a unit-covolume one with k directions scaled by t
+    L = Lattice(basis)
+    sb = special_basis(L)
+    unscaled = abs(np.linalg.det(basis)) / t**k
+    assert abs(np.linalg.det(sb.matrix())) == pytest.approx(t**k * unscaled, rel=1e-9)
+    assert sb.norms[-k:] == pytest.approx((t,) * k, rel=1e-9)
+    assert abs(round(np.linalg.det(sb.coefficients))) == 1
+
+
+def test_special_basis_past_the_enumeration_cap_is_reported():
+    # the LLL ball of diag(1, 1e-6) holds about 2e6 vectors, past ENUM_CAP
+    with pytest.raises(LatticeEnumerationError, match="enumeration cap"):
+        special_basis(Lattice(np.diag([1.0, 1e-6])))
+
+
+def _oracle_minima_4d(B):
+    """Successive minima of the lattice of the columns of B, by brute force.
+
+    The columns are n independent lattice vectors, so lambda_4 <= max |b_j|,
+    and coefficient i of a vector that short is at most |row i of B^-1|
+    times max |b_j|.
+    """
+    r = max(np.linalg.norm(B, axis=0))
+    box = np.ceil(np.linalg.norm(np.linalg.inv(B), axis=1) * r).astype(int)
+    axes = [np.arange(-b, b + 1) for b in box]
+    Z = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, 4)
+    V = Z @ B.T
+    norms = np.linalg.norm(V, axis=1)
+    keep = (norms > 0) & (norms <= r + 1e-9)
+    V, norms = V[keep], norms[keep]
+    picked, minima = [], []
+    for i in np.argsort(norms, kind="stable"):
+        if np.linalg.matrix_rank(np.array(picked + [V[i]]), tol=1e-9) > len(picked):
+            picked.append(V[i])
+            minima.append(float(norms[i]))
+            if len(picked) == 4:
+                break
+    return tuple(sorted(minima, reverse=True))
+
+
+def test_special_basis_against_oracle_4d():
+    # for n <= 4 a basis attains the successive minima (van der Waerden), and
+    # Minkowski's second theorem gives it |det| / prod |b_j| >= 1/2, far above
+    # sin theta_4 = 1/8: the special basis is such a basis
+    rng = random.Random(29)
+    g = np.random.default_rng(29)
+    d4_dual = np.vstack([np.eye(4)[:3], [0.5] * 4]).T
+    bases = [d4_dual, _rotation(g, 4) @ d4_dual]
+    while len(bases) < 14:
+        B = np.array([[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)], dtype=float)
+        if abs(np.linalg.det(B)) > 0.5:
+            bases.append(B)
+    for B in bases:
+        sb = special_basis(Lattice(B))
+        assert sb.norms == pytest.approx(_oracle_minima_4d(B), abs=1e-9)
+        assert abs(round(np.linalg.det(sb.coefficients))) == 1
+        assert lattices._min_sine(sb.matrix()) >= 0.5 - 1e-9
+
+
+def _sines_by_gram(M):
+    """sin(angle(m_i, span of the others)) from Gram determinants."""
+    G = M.T @ M
+    return [
+        math.sqrt(np.linalg.det(G) / (G[i, i] * np.linalg.det(np.delete(np.delete(G, i, 0), i, 1))))
+        for i in range(M.shape[1])
+    ]
+
+
+def _oracle_search(V, Z, norms, coords, bound):
+    """Least key over all 4-subsets of one candidate list, by brute force."""
+    best = None
+    for S in itertools.combinations(range(len(V)), 4):
+        S = tuple(reversed(S))  # u_1 first: descending candidate order
+        if abs(round(np.linalg.det(Z[list(S)].astype(float)))) != 1:
+            continue
+        if min(_sines_by_gram(V[list(S)].T)) < bound - 1e-9:
+            continue
+        key = (tuple(norms[list(S)]), tuple(coords[list(S)].ravel()))
+        if best is None or key < best[0]:
+            best = (key, list(S))
+    return None if best is None else best[1]
+
+
+def _search_arrays(vectors):
+    """Candidate arrays of Z^4 vectors in the search's order: by norm rounded
+    to 12 digits, then coordinates."""
+    Z = np.array(sorted(vectors, key=lambda z: (round(math.hypot(*z), 12), z)), dtype=np.int64)
+    V = Z.astype(float)
+    return Z, V, np.round(np.linalg.norm(V, axis=1), 12), np.round(V, 9)
+
+
+# Lists of Z^4 vectors on which a check of the search binds.  On whole balls
+# neither check can bind for n <= 4 (see test_special_basis_against_oracle_4d).
+# UNIMODULAR: {e1, e2, e3, 2 e4} ties (2, 1, 1, 1) with the basis
+# {e1, e2, e3, (1, 1, 1, 1)} and wins on coordinates, but has index 2.
+# ANGLE: {e1, e2, e3, (8, -1, 0, -1)} is unimodular with min sine 1/sqrt(66),
+# 0.985 sin theta_4, and nothing else in the list completes a basis.
+SEARCH_LISTS = {
+    "unimodular": [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 2), (1, 1, 1, 1)],
+    "angle": [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, -2, 5, 9), (7, -9, -6, 2), (8, -1, 0, -1)],
+}
+
+
+def test_search_bases_against_oracle_4d():
+    bound = math.sin(theta_n(4))
+    rng = random.Random(17)
+    short = [z for z in itertools.product(range(-1, 2), repeat=4) if z > (0, 0, 0, 0)]
+    lists = dict(SEARCH_LISTS)
+    for k in range(20):
+        lists[f"random-{k}"] = rng.sample(short, 7)
+    found = {}
+    for name, vectors in lists.items():
+        Z, V, norms, coords = _search_arrays(vectors)
+        expected = _oracle_search(V, Z, norms, coords, bound)
+        found[name] = expected
+        try:
+            start = lattices._spanning_index(V)
+        except LatticeEnumerationError:
+            assert expected is None, name
+            continue
+        assert lattices._search_bases(Z, V, norms, coords, angle_bound=bound, start=start) == expected, name
+    # each check binds on its list: without it the search would return the
+    # index-2 set, or the set below the angle bound
+    assert found["unimodular"] is not None and found["angle"] is None
