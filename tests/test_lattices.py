@@ -388,9 +388,9 @@ def test_short_vectors_match_a_coefficient_box():
 
 
 def test_special_basis_of_an_ill_conditioned_input_basis():
-    # the hexagonal lattice shrunk along (1, 1) at t = 1e-3, as a nearly
-    # singular input basis: enumerating in this basis lost an LLL vector at
-    # the edge of the ball and ended in "does not span"
+    # the hexagonal lattice shrunk along (1, 1) at t = 1e-3, given in a nearly
+    # singular basis: an enumeration in this basis can lose an LLL vector at
+    # the edge of the ball, and the candidates then do not span
     rows = [[0.5005000000000004, -0.4994999999999998], [-0.1823296891903267, 0.1836957145941117]]
     L = Lattice.from_rows(rows)
     sb = special_basis(L)
