@@ -22,7 +22,7 @@ from . import rational as ra
 from .catalog import catalog_get, catalog_list
 from .collapse import InvalidSubspaceError, collapse, product_resolution, verify_theorem_c
 from .groups import CrystalGroup, FlatOrbError, load_group
-from .lattices import InvalidLatticeError, Lattice, axis_scaling_family, sequence_limit, special_basis
+from .lattices import InvalidLatticeError, Lattice, check_schedule, scaling_limit, special_basis
 from .reps import teich_report
 from .wallpaper import classify2, render_svg
 
@@ -208,11 +208,11 @@ def cmd_limit_seq(args) -> int:
         schedule = [float(x) for x in _parse_vector(args.schedule)]
     except ValueError:
         raise InvalidLatticeError(f"schedule {args.schedule!r} is not a list of numbers") from None
+    check_schedule(schedule)  # validated only: the limit is taken directly
     directions = np.array(
         [[float(x) for x in v] for v in _parse_subspace(args.subspace)], dtype=float
     ).T
-    fam = axis_scaling_family(L, directions)
-    lim = sequence_limit(fam, schedule)
+    lim = scaling_limit(L, directions)
     payload = {
         "limit_dim": lim.limit_dim,
         "circumferences": list(lim.circumferences),

@@ -1,20 +1,20 @@
 """Degeneration of flat manifolds and orbifolds along invariant subspaces.
 
-Collapsing a rational, holonomy-invariant subspace W is realized as the
-metric degeneration that projects the whole group orthogonally (w.r.t.
-the Gram form) onto the complement of W: lattice and coset translations
-are projected, linear parts restrict, and the result is re-expressed over
-a basis of the projected lattice.  The quotient is a crystallographic
-group of dimension n - dim W and is classified by dimension (point,
-interval, circle, or a wallpaper class).
+Collapsing a rational, holonomy-invariant subspace W is the quotient map
+x -> A x onto R^n / W: A is an integer matrix with A W = 0 and
+A Z^n = Z^m (``rational.quotient_map``), so the lattice goes to Z^m, a
+holonomy element (M, v) to (A M R, A v) with R a right inverse of A, and
+the metric to the Gram form of the complement of W.  The quotient basis is
+the Hermite basis of the complement projection of Z^n.  The quotient is a
+crystallographic group of dimension n - dim W and is classified by
+dimension (point, interval, circle, or a wallpaper class).
 
 ``rational_closure`` enlarges a direction that is not rational or not
-invariant to the smallest subspace that is both: saturation under the
-point group, plus promotion of non-rationalizable float directions to
-every rational isotypic component they meet.  The components come from
-the exact class-sum decomposition in ``reps.rational_components``, which
-``rational_isotypic_components`` and ``invariant_directions`` read too;
-no float is ever turned back into a component basis.
+invariant to the smallest subspace that is both: the rational span of the
+float vectors, from their integer relations (``lattices.integer_relations``),
+together with the exact vectors, saturated under the point group.
+``rational_isotypic_components`` and ``invariant_directions`` read the
+exact class-sum decomposition in ``reps.rational_components``.
 
 ``product_resolution`` builds the block-diagonal flat manifold that
 resolves an orbifold against a torsion-free partner with isomorphic
@@ -43,11 +43,11 @@ from .groups import (
     _freeze_int_mat,
     _int_mul,
 )
+from .lattices import integer_relations
 # isotypic_decompose is not called here; it stays importable from this module
 from .reps import isotypic_decompose, rational_components  # noqa: F401
 from .wallpaper import OrbifoldLabel, POINT_LABEL, classify_low_dim
 
-RATIONALIZE_DEN = 10**6
 SLOPE_BOUND = 3
 PAIRING_CAP = 48
 
@@ -91,66 +91,41 @@ def is_invariant(group: CrystalGroup, basis: list[list[Fraction]]) -> bool:
     return len(_saturate(group, span)) == len(span)
 
 
-def _try_rationalize(v: np.ndarray) -> list[Fraction] | None:
-    """Per-coordinate rational reconstruction, or None past the tolerance.
-
-    This is an *exactness* test for float input: a coordinate must sit
-    within 1e-14 (relative) of a fraction with denominator <= 10^6, which
-    genuine rationals of that height do and quadratic irrationals do not.
-    """
-    out = []
-    for x in v:
-        x = float(x)
-        f = Fraction(x).limit_denominator(RATIONALIZE_DEN)
-        if abs(float(f) - x) > 1e-14 * max(1.0, abs(x)):
-            return None
-        out.append(f)
-    if not any(out):
-        return None
-    return out
-
-
 def _check_vectors(n: int, vectors) -> None:
     if len(vectors) == 0:
         raise InvalidSubspaceError("empty subspace: give at least one vector")
     for v in vectors:
         if len(v) != n:
             raise InvalidSubspaceError(f"subspace vector has {len(v)} entries; the group has dimension {n}")
+        if not all(math.isfinite(x) for x in v if isinstance(x, float)):
+            raise InvalidSubspaceError("subspace entries must be finite")
         if all((x if isinstance(x, float) else ra.frac(x)) == 0 for x in v):
             raise InvalidSubspaceError("zero vector in subspace")
 
 
-def rational_closure(group: CrystalGroup, vectors, seed: int = 0) -> list[list[Fraction]]:
+def rational_closure(group: CrystalGroup, vectors) -> list[list[Fraction]]:
     """Smallest holonomy-invariant rational subspace containing the input.
 
-    Exact rational vectors (ints, Fractions, 'p/q' strings) close under the
-    point group only.  Float vectors are first rationalized with
-    denominators up to 10^6; a direction that fails is promoted to every
-    Q-isotypic component whose exact projector does not kill it, before
-    saturation.  An irrational line therefore closes to its rational
-    isotypic component.  ``seed`` is ignored; it is accepted for
-    compatibility.
+    Exact rational vectors (ints, Fractions, 'p/q' strings) are taken as
+    they are; float vectors contribute their rational span R(floats), the
+    kernel of their integer relations (``lattices.integer_relations``), so
+    an irrational line closes to the rational subspace it spans and not to
+    whole isotypic components.  The result is the saturation of both under
+    the point group.  Raises FlatOrbError when double precision cannot
+    decide the relations.
     """
     grp = group if group.normalized else group.normalize()
     _check_vectors(grp.n, vectors)
     exact: list[list[Fraction]] = []
-    floats: list[np.ndarray] = []
+    floats: list[list[float]] = []
     for v in vectors:
         if all(isinstance(x, (int, Fraction, str)) for x in v):
             exact.append(ra.vec(v))
         else:
-            arr = np.asarray([float(x) for x in v], dtype=float)
-            r = _try_rationalize(arr)
-            if r is not None:
-                exact.append(r)
-            else:
-                floats.append(arr)
+            floats.append([float(x) for x in v])
     if floats:
-        G = ra.mat(grp.gram)
-        for piece in rational_components(grp.holonomy().elements):
-            P = np.array(ra.gram_orth_projector(G, ra.transpose(piece)), dtype=float)
-            if any(np.linalg.norm(P @ w) > 1e-9 * np.linalg.norm(w) for w in floats):
-                exact.extend(piece)
+        rels = integer_relations(np.array(floats).T)
+        exact.extend(ra.kernel(ra.mat(rels)) if rels else ra.identity(grp.n))
     return _saturate(grp, exact)
 
 
@@ -201,38 +176,24 @@ def collapse(group: CrystalGroup, subspace, *, closure: bool = True) -> Collapse
     # complement: kernel of W^T G, columns C
     WtG = [ra.mat_vec(G, list(w)) for w in W]
     C = ra.transpose(ra.kernel(WtG))
-    P = ra.gram_orth_projector(G, C)
     log.append(f"orthogonal complement has dimension {m}")
 
-    # projected lattice: solve C y = P e_i, assemble a basis via Hermite form
-    proj_coords = []
-    for e in ra.identity(n):
-        y = ra.solve(C, ra.mat_vec(P, e))
-        assert y is not None
-        proj_coords.append(y)
-    Y_rows = ra.lattice_basis(proj_coords)
-    if len(Y_rows) != m:
-        raise FlatOrbError("projected lattice is rank deficient")  # internal guard
-    Y = ra.transpose(Y_rows)  # columns
-    D = ra.mat_mul(C, Y)  # new lattice basis in old coordinates
-
-    gens = []
-    for A in hol.elements:
-        M = ra.mat(A)
-        v = list(hol.translations[A])
-        AD = ra.mat_mul(M, D)
-        cols = []
-        for j in range(m):
-            col = ra.solve(D, [AD[i][j] for i in range(n)])
-            if col is None:
-                raise NotInvariantError("subspace is not invariant under the holonomy action")
-            cols.append(col)
-        Aq = ra.transpose(cols)
-        if any(x.denominator != 1 for row in Aq for x in row):
-            raise FlatOrbError("projected holonomy is not integral")  # internal guard
-        vq = ra.solve(D, ra.mat_vec(P, v))
-        assert vq is not None
-        gens.append((Aq, vq))
+    # x -> A x identifies R^n / W with R^m and Z^n with Z^m.  The quotient
+    # basis U0 = (A C) Y is the Hermite basis Y of the complement
+    # projection of Z^n, which is (A C)^-1 Z^m in C-coordinates; so the
+    # quotient coordinates of x are U0^-1 A x, its lattice basis in old
+    # coordinates is D = C Y, and (M, v) acts as (U0^-1 A M R U0, U0^-1 A v).
+    A, R = ra.quotient_map(W, n)
+    AC = ra.mat_mul(A, C)
+    Y = ra.transpose(ra.lattice_basis(ra.transpose(ra.inverse(AC))))
+    U0 = ra.mat_mul(AC, Y)
+    coord_map = ra.mat_mul(ra.inverse(U0), A)
+    RU0 = ra.mat_mul(R, U0)
+    gens = [
+        (ra.mat_mul(coord_map, ra.mat_mul(ra.mat(M), RU0)), ra.mat_vec(coord_map, list(hol.translations[M])))
+        for M in hol.elements
+    ]
+    D = ra.mat_mul(C, Y)
     Gq = ra.mat_mul(ra.transpose(D), ra.mat_mul(G, D))
     quotient = CrystalGroup.make(m, gens, gram=Gq, name=(grp.name or "group") + "/collapse")
     quotient = quotient.normalize()
@@ -240,8 +201,6 @@ def collapse(group: CrystalGroup, subspace, *, closure: bool = True) -> Collapse
     log.append(f"quotient is {m}-dimensional with holonomy order {quotient.holonomy().order}")
     log.append(f"classified as {label.orbifold_name}")
 
-    Cplus = ra.mat_mul(ra.inverse(ra.mat_mul(ra.transpose(C), ra.mat_mul(G, C))), ra.mat_mul(ra.transpose(C), G))
-    coord_map = ra.mat_mul(ra.inverse(Y), Cplus)
     # normalize() may refine the quotient lattice once more; fold that
     # basis change into the coordinate map so push_forward stays exact
     bc = quotient.notes.get("basis_change")

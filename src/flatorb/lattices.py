@@ -3,8 +3,9 @@
 Implements the canonical "special basis" (the lexicographic minimum, by
 non-increasing norm tuples, of all angle-bounded bases inside the closed
 ball of radius R0), certified covering-radius enclosures, the diameter
-lower bound diam >= beta_n |u1|, and limit extraction for collapsing
-families of lattices.
+lower bound diam >= beta_n |u1|, the integer relations of float vectors
+(LLL), and the limits of collapsing families of lattices: read off a
+schedule for any family, or taken directly for one that shrinks a span.
 
 The angle constant is theta_n = arcsin(2^(-n(n-1)/4)) and
 beta_n = min(1/2, sin(2 theta_n)); in particular beta_2 = beta_3 = 1/2.
@@ -33,12 +34,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import rational as ra
 from .groups import FlatOrbError
 
 ENUM_CAP = 1_000_000
 COMBO_CAP = 2_000_000
 ANGLE_SLACK = 1e-9
 INDEPENDENCE_TOL = 1e-6
+RELATION_SCALES = (2.0**30, 2.0**24)
+RELATION_TOL = 1e-14
 
 
 class LatticeEnumerationError(FlatOrbError):
@@ -334,6 +338,42 @@ def lll_reduce(basis: np.ndarray, delta: float = 0.75) -> np.ndarray:
     return B
 
 
+def _relations_at(X: np.ndarray, scale: float) -> list[list[int]]:
+    """LLL rows a of [I | scale X] that pass |a . x| <= RELATION_TOL |a| per column."""
+    n = X.shape[0]
+    B = lll_reduce(np.vstack([np.eye(n), scale * X.T]))
+    return [
+        [int(c) for c in a]
+        for a in np.rint(B[:n].T)
+        if np.all(np.abs(a @ X) <= RELATION_TOL * np.linalg.norm(a))
+    ]
+
+
+def integer_relations(X) -> list[list[int]]:
+    """Integer vectors a with a . x = 0 for every column x of X, as rows.
+
+    They span the relation module over Q, so their kernel is the rational
+    span R(X): the smallest rational subspace holding the columns.
+    Found by LLL on the rows of [I | C X] (Lenstra-Lenstra-Lovasz 1982;
+    Hastad-Just-Lagarias-Schnorr 1989) with unit columns: a row is a
+    relation when |a . x| <= 1e-14 |a| for every column.  The rows found at
+    C = 2^30 count only if C = 2^24 finds the same span; otherwise the input
+    sits too close to a relation for double precision, and FlatOrbError is
+    raised rather than a guess returned.  Relations much longer than about
+    2^(30/n) are beyond double precision and are not seen.
+    """
+    X = np.asarray(X, dtype=float)
+    top = np.abs(X).max(axis=0, initial=0.0)
+    if not (np.isfinite(top).all() and top.all()):
+        raise FlatOrbError("relations need finite nonzero vectors")
+    X = X / top  # first into the unit cube, so that the norm cannot overflow
+    X = X / np.linalg.norm(X, axis=0)
+    fine, coarse = (_relations_at(X, scale) for scale in RELATION_SCALES)
+    if not ra.rank(ra.mat(fine)) == ra.rank(ra.mat(coarse)) == ra.rank(ra.mat(fine + coarse)):
+        raise FlatOrbError("cannot decide the rational closure at double precision")
+    return fine
+
+
 def _spanning_index(V: np.ndarray) -> int:
     """Index of the candidate that first brings the span to dimension n.
 
@@ -511,6 +551,14 @@ class TorusLimit:
         return tuple(float(np.linalg.norm(self.limit_basis[:, j])) for j in range(self.limit_basis.shape[1]))
 
 
+def check_schedule(ts: Sequence[float]) -> None:
+    """Reject a schedule of fewer than three values or one not finite, positive and strictly decreasing."""
+    if len(ts) < 3:
+        raise InvalidLatticeError("schedule needs at least three values")
+    if not (all(b < a for a, b in zip(ts, ts[1:])) and ts[-1] > 0 and math.isfinite(ts[0])):
+        raise InvalidLatticeError("schedule must be finite, positive and strictly decreasing")
+
+
 def sequence_limit(
     family: Callable[[float], Lattice | np.ndarray],
     t_schedule: Sequence[float],
@@ -526,10 +574,7 @@ def sequence_limit(
     with ``NoLimitError``.
     """
     ts = list(t_schedule)
-    if len(ts) < 3:
-        raise InvalidLatticeError("schedule needs at least three values")
-    if not (all(b < a for a, b in zip(ts, ts[1:])) and ts[-1] > 0):
-        raise InvalidLatticeError("schedule must be positive and strictly decreasing")
+    check_schedule(ts)
     bases = []
     for t in ts:
         L = family(t)
@@ -572,15 +617,25 @@ def sequence_limit(
     )
 
 
-def axis_scaling_family(lattice: Lattice, directions: np.ndarray) -> Callable[[float], Lattice]:
-    """Family L_t that scales the span of ``directions`` (columns) by t."""
-    B = lattice.basis
+def _directions(lattice: Lattice, directions) -> np.ndarray:
+    """``directions`` as the columns of an n x k array, checked independent and finite."""
     D = np.asarray(directions, dtype=float)
     if D.ndim == 1:
         D = D[:, None]
-    if D.ndim != 2 or D.shape[0] != lattice.n or np.linalg.matrix_rank(D) != D.shape[1]:
-        raise InvalidLatticeError(f"directions must be independent vectors of length {lattice.n}")
-    Q, _ = np.linalg.qr(D)
+    if (
+        D.ndim != 2
+        or D.shape[0] != lattice.n
+        or not np.isfinite(D).all()
+        or np.linalg.matrix_rank(D) != D.shape[1]
+    ):
+        raise InvalidLatticeError(f"directions must be independent finite vectors of length {lattice.n}")
+    return D
+
+
+def axis_scaling_family(lattice: Lattice, directions: np.ndarray) -> Callable[[float], Lattice]:
+    """Family L_t that scales the span of ``directions`` (columns) by t."""
+    B = lattice.basis
+    Q, _ = np.linalg.qr(_directions(lattice, directions))
     P = Q @ Q.T
 
     def fam(t: float) -> Lattice:
@@ -588,3 +643,28 @@ def axis_scaling_family(lattice: Lattice, directions: np.ndarray) -> Callable[[f
         return Lattice(M @ B)
 
     return fam
+
+
+def scaling_limit(lattice: Lattice, directions) -> TorusLimit:
+    """Limit of ``axis_scaling_family(lattice, directions)`` as t -> 0, taken directly.
+
+    With B the basis, the collapsing subspace is B W for W = R(B^-1 D), the
+    rational span of the directions in lattice coordinates
+    (``integer_relations``): an irrational direction collapses its whole
+    rational closure.  With A and R from ``rational.quotient_map(W)``, the
+    limit lattice is the projection of B R Z^m orthogonal to B W, whose
+    Gram is (A G^-1 A^T)^-1 for G = B^T B.  ``limit_basis`` is its special
+    basis and ``vanishing_directions`` an orthonormal basis of B W.
+    """
+    B = lattice.basis
+    n = lattice.n
+    rels = integer_relations(np.linalg.solve(B, _directions(lattice, directions)))
+    W = ra.kernel(ra.mat(rels)) if rels else ra.identity(n)
+    A, R = ra.quotient_map(W, n)
+    k, m = len(W), len(A)
+    Q, _ = np.linalg.qr(B @ np.array(W, dtype=float).reshape(k, n).T, mode="complete")
+    if m == 0:
+        return TorusLimit(limit_dim=0, limit_basis=np.zeros((n, 0)), vanishing_directions=Q[:, :k])
+    perp = Q[:, k:]
+    sb = special_basis(Lattice(perp.T @ B @ np.array(R, dtype=float)))
+    return TorusLimit(limit_dim=m, limit_basis=perp @ sb.matrix(), vanishing_directions=Q[:, :k])

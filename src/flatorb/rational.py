@@ -264,6 +264,23 @@ def lattice_basis(generators: list[Vec]) -> list[Vec]:
     return [[Fraction(x, d) for x in row] for row in H if any(row)]
 
 
+def quotient_map(W: list[Vec], n: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Integer quotient map of R^n onto R^n / span(W), with a right inverse.
+
+    Returns (A, R): A is m x n with A Z^n = Z^m and A w = 0 for every w in
+    W, so x -> A x identifies R^n / span(W) with R^m and Z^n with Z^m; R is
+    n x m with A R = I.  Both come from one Hermite transform H = U W^T:
+    the rows of U against zero rows of H form A, and since U is unimodular
+    the matching columns of U^-1 form R.  W may be empty (A = R = I).
+    """
+    d = _common_denominator(W)
+    Wt = [[int(frac(w[j]) * d) for w in W] for j in range(n)]
+    H, U = hnf(Wt)
+    rows = [i for i in range(n) if not any(H[i])]
+    Uinv = inverse(mat(U))
+    return [U[i] for i in rows], [[int(Uinv[r][i]) for i in rows] for r in range(n)]
+
+
 def integer_combination(target: Vec, generators: list[Vec]) -> list[int] | None:
     """Integer coefficients c with sum(c_i * g_i) = target, or None."""
     gens = [vec(g) for g in generators]

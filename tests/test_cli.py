@@ -1,9 +1,12 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from flatorb import groups
@@ -53,7 +56,11 @@ def test_collapse_irrational_subspace(capsys):
     assert "circle" in out
 
 
-@pytest.mark.parametrize("subspace", ["1,0", "", "a,1,0", "0,0,0", "0.0,0,0", "1,0,0;0,0,0"])
+@pytest.mark.parametrize(
+    "subspace",
+    ["1,0", "", "a,1,0", "0,0,0", "0.0,0,0", "1,0,0;0,0,0", "1e400,0,0",
+     "1.0526119461752061,2.972934919283197,0.1372448727777209"],
+)
 def test_collapse_bad_subspace_is_a_domain_error(capsys, subspace):
     code, _, err = run(capsys, "collapse", "--catalog", "G6", "--subspace", subspace)
     assert code == 1
@@ -141,6 +148,42 @@ def test_limit_seq(capsys):
     )
     assert code == 0
     assert "limit dimension: 1" in out
+
+
+def test_collapse_float_subspace(capsys):
+    code, out, _ = run(capsys, "collapse", "--catalog", "kummer", "--subspace", "1.0,1.4142135623730951,0,0")
+    assert code == 0
+    assert out.startswith("limit: S2(2,2,2,2;)\n")
+
+
+# rows of a rotation of the unit cube
+_R = np.array([[math.cos(0.3), -math.sin(0.3), 0.0], [math.sin(0.3), math.cos(0.3), 0.0], [0.0, 0.0, 1.0]]) @ np.array(
+    [[1.0, 0.0, 0.0], [0.0, math.cos(0.7), -math.sin(0.7)], [0.0, math.sin(0.7), math.cos(0.7)]]
+)
+ROTATED_CUBE = ";".join(",".join(repr(float(x)) for x in row) for row in _R.T)
+
+
+@pytest.mark.parametrize(
+    "source,subspace,circumferences",
+    [
+        (["--lattice", "1,0;0.5," + repr(math.sqrt(3) / 2)], "0,1", [0.5]),
+        (["--lattice", "1,0,0;0,1,0;0,0,1"], "0,1,0;0,0,1", [1.0]),
+        (["--lattice", ROTATED_CUBE], ",".join(repr(float(x)) for x in _R[:, 0]), [1.0, 1.0]),
+        (["--catalog", "torus-3"], "1," + repr(math.sqrt(2)) + ",0", [1.0]),
+    ],
+)
+def test_limit_seq_takes_the_limit_directly(capsys, source, subspace, circumferences):
+    argv = ["limit-seq", *source, "--subspace", subspace, "--schedule", "1,0.1,0.01,0.001,0.0001", "--json"]
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        code = main(argv)
+        best = min(best, time.perf_counter() - start)
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+    assert doc["limit_dim"] == len(circumferences)
+    assert sorted(doc["circumferences"]) == pytest.approx(circumferences, abs=1e-9)
+    assert best < 0.05
 
 
 def test_verify_theorem_c_cli(capsys):

@@ -53,7 +53,30 @@ def test_closure_of_irrational_line_in_k5_fills_rational_component():
     assert collapse(k5, line).label.orbifold_name == "circle"
 
 
-@pytest.mark.parametrize("vectors", [[], [[1, 0]], [[1, 0, 0], [0, 1]], [[0.0, 0.0, 0.0]]])
+def test_float_direction_closes_to_its_rational_span():
+    # Kummer's holonomy is +-I: (1, sqrt2, 0, 0) spans no rational line, and
+    # its rational span, the plane (e1, e2), is already invariant
+    kummer = catalog_get("kummer").group
+    assert rational_closure(kummer, [[1.0, math.sqrt(2), 0.0, 0.0]]) == ra.mat([[1, 0, 0, 0], [0, 1, 0, 0]])
+    assert collapse(kummer, [[1.0, math.sqrt(2), 0.0, 0.0]]).label.orbifold_name == "S2(2,2,2,2;)"
+    assert collapse(torus(3), [[1.0, math.sqrt(2), 0.0]]).label.orbifold_name == "circle"
+
+
+@pytest.mark.parametrize(
+    "vector,closed",
+    [
+        ([0.5, 1.0, 0.0], [[1, 2, 0]]),
+        ([0.1, 0.3, 0.0], [[1, 3, 0]]),
+        ([0.3333333333333333, 0.0, 1.0], [[1, 0, 3]]),
+    ],
+)
+def test_decimal_floats_keep_their_rational_closure(vector, closed):
+    assert rational_closure(torus(3), [vector]) == ra.mat(closed)
+
+
+@pytest.mark.parametrize(
+    "vectors", [[], [[1, 0]], [[1, 0, 0], [0, 1]], [[0.0, 0.0, 0.0]], [[math.inf, 0.0, 1.0]]]
+)
 def test_closure_rejects_bad_vectors(vectors):
     g6 = catalog_get("G6").group
     with pytest.raises(InvalidSubspaceError):

@@ -79,6 +79,24 @@ def test_fuzz_limit_seq(data):
     check(["limit-seq", "--lattice", lattice, "--subspace", subspace, "--schedule", schedule])
 
 
+# int, p/q and float strings, irrational decimals among them, and a few bad ones
+SUBSPACE_ENTRIES = NUMBERS + ["-3/4", "0.1", "0.3333333333333333", "1.4142135623730951", "-2.23606797749979", "1e300", "1e400"]
+COLLAPSE_GROUPS = {"G2": 3, "G3": 3, "B4": 3, "kummer": 4, "p4": 2, "torus-2": 2}
+subspace_entry = st.one_of(st.sampled_from(SUBSPACE_ENTRIES), st.sampled_from(SUBSPACE_ENTRIES), st.sampled_from(TOKENS))
+
+
+@FUZZ
+@given(st.data())
+def test_fuzz_collapse_subspace(data):
+    key = data.draw(st.sampled_from(sorted(COLLAPSE_GROUPS)))
+    lengths = data.draw(shape(COLLAPSE_GROUPS[key], max_rows=2))
+    text = ";".join(",".join(data.draw(subspace_entry) for _ in range(k)) for k in lengths)
+    code, err = run_cli(["collapse", "--catalog", key, "--subspace=" + text])
+    event(f"exit {code}")
+    assert code in (0, 1), (text, code, err)
+    assert err.count("error:") <= 1 and "Traceback" not in err, (text, err)
+
+
 json_entry = st.one_of(entry, st.sampled_from([0, 1, -1, 2, 0.5, 1e300]))
 
 

@@ -1,11 +1,14 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from flatorb import lattices
+from flatorb import rational as ra
+from flatorb.groups import FlatOrbError
 from flatorb.lattices import (
     InvalidLatticeError,
     Lattice,
@@ -15,7 +18,9 @@ from flatorb.lattices import (
     beta_n,
     check_diameter_bound,
     covering_radius,
+    integer_relations,
     lll_reduce,
+    scaling_limit,
     sequence_limit,
     short_vectors,
     special_basis,
@@ -340,6 +345,101 @@ def test_axis_scaling_family():
     assert lim.limit_dim == 1
     assert lim.vanishing_directions.shape == (2, 1)
     assert abs(lim.vanishing_directions[1, 0]) == pytest.approx(1.0)
+
+
+# -- integer relations and direct limits --------------------------------------
+
+
+def _same_span(U, V) -> bool:
+    return ra.rank(ra.mat(U)) == ra.rank(ra.mat(V)) == ra.rank(ra.mat(list(U) + list(V)))
+
+
+@pytest.mark.parametrize(
+    "columns,relations",
+    [
+        ([[1.0, math.sqrt(2), 0.0]], [[0, 0, 1]]),
+        ([[0.3, 0.6, math.sqrt(2)]], [[-2, 1, 0]]),
+        ([[1.0, 2.0, 3.0]], [[2, -1, 0], [3, 0, -1]]),
+        ([[0.5, 0.1, 0.3333333333333333]], [[1, -5, 0], [2, 0, -3]]),
+        ([[1.0, math.sqrt(2), 0.0, 0.0], [0.0, 0.0, 1.0, math.sqrt(5)]], []),
+    ],
+)
+def test_integer_relations_span(columns, relations):
+    assert _same_span(integer_relations(np.array(columns).T), relations)
+
+
+def test_integer_relations_raise_when_the_scales_disagree():
+    # a Gaussian vector with a spurious relation (577, -191, -288) below the
+    # 2^30 threshold, which 2^24 does not confirm
+    with pytest.raises(FlatOrbError, match="double precision"):
+        integer_relations(np.array([[1.0526119461752061], [2.972934919283197], [0.1372448727777209]]))
+
+
+def _blocks_input(rng, n):
+    """A vector of known rational span: rational vectors of height <= 4 on
+    disjoint coordinate blocks, every block but the first times a Gaussian.
+    Returns the vector and a basis of its rational span (one row per block)."""
+    cuts = sorted(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False).tolist())
+    x = np.zeros(n)
+    span = []
+    for b, block in enumerate(np.split(rng.permutation(n), cuts)):
+        row = [0] * n
+        for i in block:
+            row[i] = Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 5)))
+        if not any(row):
+            row[block[0]] = Fraction(1)
+        scale = 1.0 if b == 0 else rng.standard_normal()
+        x += scale * np.array([float(f) for f in row])
+        span.append(row)
+    return x, span
+
+
+def test_integer_relations_on_seeded_sets():
+    # 500 Gaussian vectors (no relation) and 500 vectors of known rational
+    # span, n <= 6: a wrong span is never returned, and at most 1 % raise
+    rng = np.random.default_rng(7)
+    wrong, raised = [], {"gaussian": 0, "rational": 0}
+    for kind in raised:
+        for _ in range(500):
+            n = int(rng.integers(2, 7))
+            x, span = (rng.standard_normal(n), ra.identity(n)) if kind == "gaussian" else _blocks_input(rng, n)
+            try:
+                rels = integer_relations(x[:, None])
+            except FlatOrbError:
+                raised[kind] += 1
+                continue
+            if not _same_span(ra.kernel(ra.mat(rels)) if rels else ra.identity(n), span):
+                wrong.append((kind, x.tolist(), rels))
+    assert not wrong
+    assert max(raised.values()) <= 5, raised
+
+
+# (basis rows, shrinking directions, schedule): every family above, and in
+# criterion 7, on which sequence_limit finds a limit
+AGREEMENT_FAMILIES = [
+    ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0]], [1, 0.5, 0.1, 0.01, 0.001]),
+    ([[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0]], [1, 0.5, 0.1, 0.01, 0.001]),
+    ([[1.0, 0.0], [0.5, 1.0]], [[0.0, 1.0]], [0.4, 0.1, 0.01, 0.000101, 0.0001005, 0.0001]),
+    ([[1.0, 0.0], [0.0, 1.0]], [], [1, 0.5, 0.1, 0.01]),
+]
+
+
+@pytest.mark.parametrize("rows,directions,sched", AGREEMENT_FAMILIES)
+def test_scaling_limit_agrees_with_sequence_limit(rows, directions, sched):
+    L = Lattice.from_rows(rows)
+    D = np.array(directions, dtype=float).reshape(-1, L.n).T
+    seq = sequence_limit(axis_scaling_family(L, D), sched)
+    direct = scaling_limit(L, D)
+    assert direct.limit_dim == seq.limit_dim
+    assert sorted(direct.circumferences) == pytest.approx(sorted(seq.circumferences), abs=1e-6)
+    assert direct.vanishing_directions.shape == seq.vanishing_directions.shape
+
+
+def test_scaling_limit_of_an_irrational_direction_is_its_rational_closure():
+    lim = scaling_limit(Lattice(np.eye(2)), np.array([1.0, math.sqrt(2)]))
+    assert lim.limit_dim == 0 and lim.vanishing_directions.shape == (2, 2)
+    with pytest.raises(InvalidLatticeError):
+        scaling_limit(Lattice(np.eye(2)), np.array([math.inf, 1.0]))
 
 
 def test_hausdorff_slack_of_vanishing_part():
