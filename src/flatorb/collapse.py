@@ -11,8 +11,8 @@ dimension (point, interval, circle, or a wallpaper class).
 
 ``rational_closure`` enlarges a direction that is not rational or not
 invariant to the smallest subspace that is both: the rational span of the
-float vectors, from their integer relations (``lattices.integer_relations``),
-together with the exact vectors, saturated under the point group.
+float vectors (``lattices.rational_span``), together with the exact
+vectors, saturated under the point group.
 ``rational_isotypic_components`` and ``invariant_directions`` read the
 exact class-sum decomposition in ``reps.rational_components``.
 
@@ -43,7 +43,7 @@ from .groups import (
     _freeze_int_mat,
     _int_mul,
 )
-from .lattices import integer_relations
+from .lattices import rational_span
 # isotypic_decompose is not called here; it stays importable from this module
 from .reps import isotypic_decompose, rational_components  # noqa: F401
 from .wallpaper import OrbifoldLabel, POINT_LABEL, classify_low_dim
@@ -107,12 +107,11 @@ def rational_closure(group: CrystalGroup, vectors) -> list[list[Fraction]]:
     """Smallest holonomy-invariant rational subspace containing the input.
 
     Exact rational vectors (ints, Fractions, 'p/q' strings) are taken as
-    they are; float vectors contribute their rational span R(floats), the
-    kernel of their integer relations (``lattices.integer_relations``), so
-    an irrational line closes to the rational subspace it spans and not to
-    whole isotypic components.  The result is the saturation of both under
-    the point group.  Raises FlatOrbError when double precision cannot
-    decide the relations.
+    they are; float vectors contribute their rational span R(floats)
+    (``lattices.rational_span``), so an irrational line closes to the
+    rational subspace it spans and not to whole isotypic components.  The
+    result is the saturation of both under the point group.  Raises
+    FlatOrbError when double precision cannot decide the span.
     """
     grp = group if group.normalized else group.normalize()
     _check_vectors(grp.n, vectors)
@@ -124,8 +123,7 @@ def rational_closure(group: CrystalGroup, vectors) -> list[list[Fraction]]:
         else:
             floats.append([float(x) for x in v])
     if floats:
-        rels = integer_relations(np.array(floats).T)
-        exact.extend(ra.kernel(ra.mat(rels)) if rels else ra.identity(grp.n))
+        exact.extend(rational_span(np.array(floats).T))
     return _saturate(grp, exact)
 
 

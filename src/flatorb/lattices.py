@@ -3,9 +3,10 @@
 Implements the canonical "special basis" (the lexicographic minimum, by
 non-increasing norm tuples, of all angle-bounded bases inside the closed
 ball of radius R0), certified covering-radius enclosures, the diameter
-lower bound diam >= beta_n |u1|, the integer relations of float vectors
-(LLL), and the limits of collapsing families of lattices: read off a
-schedule for any family, or taken directly for one that shrinks a span.
+lower bound diam >= beta_n |u1|, the rational span of float vectors (from
+their integer relations, by LLL), and the limits of collapsing families of
+lattices: read off a schedule for any family, or taken directly for one
+that shrinks a span.
 
 The angle constant is theta_n = arcsin(2^(-n(n-1)/4)) and
 beta_n = min(1/2, sin(2 theta_n)); in particular beta_2 = beta_3 = 1/2.
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import product
 from typing import Callable, Sequence
 
@@ -43,6 +45,8 @@ ANGLE_SLACK = 1e-9
 INDEPENDENCE_TOL = 1e-6
 RELATION_SCALES = (2.0**30, 2.0**24)
 RELATION_TOL = 1e-14
+FRACTION_DEN = 10**6
+FRACTION_TOL = 1e-15
 
 
 class LatticeEnumerationError(FlatOrbError):
@@ -338,40 +342,56 @@ def lll_reduce(basis: np.ndarray, delta: float = 0.75) -> np.ndarray:
     return B
 
 
-def _relations_at(X: np.ndarray, scale: float) -> list[list[int]]:
-    """LLL rows a of [I | scale X] that pass |a . x| <= RELATION_TOL |a| per column."""
-    n = X.shape[0]
-    B = lll_reduce(np.vstack([np.eye(n), scale * X.T]))
-    return [
-        [int(c) for c in a]
-        for a in np.rint(B[:n].T)
-        if np.all(np.abs(a @ X) <= RELATION_TOL * np.linalg.norm(a))
-    ]
+def _relations_at(y: np.ndarray, scale: float) -> list[list[int]]:
+    """LLL rows a of [I | scale y] that pass |a . y| <= RELATION_TOL |a|, for a unit vector y."""
+    n = len(y)
+    B = lll_reduce(np.vstack([np.eye(n), scale * y]))
+    return [[int(c) for c in a] for a in np.rint(B[:n].T) if abs(a @ y) <= RELATION_TOL * np.linalg.norm(a)]
 
 
-def integer_relations(X) -> list[list[int]]:
-    """Integer vectors a with a . x = 0 for every column x of X, as rows.
+def _float_span(y: np.ndarray) -> list[ra.Vec]:
+    """R(y) for one nonzero float vector: the kernel of its integer relations.
 
-    They span the relation module over Q, so their kernel is the rational
-    span R(X): the smallest rational subspace holding the columns.
-    Found by LLL on the rows of [I | C X] (Lenstra-Lenstra-Lovasz 1982;
-    Hastad-Just-Lagarias-Schnorr 1989) with unit columns: a row is a
-    relation when |a . x| <= 1e-14 |a| for every column.  The rows found at
-    C = 2^30 count only if C = 2^24 finds the same span; otherwise the input
-    sits too close to a relation for double precision, and FlatOrbError is
-    raised rather than a guess returned.  Relations much longer than about
-    2^(30/n) are beyond double precision and are not seen.
+    Found by LLL on the rows of [I | C y] with y a unit vector
+    (Lenstra-Lenstra-Lovasz 1982; Hastad-Just-Lagarias-Schnorr 1989): a
+    row is a relation when |a . y| <= 1e-14 |a|.  The rows found at
+    C = 2^30 count only if C = 2^24 finds the same span; otherwise y sits
+    too close to a relation for double precision, and FlatOrbError is
+    raised rather than a guess returned.
     """
-    X = np.asarray(X, dtype=float)
-    top = np.abs(X).max(axis=0, initial=0.0)
-    if not (np.isfinite(top).all() and top.all()):
-        raise FlatOrbError("relations need finite nonzero vectors")
-    X = X / top  # first into the unit cube, so that the norm cannot overflow
-    X = X / np.linalg.norm(X, axis=0)
-    fine, coarse = (_relations_at(X, scale) for scale in RELATION_SCALES)
+    y = y / np.abs(y).max()  # first into the unit cube, so that the norm cannot overflow
+    y = y / np.linalg.norm(y)
+    fine, coarse = (_relations_at(y, scale) for scale in RELATION_SCALES)
     if not ra.rank(ra.mat(fine)) == ra.rank(ra.mat(coarse)) == ra.rank(ra.mat(fine + coarse)):
         raise FlatOrbError("cannot decide the rational closure at double precision")
-    return fine
+    return ra.kernel(ra.mat(fine)) if fine else ra.identity(len(y))
+
+
+def rational_span(X) -> list[ra.Vec]:
+    """Basis of R(X), the smallest rational subspace holding every column of X.
+
+    R(X) is the sum of the spans R(x) of the columns.  A column whose every
+    coordinate is within 1e-15 (relative) of a fraction with denominator
+    <= 10^6 is read as those fractions, as a typed decimal is.  Any other
+    column x gives R(x) from its integer relations (``_float_span``); these
+    are seen up to a height of about 2^(24/d) for d coordinates (4096 for
+    d = 2, 256 for d = 3), and a longer one goes unseen, so that R(x) comes
+    out larger.  Raises FlatOrbError for a column that is zero or not
+    finite, or that double precision cannot decide.
+    """
+    X = np.asarray(X, dtype=float)
+    span: list[ra.Vec] = []
+    for x in X.T:
+        top = np.abs(x).max(initial=0.0)
+        if not (math.isfinite(top) and top):
+            raise FlatOrbError("a rational span needs finite nonzero vectors")
+        read = [Fraction(c).limit_denominator(FRACTION_DEN) for c in x.tolist()]
+        if all(abs(float(f) - c) <= FRACTION_TOL * abs(c) for f, c in zip(read, x.tolist())):
+            span.append(read)
+        else:
+            span.extend(_float_span(x))
+    R, pivots = ra.rref(span)
+    return R[: len(pivots)]
 
 
 def _spanning_index(V: np.ndarray) -> int:
@@ -650,7 +670,7 @@ def scaling_limit(lattice: Lattice, directions) -> TorusLimit:
 
     With B the basis, the collapsing subspace is B W for W = R(B^-1 D), the
     rational span of the directions in lattice coordinates
-    (``integer_relations``): an irrational direction collapses its whole
+    (``rational_span``): an irrational direction collapses its whole
     rational closure.  With A and R from ``rational.quotient_map(W)``, the
     limit lattice is the projection of B R Z^m orthogonal to B W, whose
     Gram is (A G^-1 A^T)^-1 for G = B^T B.  ``limit_basis`` is its special
@@ -658,8 +678,7 @@ def scaling_limit(lattice: Lattice, directions) -> TorusLimit:
     """
     B = lattice.basis
     n = lattice.n
-    rels = integer_relations(np.linalg.solve(B, _directions(lattice, directions)))
-    W = ra.kernel(ra.mat(rels)) if rels else ra.identity(n)
+    W = rational_span(np.linalg.solve(B, _directions(lattice, directions)))
     A, R = ra.quotient_map(W, n)
     k, m = len(W), len(A)
     Q, _ = np.linalg.qr(B @ np.array(W, dtype=float).reshape(k, n).T, mode="complete")

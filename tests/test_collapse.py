@@ -68,6 +68,10 @@ def test_float_direction_closes_to_its_rational_span():
         ([0.5, 1.0, 0.0], [[1, 2, 0]]),
         ([0.1, 0.3, 0.0], [[1, 3, 0]]),
         ([0.3333333333333333, 0.0, 1.0], [[1, 0, 3]]),
+        # relations (218107, -41152, 0) and (5679, -1234, 0) are beyond LLL
+        # at double precision; the decimals are read as fractions instead
+        ([0.123456, 0.654321, 0.0], [[1, "218107/41152", 0]]),
+        ([0.1234, 0.5679, 0.0], [[1, "5679/1234", 0]]),
     ],
 )
 def test_decimal_floats_keep_their_rational_closure(vector, closed):

@@ -18,8 +18,8 @@ from flatorb.lattices import (
     beta_n,
     check_diameter_bound,
     covering_radius,
-    integer_relations,
     lll_reduce,
+    rational_span,
     scaling_limit,
     sequence_limit,
     short_vectors,
@@ -355,24 +355,34 @@ def _same_span(U, V) -> bool:
 
 
 @pytest.mark.parametrize(
-    "columns,relations",
+    "columns,span",
     [
-        ([[1.0, math.sqrt(2), 0.0]], [[0, 0, 1]]),
-        ([[0.3, 0.6, math.sqrt(2)]], [[-2, 1, 0]]),
-        ([[1.0, 2.0, 3.0]], [[2, -1, 0], [3, 0, -1]]),
-        ([[0.5, 0.1, 0.3333333333333333]], [[1, -5, 0], [2, 0, -3]]),
-        ([[1.0, math.sqrt(2), 0.0, 0.0], [0.0, 0.0, 1.0, math.sqrt(5)]], []),
+        ([[1.0, math.sqrt(2), 0.0]], [[1, 0, 0], [0, 1, 0]]),
+        ([[0.3, 0.6, math.sqrt(2)]], [[1, 2, 0], [0, 0, 1]]),
+        ([[1.0, 2.0, 3.0]], [[1, 2, 3]]),
+        ([[0.5, 0.1, 0.3333333333333333]], [[15, 3, 10]]),
+        ([[1.0, math.sqrt(2), 0.0, 0.0], [0.0, 0.0, 1.0, math.sqrt(5)]], ra.identity(4)),
+        # decimals are read as fractions: (218107, -41152, 0) is far too
+        # long a relation for LLL at double precision
+        ([[0.123456, 0.654321, 0.0]], [[123456, 654321, 0]]),
+        ([[0.3 * math.sqrt(2), 0.6 * math.sqrt(2), 0.25]], [[1, 2, 0], [0, 0, 1]]),
     ],
 )
-def test_integer_relations_span(columns, relations):
-    assert _same_span(integer_relations(np.array(columns).T), relations)
+def test_rational_span(columns, span):
+    assert _same_span(rational_span(np.array(columns).T), span)
 
 
-def test_integer_relations_raise_when_the_scales_disagree():
+@pytest.mark.parametrize("x", [[0.0, 0.0], [1.0, math.nan], [1.0, math.inf]])
+def test_rational_span_rejects_zero_and_non_finite_columns(x):
+    with pytest.raises(FlatOrbError, match="finite nonzero"):
+        rational_span(np.array(x)[:, None])
+
+
+def test_rational_span_raises_when_the_scales_disagree():
     # a Gaussian vector with a spurious relation (577, -191, -288) below the
     # 2^30 threshold, which 2^24 does not confirm
     with pytest.raises(FlatOrbError, match="double precision"):
-        integer_relations(np.array([[1.0526119461752061], [2.972934919283197], [0.1372448727777209]]))
+        rational_span(np.array([[1.0526119461752061], [2.972934919283197], [0.1372448727777209]]))
 
 
 def _blocks_input(rng, n):
@@ -394,7 +404,7 @@ def _blocks_input(rng, n):
     return x, span
 
 
-def test_integer_relations_on_seeded_sets():
+def test_rational_span_on_seeded_sets():
     # 500 Gaussian vectors (no relation) and 500 vectors of known rational
     # span, n <= 6: a wrong span is never returned, and at most 1 % raise
     rng = np.random.default_rng(7)
@@ -404,12 +414,12 @@ def test_integer_relations_on_seeded_sets():
             n = int(rng.integers(2, 7))
             x, span = (rng.standard_normal(n), ra.identity(n)) if kind == "gaussian" else _blocks_input(rng, n)
             try:
-                rels = integer_relations(x[:, None])
+                got = rational_span(x[:, None])
             except FlatOrbError:
                 raised[kind] += 1
                 continue
-            if not _same_span(ra.kernel(ra.mat(rels)) if rels else ra.identity(n), span):
-                wrong.append((kind, x.tolist(), rels))
+            if not _same_span(got, span):
+                wrong.append((kind, x.tolist(), got))
     assert not wrong
     assert max(raised.values()) <= 5, raised
 
