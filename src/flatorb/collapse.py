@@ -435,35 +435,9 @@ def _scalar_action(group: CrystalGroup, piece) -> bool:
     return True
 
 
-def _sublattice_basis(piece) -> list[list[Fraction]]:
+def _sublattice_basis(piece) -> list[list[int]]:
     """Basis of Z^n intersected with the rational span of the piece."""
-    n = len(piece[0])
-    rows = [list(p) for p in piece]
-    R, pivots = ra.rref(rows)
-    constraints = []
-    for j in range(n):
-        if j not in pivots:
-            v = [Fraction(0)] * n
-            v[j] = Fraction(-1)
-            for r, c in enumerate(pivots):
-                v[c] = R[r][j]
-            constraints.append(v)
-    if not constraints:
-        return [list(e) for e in ra.identity(n)]
-    # integer kernel of the constraint matrix: rows of U against zero rows of H
-    den = 1
-    for row in constraints:
-        for x in row:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-    K = [[int(x * den) for x in row] for row in constraints]
-    Kt = [[K[i][j] for i in range(len(K))] for j in range(n)]
-    H, U = ra.hnf(Kt)
-    basis = [
-        [Fraction(u) for u in U[i]]
-        for i in range(n)
-        if not any(H[i])
-    ]
-    return basis
+    return ra.quotient_map(ra.kernel(piece), len(piece[0]))[0]
 
 
 def invariant_directions(group: CrystalGroup, slope_bound: int = SLOPE_BOUND):

@@ -194,6 +194,24 @@ def _coset_closure(
     return table, None
 
 
+def _fixed_point(A: IntMat, v) -> tuple[FracVec, FracVec] | None:
+    """A translate (A, w) of (A, v) by Z^n and a point it fixes, or None.
+
+    Some translate fixes a point iff v lies in im(I - A) + Z^n.  With
+    (Q, R) the integer quotient map of R^n onto R^n / im(I - A), that holds
+    iff Q v is integral; then w = v - R Q v lies in im(I - A), and
+    (I - A) x = w gives the fixed point x.
+    """
+    n = len(v)
+    ImA = [[int(i == j) - A[i][j] for j in range(n)] for i in range(n)]
+    Q, R = ra.quotient_map(ra.transpose(ImA), n)
+    qv = [sum(q * x for q, x in zip(row, v)) for row in Q]
+    if any(Fraction(c).denominator != 1 for c in qv):
+        return None
+    w = tuple(x - sum(r * c for r, c in zip(row, qv)) for x, row in zip(v, R))
+    return w, tuple(ra.solve(ra.mat(ImA), list(w)))
+
+
 @dataclass(frozen=True)
 class TorsionReport:
     torsion_free: bool
@@ -316,38 +334,18 @@ class CrystalGroup:
     def is_torsion_free(self) -> TorsionReport:
         """Exact fixed-point test per holonomy class.
 
-        A class (A, v_A) contains an element with a fixed point iff the
-        gram-orthogonal projection of v_A onto ker(A - I) lies in the
-        projection of Z^n; the witness is reconstructed from the integer
-        combination realizing that membership.
+        Some translate (A, v_A + l), l in Z^n, fixes a point iff
+        v_A lies in im(I - A) + Z^n; the first class that passes gives the
+        witness and its fixed point (see ``_fixed_point``).
         """
         hol = self.holonomy()
-        n = self.n
-        I = ra.identity(n)
-        G = ra.mat(self.gram)
         for A in hol.elements:
-            if A == _int_identity(n):
+            if A == _int_identity(self.n):
                 continue
-            v = list(hol.translations[A])
-            Am = ra.mat(A)
-            AmI = [[Am[i][j] - I[i][j] for j in range(n)] for i in range(n)]
-            fixed = ra.kernel(AmI)
-            if not fixed:
-                # A - I invertible: the representative itself has a fixed point
-                x = ra.solve([[I[i][j] - Am[i][j] for j in range(n)] for i in range(n)], v)
-                assert x is not None
-                return TorsionReport(False, AffineElement.of(A, v), tuple(x))
-            W = ra.transpose(fixed)
-            P = ra.gram_orth_projector(G, W)
-            pv = ra.mat_vec(P, v)
-            gens = [ra.mat_vec(P, e) for e in ra.identity(n)]
-            comb = ra.integer_combination(pv, gens)
-            if comb is not None:
-                lam = [Fraction(-c) for c in comb]
-                w = ra.vec_add(v, lam)
-                x = ra.solve([[I[i][j] - Am[i][j] for j in range(n)] for i in range(n)], w)
-                assert x is not None
-                return TorsionReport(False, AffineElement.of(A, w), tuple(x))
+            found = _fixed_point(A, hol.translations[A])
+            if found is not None:
+                w, x = found
+                return TorsionReport(False, AffineElement.of(A, w), x)
         return TorsionReport(True)
 
     def volume(self) -> float:

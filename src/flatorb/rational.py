@@ -281,41 +281,6 @@ def quotient_map(W: list[Vec], n: int) -> tuple[list[list[int]], list[list[int]]
     return [U[i] for i in rows], [[int(Uinv[r][i]) for i in rows] for r in range(n)]
 
 
-def integer_combination(target: Vec, generators: list[Vec]) -> list[int] | None:
-    """Integer coefficients c with sum(c_i * g_i) = target, or None."""
-    gens = [vec(g) for g in generators]
-    tgt = vec(target)
-    if not gens:
-        return [] if not any(tgt) else None
-    d = _common_denominator(gens + [tgt])
-    G = [[int(x * d) for x in g] for g in gens]
-    t = [int(x * d) for x in tgt]
-    H, U = hnf(G)
-    coeff = [0] * len(H)
-    w = t[:]
-    for i, row in enumerate(H):
-        p = next((j for j, x in enumerate(row) if x != 0), None)
-        if p is None:
-            continue
-        if w[p] % row[p] != 0:
-            return None
-        q = w[p] // row[p]
-        coeff[i] = q
-        w = [a - q * b for a, b in zip(w, row)]
-    if any(w):
-        return None
-    # target = coeff . H = coeff . U . G
-    return [sum(c * u for c, u in zip(coeff, col)) for col in zip(*U)]
-
-
-def gram_orth_projector(G: Mat, W_cols: Mat) -> Mat:
-    """Projector onto span of the columns of W, orthogonal w.r.t. G."""
-    Wt = transpose(W_cols)
-    M = mat_mul(Wt, mat_mul(G, W_cols))
-    Minv = inverse(M)
-    return mat_mul(W_cols, mat_mul(Minv, mat_mul(Wt, G)))
-
-
 def char_poly(M: Mat) -> list[Fraction]:
     """Coefficients [c_0 .. c_n] with p(x) = sum c_k x^k, monic, c_n = 1."""
     n = len(M)

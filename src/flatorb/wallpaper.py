@@ -1,11 +1,16 @@
 """Classification of 2-dimensional crystallographic groups.
 
 The classifier works on exact holonomy data only: the maximal rotation
-order, which reflection classes contain genuine mirrors (decided by the
-same projected-lattice membership test used for torsion), whether glide
+order, which reflection classes contain genuine mirrors, whether glide
 axes coincide with mirror axes, and whether all rotation centers lie on
-mirror lines.  These invariants are affine (basis independent), so the
-result does not depend on the chosen lattice coordinates.
+mirror lines.  A reflection class (A, v) holds a mirror iff some translate
+fixes a point, decided by the same fixed-point test as torsion
+(``groups._fixed_point``: v in im(I - A) + Z^2).  Its glide axes lie on
+mirrors iff it holds a mirror and the lattice is primitive rather than
+centred for A: the centring index |det(a, p)| of the primitive +1 and -1
+eigenvectors a and p of A is 1, not 2 (the p/c lattice distinction).
+These invariants are affine (basis independent), so the result does not
+depend on the chosen lattice coordinates.
 
 Orbifold data for each of the 17 classes comes from the standard table:
 IUC name, Conway symbol, underlying topology, cone points and corner
@@ -26,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rational as ra
-from .groups import CrystalGroup, FlatOrbError, _freeze_int_mat
+from .groups import CrystalGroup, FlatOrbError, _fixed_point, _freeze_int_mat
 
 
 class InvalidWallpaperError(FlatOrbError):
@@ -105,19 +110,6 @@ def _primitive(v: list[Fraction]) -> list[Fraction]:
     return [Fraction(x) for x in ints]
 
 
-def _rat_gcd(values: list[Fraction]) -> Fraction:
-    vals = [v for v in values if v != 0]
-    if not vals:
-        return Fraction(0)
-    den = 1
-    for v in vals:
-        den = den * v.denominator // math.gcd(den, v.denominator)
-    g = 0
-    for v in vals:
-        g = math.gcd(g, abs(int(v * den)))
-    return Fraction(g, den)
-
-
 @dataclass(frozen=True)
 class ReflectionClass:
     matrix: tuple
@@ -127,57 +119,24 @@ class ReflectionClass:
     glide_axes_on_mirrors: bool
 
 
-def _reflection_class_data(A, v, gram) -> ReflectionClass:
-    n = 2
-    G = ra.mat(gram)
+def _reflection_class_data(A, v) -> ReflectionClass:
     M = ra.mat(A)
-    I = ra.identity(n)
-    axis_basis = ra.kernel([[M[i][j] - I[i][j] for j in range(n)] for i in range(n)])
+    I = ra.identity(2)
+    axis_basis = ra.kernel([[M[i][j] - I[i][j] for j in range(2)] for i in range(2)])
     if len(axis_basis) != 1:
         raise InvalidWallpaperError("reflection class without a 1-dimensional axis")
     a = _primitive(axis_basis[0])
-    perp_rows = [ra.mat_vec(G, a)]
-    perp = _primitive(ra.kernel(perp_rows)[0])
-
-    def coeff(direction, x):
-        num = ra.vec_dot(x, ra.mat_vec(G, direction))
-        den = ra.vec_dot(direction, ra.mat_vec(G, direction))
-        return num / den
-
-    ca = lambda x: coeff(a, list(x))
-    cp = lambda x: coeff(perp, list(x))
-    g_axis = _rat_gcd([ca([1, 0]), ca([0, 1])])
-    g_perp = _rat_gcd([cp([1, 0]), cp([0, 1])])
-
-    cav = ca(v)
-    has_mirror = g_axis != 0 and (cav / g_axis).denominator == 1
-
-    # integer step vectors adapted to the axis: mu realizes the minimal
-    # axis-component g_axis, perp has none; translates enumerated in this
-    # frame make the offset sets basis independent
-    comb = ra.integer_combination([g_axis], [[ca([1, 0])], [ca([0, 1])]])
-    assert comb is not None
-    mu = [Fraction(comb[0]), Fraction(comb[1])]
-
-    def offsets(pred):
-        out = set()
-        for i in range(-2, 3):
-            for j in range(-2, 3):
-                lam = ra.vec_add(ra.vec_scale(i, mu), ra.vec_scale(j, perp))
-                w = ra.vec_add(list(v), lam)
-                if pred(ca(w)):
-                    o = cp(w) / 2
-                    out.add(o - g_perp * math.floor(o / g_perp) if g_perp else o)
-        return out
-
-    mirror_offsets = offsets(lambda c: c == 0)
-    glide_offsets = offsets(lambda c: c != 0)
+    p = _primitive(ra.kernel([[M[i][j] + I[i][j] for j in range(2)] for i in range(2)])[0])
+    has_mirror = _fixed_point(A, v) is not None
+    # Z a + Z p has index 1 (primitive lattice) or 2 (centred) in Z^2; a
+    # centred lattice puts a glide axis halfway between two mirrors
+    primitive = abs(a[0] * p[1] - a[1] * p[0]) == 1
     return ReflectionClass(
         matrix=A,
         v=tuple(v),
         axis=tuple(a),
         has_mirror=has_mirror,
-        glide_axes_on_mirrors=glide_offsets <= mirror_offsets,
+        glide_axes_on_mirrors=has_mirror and primitive,
     )
 
 
@@ -234,9 +193,7 @@ def classify2(group: CrystalGroup) -> OrbifoldLabel:
     if N not in (1, 2, 3, 4, 6):
         raise InvalidWallpaperError(f"rotation order {N} violates the crystallographic restriction")
 
-    refl_classes = [
-        _reflection_class_data(A, hol.translations[A], grp.gram) for A in reflections
-    ]
+    refl_classes = [_reflection_class_data(A, hol.translations[A]) for A in reflections]
     mirror_classes = sum(1 for rc in refl_classes if rc.has_mirror)
 
     if N == 1:
@@ -336,7 +293,6 @@ def singular_locus(group: CrystalGroup) -> SingularLocus:
     best_order: dict[tuple, int] = {}
     mirrors = []
     glides = []
-    G = ra.mat(grp.gram)
     I = ra.identity(2)
     for A in hol.elements:
         M = ra.mat(A)
@@ -349,7 +305,7 @@ def singular_locus(group: CrystalGroup) -> SingularLocus:
                 if best_order.get(pt, 0) < order:
                     best_order[pt] = order
         else:
-            rc = _reflection_class_data(A, v, grp.gram)
+            rc = _reflection_class_data(A, v)
             a = [float(x) for x in rc.axis]
             ImA = [[I[i][j] - M[i][j] for j in range(2)] for i in range(2)]
             for l1 in range(-2, 3):

@@ -85,10 +85,10 @@ def test_b2_gram_projection_constraint():
     assert G[0][2] == (G[0][0] + G[0][1]) / 2
     assert G[1][2] == (G[0][1] + G[1][1]) / 2
     # equivalently: the third basis vector projects onto the midpoint of the
-    # first two in the plane they span
-    W = ra.transpose([[1, 0, 0], [0, 1, 0]])
-    P = ra.gram_orth_projector(G, ra.mat(W))
-    proj = ra.mat_vec(P, ra.vec([0, 0, 1]))
+    # first two in the plane they span; the G-orthogonal projection c1 e1 +
+    # c2 e2 solves the normal equations G[:2, :2] c = G[:2, 2]
+    c = ra.solve([G[0][:2], G[1][:2]], [G[0][2], G[1][2]])
+    proj = c + [0]
     assert proj == ra.vec(["1/2", "1/2", 0])
 
 

@@ -233,6 +233,25 @@ def test_group_file_loading(tmp_path, capsys):
     assert "pg" in out
 
 
+def test_classify2_skewed_pm_group_file(tmp_path, capsys):
+    # pm in the lattice basis [[-2, -7], [-1, -3]] with its origin moved
+    path = tmp_path / "pm-skewed.json"
+    path.write_text(
+        json.dumps(
+            {
+                "dimension": 2,
+                "gram": [[5, 17], [17, 58]],
+                "generators": [
+                    {"linear": [[-13, -42], [4, 13]], "translation": ["1/3", "1/3"]}
+                ],
+            }
+        )
+    )
+    code, out, _ = run(capsys, "classify2", "--group", str(path))
+    assert code == 0
+    assert out.split()[0] == "pm"
+
+
 def test_point_group_cap_is_a_domain_error(tmp_path, capsys, monkeypatch):
     path = tmp_path / "signed-perms.json"
     path.write_text(

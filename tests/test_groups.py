@@ -6,7 +6,7 @@ import pytest
 
 from flatorb import groups
 from flatorb import rational as ra
-from flatorb.catalog import catalog_get, generalized_klein_bottle
+from flatorb.catalog import catalog_get, catalog_list, generalized_klein_bottle
 from flatorb.groups import (
     AffineElement,
     CapExceededError,
@@ -131,6 +131,29 @@ def test_torsion_witness_pillowcase():
     w = rep.witness
     # witness fixes its reported point
     assert w.apply(rep.fixed_point) == list(rep.fixed_point)
+
+
+@pytest.mark.parametrize(
+    "key", [k for k in sorted(catalog_list()) if catalog_get(k).group.n <= 3]
+)
+def test_torsion_is_invariant_under_basis_and_origin_change(key):
+    entry = catalog_get(key)
+    grp, n = entry.group, entry.group.n
+    rng = random.Random(sum(map(ord, key)))
+    for _ in range(3):
+        P = _random_unimodular(rng, n)
+        Pinv = ra.inverse(P)
+        s = [Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 4, 6])) for _ in range(n)]
+        gens = []
+        for g in grp.generators:
+            A = ra.mat_mul(Pinv, ra.mat_mul(ra.mat(g.linear), P))
+            v = ra.vec_add(ra.mat_vec(Pinv, list(g.translation)), ra.vec_sub(s, ra.mat_vec(A, s)))
+            gens.append((A, v))
+        gram = ra.mat_mul(ra.transpose(P), ra.mat_mul(ra.mat(grp.gram), P))
+        rep = CrystalGroup.make(n, gens, gram=gram).normalize().is_torsion_free()
+        assert rep.torsion_free == entry.expected["torsion_free"], (P, s)
+        if not rep.torsion_free:
+            assert rep.witness.apply(rep.fixed_point) == list(rep.fixed_point)
 
 
 def test_volume():

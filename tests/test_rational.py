@@ -99,17 +99,6 @@ def test_solve_postconditions(M, bvals):
         assert ra.mat_vec(A, k) == [Fraction(0)] * len(M)
 
 
-def test_integer_combination():
-    gens = [ra.vec(["1/2", "1/2"]), ra.vec([0, 1])]
-    c = ra.integer_combination(ra.vec(["3/2", "5/2"]), gens)
-    assert c is not None
-    total = [Fraction(0), Fraction(0)]
-    for ci, g in zip(c, gens):
-        total = ra.vec_add(total, ra.vec_scale(ci, g))
-    assert total == ra.vec(["3/2", "5/2"])
-    assert ra.integer_combination(ra.vec(["1/3", 0]), gens) is None
-
-
 def test_char_poly_and_order():
     A = ra.mat([[0, -1], [1, -1]])  # order 3
     assert ra.matrix_order(A) == 3
@@ -123,17 +112,6 @@ def test_char_poly_and_order():
 def test_positive_definite():
     assert ra.is_positive_definite(ra.mat([[1, "-1/2"], ["-1/2", 1]]))
     assert not ra.is_positive_definite(ra.mat([[1, 2], [2, 1]]))
-
-
-def test_gram_orth_projector():
-    G = ra.mat([[1, 0, "1/2"], [0, 1, "1/2"], ["1/2", "1/2", 1]])
-    W = ra.transpose([ra.vec([1, 0, 0]), ra.vec([0, 1, 0])])
-    P = ra.gram_orth_projector(G, W)
-    assert ra.mat_mul(P, P) == P
-    # projector fixes the plane and kills its G-orthogonal complement
-    assert ra.mat_vec(P, ra.vec([1, 0, 0])) == ra.vec([1, 0, 0])
-    comp = ra.vec([1, 1, -2])  # G-orthogonal to the plane
-    assert ra.mat_vec(P, comp) == ra.vec([0, 0, 0])
 
 
 def test_frac_parsing():

@@ -75,31 +75,51 @@ def test_orbifold_names():
 
 def _random_unimodular(rng):
     M = ra.identity(2)
-    for _ in range(5):
+    for _ in range(8):
         i, j = rng.sample([0, 1], 2)
-        c = rng.randint(-2, 2)
+        c = rng.randint(-3, 3)
         for k in range(2):
             M[i][k] += c * M[j][k]
     return M
 
 
+def _conjugate(grp, P, s, scale=1):
+    """The group in the lattice basis P, with its origin moved by s."""
+    Pinv = ra.inverse(ra.mat(P))
+    s = ra.vec(s)
+    gens = []
+    for g in grp.generators:
+        A = ra.mat_mul(Pinv, ra.mat_mul(ra.mat(g.linear), ra.mat(P)))
+        shift = ra.vec_sub(s, ra.mat_vec(A, s))
+        gens.append((A, ra.vec_add(ra.mat_vec(Pinv, list(g.translation)), shift)))
+    gram = ra.mat_mul(ra.transpose(ra.mat(P)), ra.mat_mul(ra.mat(grp.gram), ra.mat(P)))
+    gram = [[x * ra.frac(scale) for x in row] for row in gram]
+    return CrystalGroup.make(2, gens, gram=gram).normalize()
+
+
 @pytest.mark.parametrize("name", sorted(wallpaper_groups()))
 def test_classify_invariant_under_basis_change(name):
-    rng = random.Random(hash(name) % 2**32)
+    rng = random.Random(sum(map(ord, name)))
     grp = wallpaper_groups()[name].normalize()
-    for _ in range(3):
-        U = _random_unimodular(rng)
-        Uinv = ra.inverse(U)
-        scale = ra.frac(rng.choice([1, 2, "1/3", 5]))
-        gens = []
-        for g in grp.generators:
-            A = ra.mat_mul(Uinv, ra.mat_mul(ra.mat(g.linear), U))
-            v = ra.mat_vec(Uinv, list(g.translation))
-            gens.append((A, v))
-        gram = ra.mat_mul(ra.transpose(U), ra.mat_mul(ra.mat(grp.gram), U))
-        gram = [[x * scale for x in row] for row in gram]
-        conj = CrystalGroup.make(2, gens, gram=gram).normalize()
-        assert classify2(conj).iuc == name
+    for _ in range(6):
+        P = _random_unimodular(rng)
+        s = [Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 4, 6, 12])) for _ in range(2)]
+        scale = rng.choice([1, 2, "1/3", 5])
+        assert classify2(_conjugate(grp, P, s, scale)).iuc == name, (P, s)
+
+
+@pytest.mark.parametrize(
+    "name, P, s",
+    [
+        ("pm", [[-2, -7], [-1, -3]], ["-1/3", -1]),
+        ("pmm", [[7, 3], [2, 1]], [3, "1/12"]),
+    ],
+)
+def test_classify_skewed_basis_cases(name, P, s):
+    # a skewed basis hides the translates that tell pm from cm and pmm from
+    # cmm in any fixed window; the centring index does not depend on it
+    conj = _conjugate(wallpaper_groups()[name].normalize(), P, s)
+    assert classify2(conj).iuc == name
 
 
 def test_singular_locus_p2():
@@ -207,7 +227,7 @@ def test_cone_and_corner_classes_match_table():
         # split into interior cone points vs boundary corner reflectors
         hol = grp.holonomy()
         refl = [
-            _reflection_class_data(A, hol.translations[A], grp.gram)
+            _reflection_class_data(A, hol.translations[A])
             for A in hol.elements
             if ra.det(ra.mat(A)) == -1
         ]
