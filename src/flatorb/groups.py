@@ -206,7 +206,7 @@ def _fixed_point(A: IntMat, v) -> tuple[FracVec, FracVec] | None:
     ImA = [[int(i == j) - A[i][j] for j in range(n)] for i in range(n)]
     Q, R = ra.quotient_map(ra.transpose(ImA), n)
     qv = [sum(q * x for q, x in zip(row, v)) for row in Q]
-    if any(Fraction(c).denominator != 1 for c in qv):
+    if any(c.denominator != 1 for c in qv):
         return None
     w = tuple(x - sum(r * c for r, c in zip(row, qv)) for x, row in zip(v, R))
     return w, tuple(ra.solve(ra.mat(ImA), list(w)))
