@@ -14,11 +14,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from flatorb.catalog import catalog_get
 from flatorb.collapse import collapse, invariant_directions
+from flatorb.groups import FlatOrbError
 
 
-def main():
+def main() -> int:
     key = sys.argv[1] if len(sys.argv) > 1 else "G6"
-    grp = catalog_get(key).group
+    try:
+        grp = catalog_get(key).group
+    except FlatOrbError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     print(f"{key}: dim {grp.n}, holonomy order {grp.holonomy().order}")
     for name, basis in invariant_directions(grp):
         res = collapse(grp, basis)
@@ -33,7 +38,8 @@ def main():
         print(f"  {label} --[{name}]--> {res.label.orbifold_name}")
         current = res.quotient
         label = res.label.orbifold_name
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -2,8 +2,8 @@
 
 Implements the canonical "special basis" (the lexicographic minimum, by
 non-increasing norm tuples, of all angle-bounded bases inside the closed
-ball of radius R0), certified covering-radius enclosures, the diameter
-lower bound diam >= beta_n |u1|, the rational span of float vectors (from
+ball of radius R0), the covering radius, the diameter lower bound
+diam >= beta_n |u1|, the rational span of float vectors (from
 their integer relations, by LLL), and the limits of collapsing families of
 lattices: read off a schedule for any family, or taken directly for one
 that shrinks a span.
@@ -24,6 +24,10 @@ candidates are arrays (coefficients, vectors, norms, coordinates) in one
 order, by norm rounded to 12 digits and then by coordinates, so ties
 between equal norms never depend on the input basis.  Independence is
 one Gram-Schmidt residual step over a whole candidate pool.
+
+The covering radius of L (the diameter of R^n / L) is the largest norm of
+a Voronoi vertex; the same enumeration, centred, finds the cell's facets
+one class of L / 2L at a time, and that vertex's lattice distance.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,12 +45,14 @@ from .groups import FlatOrbError
 
 ENUM_CAP = 1_000_000
 COMBO_CAP = 2_000_000
+VERTEX_CAP = 100_000
 ANGLE_SLACK = 1e-9
 INDEPENDENCE_TOL = 1e-6
 RELATION_SCALES = (2.0**30, 2.0**24)
 RELATION_TOL = 1e-14
 FRACTION_DEN = 10**6
 FRACTION_TOL = 1e-15
+TIE_TOL = 1e-9
 
 
 class LatticeEnumerationError(FlatOrbError):
@@ -118,23 +124,25 @@ class SpecialBasis:
         return np.column_stack(self.vectors)
 
 
-def _ball(lattice: Lattice, r: float, seed: np.ndarray) -> np.ndarray:
-    """Coefficients, in the input basis, of the nonzero vectors with |v| <= r.
+def _ball(lattice: Lattice, r: float, seed: np.ndarray, centre: np.ndarray | None = None) -> np.ndarray:
+    """Coefficients, in the input basis, of the lattice vectors v with |v - centre| <= r.
 
-    One row per +-pair.  Fincke-Pohst enumeration in ``seed``, a norm-sorted
-    LLL basis of the same lattice, with per-coordinate bounds from the
-    Cholesky factor of its gram matrix: the outer coordinates recurse in
-    Python and the innermost one is a whole integer interval, so the Python
-    work is per outer prefix.  A pair is listed by its member whose last
-    nonzero seed coordinate is positive.  ``ENUM_CAP`` bounds the number of
-    ball vectors with both signs; it is checked before each interval is
-    allocated.
+    Without ``centre``: the nonzero vectors of the r-ball, one row per
+    +-pair, listed by the member whose last nonzero seed coordinate is
+    positive.  Fincke-Pohst enumeration in ``seed``, a norm-sorted LLL basis
+    of the same lattice, with per-coordinate bounds from the Cholesky factor
+    of its gram matrix: the outer coordinates recurse in Python and the
+    innermost one is a whole integer interval, so the Python work is per
+    outer prefix.  ``ENUM_CAP`` bounds the number of vectors, with both
+    signs; it is checked before each interval is allocated.
     """
     n = lattice.n
     U = np.rint(np.linalg.solve(lattice.basis, seed)).astype(np.int64)
     if abs(round(np.linalg.det(U))) != 1:
         raise LatticeEnumerationError("reduced basis does not span the input lattice")
     R = np.linalg.cholesky(seed.T @ seed).T  # upper triangular, G = R^T R
+    half = centre is None
+    start = np.zeros(n) if half else -R @ np.linalg.solve(seed, centre)
     y = np.zeros(n, dtype=np.int64)
     chunks: list[np.ndarray] = []
     count = 0
@@ -156,7 +164,7 @@ def _ball(lattice: Lattice, r: float, seed: np.ndarray) -> np.ndarray:
                 hi -= 1
             if lo > hi:
                 return
-            count += 2 * (hi - lo + 1)
+            count += (2 if half else 1) * (hi - lo + 1)
             if count > ENUM_CAP:
                 raise LatticeEnumerationError("short-vector enumeration cap exceeded; radius too large")
             block = np.tile(y, (hi - lo + 1, 1))
@@ -171,7 +179,7 @@ def _ball(lattice: Lattice, r: float, seed: np.ndarray) -> np.ndarray:
             recurse(k - 1, partial + R[:, k] * zk, left, leading and zk == 0)
         y[k] = 0
 
-    recurse(n - 1, np.zeros(n), r * r * (1 + 1e-12), True)
+    recurse(n - 1, start, r * r * (1 + 1e-12), half)
     Y = np.concatenate(chunks) if chunks else np.zeros((0, n), dtype=np.int64)
     return Y @ U.T
 
@@ -445,76 +453,64 @@ def special_basis(lattice: Lattice) -> SpecialBasis:
 # -- covering radius ------------------------------------------------------
 
 
-def _dist_to_lattice(points_f: np.ndarray, B: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Distance from B @ f to the lattice for fractional coordinates f in [0,1)^n."""
-    # candidate nearest points: round(f) + offset over a fixed window
-    best = None
-    base = np.rint(points_f)
-    for off in offsets:
-        diff = (points_f - base - off) @ B.T
-        d = np.linalg.norm(diff, axis=1)
-        best = d if best is None else np.minimum(best, d)
-    return best
+def _relevant_vectors(lattice: Lattice, seed: np.ndarray) -> np.ndarray:
+    """The Voronoi-relevant vectors of the lattice L, both signs, as rows.
 
-
-def covering_radius(
-    lattice: Lattice, eps: float, *, lower_target: float | None = None
-) -> tuple[float, float]:
-    """Certified enclosure [lo, hi] of the covering radius, hi - lo <= eps.
-
-    Exact closed forms for n = 1 and for rectangular (diagonal gram)
-    lattices; branch-and-bound over the fundamental cell otherwise.  With
-    ``lower_target`` set, returns early once lo certifies the target.
+    v is relevant iff +-v are the only shortest vectors of v + 2L (Voronoi;
+    Conway-Sloane, SPLAG ch. 2 and 21).  Class S c + 2L, c in {0, 1}^n in
+    the seed basis S, is 2y + S c for the y in L with |y + S c / 2| <= r / 2,
+    r the norm of its shortest member with seed coordinates in {-1, 0, 1}.
+    Its shortest member w is kept when (v - w).(v + w) > TIE_TOL |v - w| |v + w|
+    for every other member v, both factors taken from integer coefficients.
     """
-    return _covering_enclosure(lattice, eps, lower_target, None)
+    n, B = lattice.n, lattice.basis
+    U = np.rint(np.linalg.solve(B, seed)).astype(np.int64)
+    reps = np.array(list(product((-1, 0, 1), repeat=n)))
+    relevant = []
+    for c in np.array(list(product((0, 1), repeat=n)))[1:]:  # the nonzero classes
+        r = np.linalg.norm(reps[(reps % 2 == c).all(axis=1)] @ seed.T, axis=1).min()
+        K = 2 * _ball(lattice, r / 2 * (1 + 1e-9), seed, -(seed @ c) / 2) + U @ c
+        K0 = K[np.argmin(np.linalg.norm(K @ B.T, axis=1))]
+        others = K[~((K == K0).all(axis=1) | (K == -K0).all(axis=1))]
+        minus, plus = (others - K0) @ B.T, (others + K0) @ B.T
+        gap = np.sum(minus * plus, axis=1)  # |v|^2 - |w|^2
+        if (gap > TIE_TOL * np.linalg.norm(minus, axis=1) * np.linalg.norm(plus, axis=1)).all():
+            relevant.append(B @ K0)
+    if np.linalg.matrix_rank(np.array(relevant)) < n:
+        raise LatticeEnumerationError("the relevant vectors found do not span the space")
+    return np.concatenate([relevant, np.negative(relevant)])
 
 
-def _covering_enclosure(
-    lattice: Lattice, eps: float, lower_target: float | None, special: SpecialBasis | None
-) -> tuple[float, float]:
-    """``covering_radius``, refining over the cell of ``special`` when given
-    (it must be the special basis of ``lattice``) instead of recomputing it."""
+def covering_radius(lattice: Lattice, eps: float) -> tuple[float, float]:
+    """Enclosure (lo, hi) of the covering radius mu, the diameter of R^n / L.
+
+    hi is the largest norm of a point where the facet planes 2 v.x = |v|^2
+    of n relevant vectors meet and that keeps every facet inequality (to
+    1e-9 |v|^2); the farthest Voronoi vertex, at mu, is among them.  lo is
+    that point's lattice distance, so lo <= mu, and hi - lo is rounding only
+    (0 is a nearest lattice point of a vertex).  A lost relevant vector only
+    widens the enclosure, as every lattice vector's half-space holds the
+    cell.  Raises LatticeEnumerationError if hi - lo > ``eps``, or past
+    ``VERTEX_CAP`` n-subsets (C(30, 4) for n = 4, C(62, 5) in 5-D).
+    """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    n = lattice.n
-    if n == 1:
-        mu = abs(float(lattice.basis[0, 0])) / 2
-        return (mu, mu)
-    G = lattice.gram
-    if np.allclose(G, np.diag(np.diag(G)), atol=1e-12):
-        mu = 0.5 * math.sqrt(float(np.sum(np.diag(G))))
-        return (mu, mu)
-
-    B = (special if special is not None else special_basis(lattice)).matrix()
-    window = 2
-    offsets = np.array(list(product(range(-window, window + 1), repeat=n)))
-    signs = np.array(list(product([-1.0, 1.0], repeat=n)))
-    mstar = float(max(np.linalg.norm(B @ s) for s in signs))
-    trivial_upper = 0.5 * float(sum(np.linalg.norm(B[:, j]) for j in range(n)))
-
-    cells = np.array(list(product(range(4), repeat=n)), dtype=float) / 4 + 1.0 / 8
-    half = 1.0 / 8
-    lo = 0.0
-    pruned_hi = 0.0
-    while True:
-        d = _dist_to_lattice(cells, B, offsets)
-        lo = max(lo, float(np.max(d)))
-        if lower_target is not None and lo >= lower_target:
-            return (lo, min(lo + 2 * half * mstar, trivial_upper))
-        uppers = d + half * mstar
-        keep = uppers > lo + 1e-15
-        if half * mstar <= eps / 2:
-            hi = max(lo, pruned_hi, float(np.max(uppers)) if keep.any() else lo)
-            return (lo, min(hi, trivial_upper))
-        pruned_hi = max(pruned_hi, lo)
-        cells = cells[keep]
-        if len(cells) == 0:
-            return (lo, min(max(lo, pruned_hi), trivial_upper))
-        shifts = np.array(list(product([-0.5, 0.5], repeat=n))) * half
-        cells = (cells[:, None, :] + shifts[None, :, :]).reshape(-1, n)
-        half /= 2
-        if len(cells) > 400_000:
-            raise LatticeEnumerationError("covering-radius refinement exceeded the cell budget")
+    seed = _sorted_seed(lattice.basis)
+    P = _relevant_vectors(lattice, seed)
+    sq = np.sum(P * P, axis=1)
+    if math.comb(len(P), lattice.n) > VERTEX_CAP:
+        raise LatticeEnumerationError(f"covering-radius vertex cap exceeded: {len(P)} relevant vectors")
+    subsets = np.array(list(combinations(range(len(P)), lattice.n)))
+    subsets = subsets[np.linalg.det(P[subsets]) != 0]  # a +-pair or coplanar vectors meet in no point
+    X = np.linalg.solve(2 * P[subsets], sq[subsets][..., None])[..., 0]
+    X = X[(2 * X @ P.T - sq <= 1e-9 * sq).all(axis=1)]
+    radii = np.linalg.norm(X, axis=1)
+    far, hi = X[np.argmax(radii)], float(radii.max())
+    Z = _ball(lattice, hi * (1 + 1e-9), seed, far)
+    lo = float(np.linalg.norm(far - Z @ lattice.basis.T, axis=1).min())
+    if hi - lo > eps:
+        raise LatticeEnumerationError(f"covering-radius enclosure [{lo}, {hi}] is wider than {eps}")
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -529,27 +525,16 @@ class DiameterReport:
 
 
 def check_diameter_bound(lattice: Lattice) -> DiameterReport:
-    """Verify diam(R^n / L) >= beta_n |u1| via the covering-radius enclosure."""
+    """Verify diam(R^n / L) >= beta_n |u1|; the diameter is the covering radius."""
     sb = special_basis(lattice)
     bound = sb.beta * sb.norms[0]
     trivial_upper = 0.5 * sum(sb.norms)
-    eps = 0.05 * sb.norms[0]
-    lo = hi = 0.0
-    holds = False
-    for _ in range(8):
-        lo, hi = _covering_enclosure(lattice, eps, bound, sb)
-        if lo >= bound - 1e-12:
-            holds = True
-            break
-        if hi < bound - 1e-12:
-            holds = False  # genuine violation: the inequality is a theorem, treat as a bug
-            break
-        eps /= 4
+    lo, hi = covering_radius(lattice, 0.05 * sb.norms[0])
     return DiameterReport(
         diam_lo=lo,
         diam_hi=hi,
         bound=bound,
-        holds=holds,
+        holds=lo >= bound - 1e-12,
         trivial_upper=trivial_upper,
         trivial_upper_ok=lo <= trivial_upper + 1e-9,
         special=sb,

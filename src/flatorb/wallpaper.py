@@ -115,6 +115,7 @@ class ReflectionClass:
     matrix: tuple
     v: tuple
     axis: tuple  # primitive direction of the fixed line
+    anti: tuple  # primitive -1 eigenvector
     has_mirror: bool
     glide_axes_on_mirrors: bool
 
@@ -135,6 +136,7 @@ def _reflection_class_data(A, v) -> ReflectionClass:
         matrix=A,
         v=tuple(v),
         axis=tuple(a),
+        anti=tuple(p),
         has_mirror=has_mirror,
         glide_axes_on_mirrors=has_mirror and primitive,
     )
@@ -284,6 +286,30 @@ def _clip_line_to_cell(p0, d):
     return (q0, q1)
 
 
+def _reflection_lines(rc: ReflectionClass) -> tuple[list, list]:
+    """Segments in the cell of the invariant lines of a reflection class: (mirrors, glide axes).
+
+    f(x) = a_2 x_1 - a_1 x_2 vanishes on the axis a; (A, w) keeps the line
+    f(x) = f(w) / 2.  f(v + l), l in Z^2, runs over f(v) + k, k in Z, and line
+    k holds (A, v + k g + m a) for f(g) = 1: each is a glide axis, and a
+    mirror iff v + k g has an integer a-coordinate in the basis (a, p).
+    """
+    a, p, v = rc.axis, rc.anti, rc.v
+    f = lambda x: a[1] * x[0] - a[0] * x[1]
+    x, y, sign = ra._xgcd(int(a[1]), -int(a[0]))  # sign = +-1, so f(g) = sign^2
+    g = (sign * x, sign * y)
+    values = [f(corner) for corner in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    mirrors, glides = [], []
+    for k in range(math.ceil(2 * min(values) - f(v)), math.floor(2 * max(values) - f(v)) + 1):
+        w = (v[0] + k * g[0], v[1] + k * g[1])
+        seg = _clip_line_to_cell([float(c / 2) for c in w], [float(c) for c in a])
+        if seg:
+            glides.append(seg)
+            if ((w[0] * p[1] - w[1] * p[0]) / (a[0] * p[1] - a[1] * p[0])).denominator == 1:
+                mirrors.append(seg)
+    return mirrors, glides
+
+
 def singular_locus(group: CrystalGroup) -> SingularLocus:
     """Rotation centers, mirror lines, and glide axes inside one cell."""
     grp = group if group.normalized else group.normalize()
@@ -305,23 +331,9 @@ def singular_locus(group: CrystalGroup) -> SingularLocus:
                 if best_order.get(pt, 0) < order:
                     best_order[pt] = order
         else:
-            rc = _reflection_class_data(A, v)
-            a = [float(x) for x in rc.axis]
-            ImA = [[I[i][j] - M[i][j] for j in range(2)] for i in range(2)]
-            for l1 in range(-2, 3):
-                for l2 in range(-2, 3):
-                    w = [v[0] + l1, v[1] + l2]
-                    sol = ra.solve(ImA, w)
-                    if sol is not None:
-                        seg = _clip_line_to_cell([float(x) for x in sol], a)
-                        if seg:
-                            mirrors.append(seg)
-                    else:
-                        # glide: invariant line through the half perp-offset
-                        half = [w[0] / 2, w[1] / 2]
-                        seg = _clip_line_to_cell([float(x) for x in half], a)
-                        if seg:
-                            glides.append(seg)
+            lines = _reflection_lines(_reflection_class_data(A, v))
+            mirrors.extend(lines[0])
+            glides.extend(lines[1])
 
     def dedupe(segs):
         seen = []

@@ -300,3 +300,14 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["collapse", "--catalog", "G3"])  # missing --subspace
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("key", ["--help", "no-such-group"])
+def test_collapse_flow_script_reports_an_unknown_key_on_one_line(key):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "collapse_flow.py"
+    proc = subprocess.run(
+        [sys.executable, str(script), key], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: unknown catalog key: {key!r}\n"

@@ -261,6 +261,100 @@ def test_diameter_bound_z2():
     assert rep.trivial_upper_ok
 
 
+def _encloses(enclosure, mu):
+    lo, hi = enclosure
+    return lo <= mu * (1 + 1e-12) and hi >= mu * (1 - 1e-12)
+
+
+D4_ROWS = [[1, -1, 0, 0], [0, 1, -1, 0], [0, 0, 1, -1], [0, 0, 1, 1]]
+D4_DUAL_ROWS = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0.5, 0.5, 0.5, 0.5]]
+
+
+@pytest.mark.parametrize(
+    "rows, mu",
+    [
+        ([[1.0, 0.0], [0.5, math.sqrt(3) / 2]], 1 / math.sqrt(3)),
+        ([[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]], 0.5),
+        ([[0.5, 0.5, 0.5], [0.5, -0.5, 0.5], [0.5, 0.5, -0.5]], math.sqrt(5) / 4),
+        (D4_ROWS, 1.0),
+        (D4_DUAL_ROWS, math.sqrt(2) / 2),
+    ],
+    ids=["hexagonal", "fcc", "bcc", "D4", "D4*"],
+)
+def test_covering_radius_of_known_lattices_in_seeded_bases(rows, mu):
+    # deep holes: fcc (1/2, 0, 0), bcc (1/2, 1/4, 0) for cube side 1, D4 (1, 0, 0, 0)
+    g = np.random.default_rng(5)
+    rng = random.Random(5)
+    B = np.asarray(rows, dtype=float).T
+    n = B.shape[0]
+    for _ in range(3):
+        L = Lattice(_rotation(g, n) @ B @ _unimodular(rng, n))
+        assert _encloses(covering_radius(L, 1e-9), mu)
+
+
+def _circumradius_2d(rows):
+    """Covering radius of a plane lattice: the circumradius of the acute
+    triangle (0, u, v) of its Lagrange-reduced basis."""
+    u, v = (np.asarray(r, dtype=float) for r in rows)
+    while True:
+        if u @ u > v @ v:
+            u, v = v, u
+        m = round((u @ v) / (u @ u))
+        if m == 0:
+            break
+        v = v - m * u
+    if u @ v < 0:
+        v = -v
+    w = u - v
+    return math.sqrt((u @ u) * (v @ v) * (w @ w)) / (2 * abs(u[0] * v[1] - u[1] * v[0]))
+
+
+def test_covering_radius_against_the_2d_circumradius():
+    rng = random.Random(17)
+    checked = 0
+    while checked < 60:
+        rows = [[rng.randint(-5, 5) for _ in range(2)] for _ in range(2)]
+        if rows[0][0] * rows[1][1] == rows[0][1] * rows[1][0]:
+            continue
+        assert _encloses(covering_radius(Lattice.from_rows(rows), 1e-9), _circumradius_2d(rows)), rows
+        checked += 1
+
+
+@pytest.mark.parametrize("t", [1e-2, 3e-3])
+def test_covering_radius_of_a_thin_box_in_a_sheared_basis(t):
+    # the box (1, t, t): its relevant vectors are the three sides, and every
+    # face-diagonal class has four shortest members
+    L = Lattice.from_rows([[1, 0, 0], [1, t, 0], [0, t, t]])
+    assert _encloses(covering_radius(L, 1e-3), 0.5 * math.sqrt(1 + 2 * t * t))
+
+
+def test_covering_radius_past_the_vertex_cap_is_reported():
+    # a generic 5-D lattice has 31 relevant pairs: C(62, 5) vertex candidates
+    L = Lattice(np.random.default_rng(3).normal(size=(5, 5)))
+    with pytest.raises(LatticeEnumerationError, match="vertex cap"):
+        covering_radius(L, 1e-3)
+
+
+def test_covering_radius_enclosure_holds_without_a_relevant_vector(monkeypatch):
+    # every lattice vector's half-space holds the Voronoi cell, so a lost
+    # relevant vector widens [lo, hi] instead of moving it off the radius
+    found = lattices._relevant_vectors
+    monkeypatch.setattr(lattices, "_relevant_vectors", lambda L, seed: np.delete(found(L, seed), [0, 3], axis=0))
+    lo, hi = covering_radius(HEX, 1.0)
+    assert lo <= 1 / math.sqrt(3) <= hi and hi - lo > 0.5
+    with pytest.raises(LatticeEnumerationError, match="wider"):
+        covering_radius(HEX, 1e-3)
+
+
+def test_diameter_bound_at_a_collapse_scale():
+    # the hexagonal lattice shrunk along e2 by 1e-4; every vertex of its
+    # Voronoi hexagon lies at the circumradius of (0, (1/2, h), (1/2, -h))
+    h = math.sqrt(3) / 2 * 1e-4
+    rep = check_diameter_bound(Lattice.from_rows([[1, 0], [0.5, h]]))
+    assert rep.holds
+    assert rep.diam_lo == pytest.approx(math.sqrt((0.25 - h * h) ** 2 + h * h), rel=1e-12)
+
+
 def test_special_basis_properties_random():
     rng = random.Random(41)
     # D4*: its four shortest independent vectors e_i span only Z^4, index 2

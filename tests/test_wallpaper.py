@@ -6,6 +6,7 @@ import pytest
 from flatorb import rational as ra
 from flatorb.groups import CrystalGroup
 from flatorb.wallpaper import (
+    TABLE_2D,
     classify2,
     classify_low_dim,
     render_svg,
@@ -97,15 +98,33 @@ def _conjugate(grp, P, s, scale=1):
     return CrystalGroup.make(2, gens, gram=gram).normalize()
 
 
-@pytest.mark.parametrize("name", sorted(wallpaper_groups()))
-def test_classify_invariant_under_basis_change(name):
+def _seeded_conjugates(name):
+    """Six seeded conjugates of the standard group ``name``, with their basis and origin shift."""
     rng = random.Random(sum(map(ord, name)))
     grp = wallpaper_groups()[name].normalize()
     for _ in range(6):
         P = _random_unimodular(rng)
         s = [Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 4, 6, 12])) for _ in range(2)]
         scale = rng.choice([1, 2, "1/3", 5])
-        assert classify2(_conjugate(grp, P, s, scale)).iuc == name, (P, s)
+        yield _conjugate(grp, P, s, scale), (P, s)
+
+
+@pytest.mark.parametrize("name", sorted(wallpaper_groups()))
+def test_classify_invariant_under_basis_change(name):
+    for conj, where in _seeded_conjugates(name):
+        assert classify2(conj).iuc == name, where
+
+
+@pytest.mark.parametrize("name", sorted(wallpaper_groups()))
+def test_singular_locus_under_basis_change(name):
+    # a fixed window of translates loses mirror lines in a skewed basis;
+    # pm's and pmm's glide axes all lie on mirrors
+    has_mirrors = "*" in TABLE_2D[name].conway
+    for conj, where in _seeded_conjugates(name):
+        locus = singular_locus(conj)
+        assert bool(locus.mirror_segments) == has_mirrors, where
+        if name in ("pm", "pmm"):
+            assert set(locus.mirror_segments) == set(locus.glide_axes), where
 
 
 @pytest.mark.parametrize(
