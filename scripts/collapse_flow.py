@@ -7,6 +7,7 @@ iterated collapse chain down to a point.
     python3 scripts/collapse_flow.py [KEY]
 """
 
+import os
 import sys
 from pathlib import Path
 
@@ -42,4 +43,12 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout went away early (``| head``): end as the CLI
+        # does, with stdout on os.devnull, exit code 1 and no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -6,6 +6,7 @@ centers with orders, mirror lines, dashed glide axes).
     python3 scripts/render_wallpaper_gallery.py [outdir]
 """
 
+import os
 import sys
 from pathlib import Path
 
@@ -27,4 +28,12 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout went away early (``| head``): end as the CLI
+        # does, with stdout on os.devnull, exit code 1 and no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -6,6 +6,7 @@ the comparison against the classical 13-label table.
     python3 scripts/run_theorem_c.py
 """
 
+import os
 import sys
 import time
 from collections import OrderedDict
@@ -45,4 +46,12 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout went away early (``| head``): end as the CLI
+        # does, with stdout on os.devnull, exit code 1 and no traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

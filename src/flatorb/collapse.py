@@ -2,23 +2,30 @@
 
 Collapsing a rational, holonomy-invariant subspace W is the quotient map
 x -> A x onto R^n / W: A is an integer matrix with A W = 0 and
-A Z^n = Z^m (``rational.quotient_map``), so the lattice goes to Z^m, a
-holonomy element (M, v) to (A M R, A v) with R a right inverse of A, and
-the metric to the Gram form of the complement of W.  The quotient basis is
-the Hermite basis of the complement projection of Z^n.  The quotient is a
+A Z^n = Z^m (``rational.quotient_map``), so the lattice goes to Z^m, each
+generator (M, v) of the group to (A M R, A v) with R a right inverse of A,
+and the metric to the Gram form of the complement of W.  The quotient basis
+is the Hermite basis of the complement projection of Z^n.  The quotient is a
 crystallographic group of dimension n - dim W and is classified by
 dimension (point, interval, circle, or a wallpaper class).
 
 ``rational_closure`` enlarges a direction that is not rational or not
-invariant to the smallest subspace that is both: the rational span of the
-float vectors (``lattices.rational_span``), together with the exact
-vectors, saturated under the point group.
+invariant to the smallest subspace that is both: the span of the images
+A v, over the whole point group, of the exact vectors and of the rational
+span of the float vectors (``lattices.rational_span``).
 ``rational_isotypic_components`` and ``invariant_directions`` read the
 exact class-sum decomposition in ``reps.rational_components``.
 
 ``product_resolution`` builds the block-diagonal flat manifold that
 resolves an orbifold against a torsion-free partner with isomorphic
-holonomy; collapsing the partner block recovers the orbifold.
+holonomy; collapsing the partner block recovers the orbifold.  The
+holonomy isomorphism is searched for by backtracking: the orbifold's
+generating set is the first set of at most three holonomy elements, in
+element order, that generates, and each generator tries the partner's
+elements of its order, in element order.  A full choice of images is
+walked out from the identity along right multiplication by the
+generators; it is accepted when every edge agrees, phi(x g) = phi(x)
+phi(g), and the walk reaches every element of the partner.
 
 ``verify_theorem_c`` sweeps every holonomy-invariant rational direction of
 the ten flat 3-manifolds (components, bounded-slope lines and planes in
@@ -40,7 +47,9 @@ from .groups import (
     CrystalGroup,
     FlatOrbError,
     holonomy_signature,
+    IntMat,
     _freeze_int_mat,
+    _int_identity,
     _int_mul,
 )
 from .lattices import rational_span
@@ -73,17 +82,9 @@ def _span_basis(vectors: list[list[Fraction]]) -> list[list[Fraction]]:
 
 
 def _saturate(group: CrystalGroup, basis: list[list[Fraction]]) -> list[list[Fraction]]:
-    hol = group.holonomy()
-    current = _span_basis(basis)
-    while True:
-        images = list(current)
-        for A in hol.elements:
-            M = ra.mat(A)
-            images.extend(ra.mat_vec(M, v) for v in current)
-        new = _span_basis(images)
-        if len(new) == len(current):
-            return new
-        current = new
+    # the images A v over the whole finite point group already span an
+    # invariant subspace, since B (A v) = (B A) v
+    return _span_basis([ra.mat_vec(A, v) for A in group.holonomy().elements for v in basis])
 
 
 def is_invariant(group: CrystalGroup, basis: list[list[Fraction]]) -> bool:
@@ -113,7 +114,7 @@ def rational_closure(group: CrystalGroup, vectors) -> list[list[Fraction]]:
     result is the saturation of both under the point group.  Raises
     FlatOrbError when double precision cannot decide the span.
     """
-    grp = group if group.normalized else group.normalize()
+    grp = group.normalize()
     _check_vectors(grp.n, vectors)
     exact: list[list[Fraction]] = []
     floats: list[list[float]] = []
@@ -143,13 +144,12 @@ class CollapseResult:
         return len(self.subspace)
 
     def push_forward(self, vectors) -> list[list[Fraction]]:
-        M = ra.mat(self.coord_map)
-        return [ra.mat_vec(M, ra.vec(v)) for v in vectors]
+        return [ra.mat_vec(self.coord_map, ra.vec(v)) for v in vectors]
 
 
 def collapse(group: CrystalGroup, subspace, *, closure: bool = True) -> CollapseResult:
     """Collapse a holonomy-invariant rational subspace to its flat limit."""
-    grp = group if group.normalized else group.normalize()
+    grp = group.normalize()
     n = grp.n
     if closure:
         W = rational_closure(grp, subspace)
@@ -160,8 +160,7 @@ def collapse(group: CrystalGroup, subspace, *, closure: bool = True) -> Collapse
             raise NotInvariantError("subspace is not invariant under the holonomy action")
     k = len(W)
     log = [f"collapsing a {k}-dimensional invariant rational subspace of R^{n}"]
-    hol = grp.holonomy()
-    G = ra.mat(grp.gram)
+    G = grp.gram
     m = n - k
     if m == 0:
         quotient = CrystalGroup.make(0, [], gram=[], name=(grp.name or "") + "/collapse")
@@ -188,8 +187,8 @@ def collapse(group: CrystalGroup, subspace, *, closure: bool = True) -> Collapse
     coord_map = ra.mat_mul(ra.inverse(U0), A)
     RU0 = ra.mat_mul(R, U0)
     gens = [
-        (ra.mat_mul(coord_map, ra.mat_mul(ra.mat(M), RU0)), ra.mat_vec(coord_map, list(hol.translations[M])))
-        for M in hol.elements
+        (ra.mat_mul(coord_map, ra.mat_mul(g.linear, RU0)), ra.mat_vec(coord_map, g.translation))
+        for g in grp.generators
     ]
     D = ra.mat_mul(C, Y)
     Gq = ra.mat_mul(ra.transpose(D), ra.mat_mul(G, D))
@@ -216,97 +215,70 @@ def collapse(group: CrystalGroup, subspace, *, closure: bool = True) -> Collapse
 # -- product resolution ------------------------------------------------------
 
 
-def _generating_indices(n: int, mult, ident: int) -> list[int]:
-    """Small generating set of the finite group, as indices."""
-    rest = [i for i in range(n) if i != ident]
-    for size in range(1, 4):
-        for combo in itertools.combinations(rest, size):
-            seen = {ident}
-            frontier = [ident]
-            while frontier:
-                new = []
-                for a in frontier:
-                    for g in combo:
-                        b = mult[a][g]
-                        if b not in seen:
-                            seen.add(b)
-                            new.append(b)
-                frontier = new
-            if len(seen) == n:
-                return list(combo)
-    return rest
+def _order(A: IntMat) -> int:
+    I, P, k = _int_identity(len(A)), A, 1
+    while P != I:
+        P, k = _int_mul(P, A), k + 1
+    return k
 
 
-def _iso_search(els_a, els_b):
-    """Group isomorphism as an index map a -> b, or None."""
-    na, nb = len(els_a), len(els_b)
-    if na != nb:
+def _extend(gens, images, phi: dict[IntMat, IntMat]) -> dict[IntMat, IntMat] | None:
+    """Extend phi = {identity: identity} by gens -> images along x -> x g.
+
+    Every edge (x, g) is checked, phi(x g) = phi(x) phi(g); so the result is
+    a homomorphism on the subgroup the generators generate, and None means
+    that no homomorphism takes gens to images.
+    """
+    frontier = list(phi)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g, h in zip(gens, images):
+                xg, img = _int_mul(x, g), _int_mul(phi[x], h)
+                if xg not in phi:
+                    phi[xg] = img
+                    nxt.append(xg)
+                elif phi[xg] != img:
+                    return None
+        frontier = nxt
+    return phi
+
+
+def _iso_search(els_a: tuple[IntMat, ...], els_b: tuple[IntMat, ...]) -> dict[IntMat, IntMat] | None:
+    """Group isomorphism els_a -> els_b, or None."""
+    na = len(els_a)
+    if na != len(els_b):
         return None
-    idx_a = {A: i for i, A in enumerate(els_a)}
-    idx_b = {B: i for i, B in enumerate(els_b)}
+    ia, ib = _int_identity(len(els_a[0])), _int_identity(len(els_b[0]))
+    # the first generating set of at most three elements, in element order;
+    # the identity map walks out the subgroup a candidate set generates
+    rest = [A for A in els_a if A != ia]
+    gens = next(
+        (
+            list(combo)
+            for size in range(1, 4)
+            for combo in itertools.combinations(rest, size)
+            if len(_extend(combo, combo, {ia: ia})) == na
+        ),
+        rest,
+    )
+    by_order: dict[int, list[IntMat]] = {}
+    for B in els_b:
+        by_order.setdefault(_order(B), []).append(B)
+    candidates = [by_order.get(_order(g), []) for g in gens]
 
-    def table(els, idx):
-        return [[idx[_int_mul(x, y)] for y in els] for x in els]
-
-    ta = table(els_a, idx_a)
-    tb = table(els_b, idx_b)
-
-    def order_of(t, i):
-        o, j = 1, i
-        while j != _identity_index(t):
-            j = t[j][i]
-            o += 1
-        return o
-
-    def _identity_index(t):
-        for i in range(len(t)):
-            if all(t[i][j] == j for j in range(len(t))):
-                return i
-        raise AssertionError
-
-    ia = _identity_index(ta)
-    ib = _identity_index(tb)
-    gens = _generating_indices(na, ta, ia) if na > 1 else []
-    orders_b: dict[int, list[int]] = {}
-    for j in range(nb):
-        orders_b.setdefault(order_of(tb, j), []).append(j)
-
-    def extend(mapping):
-        # close the partial map under products; None on any inconsistency
-        full = dict(mapping)
-        full[ia] = ib
-        changed = True
-        while changed:
-            changed = False
-            for x in list(full):
-                for g in list(full):
-                    xy = ta[x][g]
-                    img = tb[full[x]][full[g]]
-                    if xy in full:
-                        if full[xy] != img:
-                            return None
-                    else:
-                        full[xy] = img
-                        changed = True
-        if len(full) != na or len(set(full.values())) != na:
-            return None
-        return full
-
-    def backtrack(k, mapping):
-        if k == len(gens):
-            return extend(mapping)
-        g = gens[k]
-        for cand in orders_b.get(order_of(ta, g), []):
-            if cand in mapping.values():
-                continue
-            mapping[g] = cand
-            res = backtrack(k + 1, mapping)
-            if res is not None:
-                return res
-            del mapping[g]
+    def backtrack(images):
+        if len(images) == len(gens):
+            phi = _extend(gens, images, {ia: ib})
+            return phi if phi is not None and len(set(phi.values())) == na else None
+        for cand in candidates[len(images)]:
+            if cand not in images:
+                found = backtrack(images + [cand])
+                if found is not None:
+                    return found
         return None
 
-    return backtrack(0, {})
+    return backtrack([])
 
 
 def product_resolution(
@@ -322,8 +294,8 @@ def product_resolution(
     (holonomy order capped at 48).  The result is torsion-free and
     collapsing its second block returns the orbifold.
     """
-    orb = orb if orb.normalized else orb.normalize()
-    mfd = mfd if mfd.normalized else mfd.normalize()
+    orb = orb.normalize()
+    mfd = mfd.normalize()
     if not mfd.is_torsion_free().torsion_free:
         raise FlatOrbError("the resolving partner must be torsion-free")
     hol_o = orb.holonomy()
@@ -331,12 +303,13 @@ def product_resolution(
     if pairing is None:
         if hol_o.order > PAIRING_CAP:
             raise NoIsomorphismError("holonomy too large for the pairing search; pass one explicitly")
-        iso = _iso_search(list(hol_o.elements), list(hol_m.elements))
-        if iso is None:
+        pairing = _iso_search(hol_o.elements, hol_m.elements)
+        if pairing is None:
             raise NoIsomorphismError("no isomorphism between the holonomy groups")
-        pairing = {hol_o.elements[i]: hol_m.elements[j] for i, j in iso.items()}
     else:
-        pairing = { _freeze_int_mat(k): _freeze_int_mat(v) for k, v in pairing.items() }
+        pairing = {_freeze_int_mat(k): _freeze_int_mat(v) for k, v in pairing.items()}
+        if set(pairing) != set(hol_o.elements) or not set(pairing.values()) <= set(hol_m.elements):
+            raise NoIsomorphismError("supplied pairing is not a map between the holonomy groups")
         for A in hol_o.elements:
             for B in hol_o.elements:
                 if pairing[_int_mul(A, B)] != _int_mul(pairing[A], pairing[B]):
@@ -348,33 +321,17 @@ def product_resolution(
     gens = []
     for A in hol_o.elements:
         B = pairing[A]
-        block = ra.zeros(n + m, n + m)
-        for i in range(n):
-            for j in range(n):
-                block[i][j] = ra.frac(A[i][j])
-        for i in range(m):
-            for j in range(m):
-                block[n + i][n + j] = ra.frac(B[i][j])
-        v = list(hol_o.translations[A]) + list(hol_m.translations[B])
-        gens.append((block, v))
+        block = [list(row) + [0] * m for row in A] + [[0] * n + list(row) for row in B]
+        gens.append((block, hol_o.translations[A] + hol_m.translations[B]))
     lam = ra.frac(scale)
-    gram = ra.zeros(n + m, n + m)
-    Go = ra.mat(orb.gram)
-    Gm = ra.mat(mfd.gram)
-    for i in range(n):
-        for j in range(n):
-            gram[i][j] = Go[i][j]
-    for i in range(m):
-        for j in range(m):
-            gram[n + i][n + j] = lam * Gm[i][j]
+    gram = [list(row) + [0] * m for row in orb.gram]
+    gram += [[0] * n + [lam * x for x in row] for row in mfd.gram]
     name = f"({orb.name or 'orb'}x{mfd.name or 'mfd'})/H"
     product = CrystalGroup.make(n + m, gens, gram=gram, name=name).normalize()
 
     if not product.is_torsion_free().torsion_free:
         raise NoIsomorphismError("pairing produced torsion; invalid resolution")
-    block_w = [[Fraction(0)] * (n + m) for _ in range(m)]
-    for i in range(m):
-        block_w[i][n + i] = Fraction(1)
+    block_w = [[int(j == n + i) for j in range(n + m)] for i in range(m)]
     back = collapse(product, block_w, closure=False)
     if holonomy_signature(back.quotient) != holonomy_signature(orb):
         raise FlatOrbError("collapse of the resolved manifold does not recover the orbifold")
@@ -407,32 +364,24 @@ def rational_isotypic_components(group: CrystalGroup) -> list[list[list[Fraction
     Each component is the reduced row echelon basis of its span; the
     trivial component comes first, then by leading coordinate.
     """
-    grp = group if group.normalized else group.normalize()
+    grp = group.normalize()
     pieces = rational_components(grp.holonomy().elements)
     pieces.sort(key=lambda p: _component_sort_key(grp, p))
     return pieces
 
 
 def _component_sort_key(group: CrystalGroup, piece):
-    hol = group.holonomy()
-    trivial = all(
-        ra.mat_vec(ra.mat(A), list(v)) == list(v) for A in hol.elements for v in piece
-    )
+    trivial = _acts_by(group, piece, (1,))
     pivot = min(next(j for j, x in enumerate(v) if x != 0) for v in piece)
     return (0 if trivial else 1, pivot, len(piece), [[str(x) for x in row] for row in piece])
 
 
-def _scalar_action(group: CrystalGroup, piece) -> bool:
-    """True when every holonomy element acts as +1 or -1 on the span."""
-    hol = group.holonomy()
-    for A in hol.elements:
-        M = ra.mat(A)
-        for sign in (1, -1):
-            if all(ra.mat_vec(M, list(v)) == ra.vec_scale(sign, list(v)) for v in piece):
-                break
-        else:
-            return False
-    return True
+def _acts_by(group: CrystalGroup, piece, scalars) -> bool:
+    """True when every holonomy element acts on the span as one of the scalars."""
+    return all(
+        any(all(ra.mat_vec(A, v) == [c * x for x in v] for v in piece) for c in scalars)
+        for A in group.holonomy().elements
+    )
 
 
 def _sublattice_basis(piece) -> list[list[int]]:
@@ -442,7 +391,7 @@ def _sublattice_basis(piece) -> list[list[int]]:
 
 def invariant_directions(group: CrystalGroup, slope_bound: int = SLOPE_BOUND):
     """Named invariant rational subspaces to sweep for a collapse survey."""
-    grp = group if group.normalized else group.normalize()
+    grp = group.normalize()
     comps = rational_isotypic_components(grp)
     directions: list[tuple[str, list[list[Fraction]]]] = []
     for idx, piece in enumerate(comps, start=1):
@@ -450,7 +399,7 @@ def invariant_directions(group: CrystalGroup, slope_bound: int = SLOPE_BOUND):
     # rational lines inside scalar components of dimension >= 2
     line_pool: list[tuple[str, list[list[Fraction]]]] = []
     for idx, piece in enumerate(comps, start=1):
-        if len(piece) >= 2 and _scalar_action(grp, piece):
+        if len(piece) >= 2 and _acts_by(grp, piece, (1, -1)):
             lat = _sublattice_basis(piece)
             dim = len(piece)
             bound = slope_bound if dim == 2 else 1
@@ -524,15 +473,12 @@ class TheoremCReport:
     def matches_claim(self) -> bool:
         return not self.missing and not self.extra
 
-    def rows_for(self, group_name: str) -> list[tuple[str, str, str]]:
-        return [r for r in self.collapses if r[0] == group_name]
-
 
 def survey_collapses(groups: list[CrystalGroup], *, slope_bound: int = SLOPE_BOUND, max_depth: int = 3):
     """All collapse labels of the groups, including iterated collapses."""
     rows: list[tuple[str, str, str]] = []
     queue: list[tuple[str, CrystalGroup, int]] = [
-        (g.name or f"group{i}", g if g.normalized else g.normalize(), 0)
+        (g.name or f"group{i}", g.normalize(), 0)
         for i, g in enumerate(groups)
     ]
     seen_groups = set()

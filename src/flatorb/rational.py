@@ -75,10 +75,6 @@ def vec_scale(c, v: Vec) -> Vec:
     return [c * x for x in v]
 
 
-def vec_dot(u: Vec, v: Vec) -> Fraction:
-    return sum(a * b for a, b in zip(u, v))
-
-
 def mat_eq(A: Mat, B: Mat) -> bool:
     return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
 

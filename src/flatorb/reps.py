@@ -373,7 +373,7 @@ def teich_report(group: CrystalGroup, seed: int = 0) -> IsotypicReport:
 
     ``seed`` is ignored; it is accepted for compatibility.
     """
-    grp = group if group.normalized else group.normalize()
+    grp = group.normalize()
     hol = grp.holonomy()
     report = isotypic_decompose(hol.elements, grp.gram)
     if grp.is_torsion_free().torsion_free and hol.order > 1:

@@ -176,7 +176,7 @@ def _center_on_mirror(center, refl_classes) -> bool:
 
 def classify2(group: CrystalGroup) -> OrbifoldLabel:
     """Identify a 2-dimensional crystallographic group among the 17 classes."""
-    grp = group if group.normalized else group.normalize()
+    grp = group.normalize()
     if grp.n != 2:
         raise ValueError("classify2 expects a 2-dimensional group")
     hol = grp.holonomy()
@@ -237,7 +237,7 @@ def classify2(group: CrystalGroup) -> OrbifoldLabel:
 
 def classify_low_dim(group: CrystalGroup) -> OrbifoldLabel:
     """Labels for quotients of dimension <= 2 (plus coarse names above)."""
-    grp = group if group.normalized else group.normalize()
+    grp = group.normalize()
     if grp.n == 0:
         return POINT_LABEL
     if grp.n == 1:
@@ -312,7 +312,7 @@ def _reflection_lines(rc: ReflectionClass) -> tuple[list, list]:
 
 def singular_locus(group: CrystalGroup) -> SingularLocus:
     """Rotation centers, mirror lines, and glide axes inside one cell."""
-    grp = group if group.normalized else group.normalize()
+    grp = group.normalize()
     if grp.n != 2:
         raise ValueError("singular_locus expects a 2-dimensional group")
     hol = grp.holonomy()
@@ -352,7 +352,7 @@ def singular_locus(group: CrystalGroup) -> SingularLocus:
 
 def cone_point_classes(group: CrystalGroup) -> list[int]:
     """Orders of rotation centers, one per group orbit (not per cell)."""
-    grp = group if group.normalized else group.normalize()
+    grp = group.normalize()
     locus = singular_locus(grp)
     hol = grp.holonomy()
     centers = {pt: order for pt, order in locus.rotation_centers}
@@ -387,7 +387,7 @@ SVG_COLORS = {
 
 def render_svg(group: CrystalGroup, out: str | Path | None = None) -> str:
     """Deterministic 800x800 SVG of one lattice cell with its singular locus."""
-    grp = group if group.normalized else group.normalize()
+    grp = group.normalize()
     locus = singular_locus(grp)
     G = np.array([[float(x) for x in row] for row in grp.gram])
     L = np.linalg.cholesky(G)

@@ -311,3 +311,25 @@ def test_collapse_flow_script_reports_an_unknown_key_on_one_line(key):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr == f"error: unknown catalog key: {key!r}\n"
+
+
+@pytest.mark.parametrize(
+    "script,args",
+    [("collapse_flow.py", ["G2"]), ("run_theorem_c.py", []), ("render_wallpaper_gallery.py", None)],
+)
+def test_script_into_a_closed_pipe_is_not_a_traceback(script, args, tmp_path):
+    path = Path(__file__).resolve().parents[1] / "scripts" / script
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(path)] + (args if args is not None else [str(tmp_path)]),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from flatorb import rational as ra
-from flatorb.catalog import catalog_get, generalized_klein_bottle, torus
+from flatorb.catalog import catalog_get, catalog_list, generalized_klein_bottle, torus
 from flatorb.collapse import (
+    _iso_search,
     InvalidSubspaceError,
     NoIsomorphismError,
     collapse,
@@ -18,7 +19,8 @@ from flatorb.collapse import (
     rational_isotypic_components,
     verify_theorem_c,
 )
-from flatorb.groups import CrystalGroup, holonomy_signature
+from flatorb.groups import CrystalGroup, group_to_dict, holonomy_signature
+from flatorb.lattices import rational_span
 from flatorb.reps import teich_report
 
 
@@ -85,6 +87,57 @@ def test_closure_rejects_bad_vectors(vectors):
     g6 = catalog_get("G6").group
     with pytest.raises(InvalidSubspaceError):
         rational_closure(g6, vectors)
+
+
+def _closure_oracle(group, vectors):
+    """Span of the input under the generators' linear parts, grown until stable."""
+    grp = group.normalize()
+    exact = [ra.vec(v) for v in vectors if not any(isinstance(x, float) for x in v)]
+    floats = [v for v in vectors if any(isinstance(x, float) for x in v)]
+    if floats:
+        exact += rational_span(np.array(floats, dtype=float).T)
+    span = [row for row in ra.rref(exact)[0] if any(row)]
+    while True:
+        images = span + [ra.mat_vec(ra.mat(g.linear), v) for g in grp.generators for v in span]
+        grown = [row for row in ra.rref(images)[0] if any(row)]
+        if len(grown) == len(span):
+            return span
+        span = grown
+
+
+def _k5_line():
+    k5 = catalog_get("K5").group
+    comp = next(c for c in teich_report(k5).components if c.signature() == (2, 1, "C", 1))
+    return [[float(x) for x in comp.basis[:, 0]]]
+
+
+FLOAT_CLOSURE_CASES = [
+    ("B2", lambda: [[1.0, math.sqrt(2), 0.0]]),
+    ("kummer", lambda: [[1.0, math.sqrt(2), 0.0, 0.0]]),
+    ("torus-3", lambda: [[1.0, math.sqrt(2), 0.0]]),
+    ("torus-3", lambda: [[0.1, 0.3, 0.0]]),
+    ("torus-3", lambda: [[0.123456, 0.654321, 0.0]]),
+    ("K5", _k5_line),
+]
+
+
+@pytest.mark.parametrize("key", [k for k in catalog_list() if catalog_get(k).group.n <= 4])
+def test_closure_of_random_lines_and_planes_matches_oracle(key):
+    grp = catalog_get(key).group
+    rng = random.Random(key)
+    for size in (1, 1, 1, 2, 2):
+        vectors = []
+        while len(vectors) < min(size, grp.n):
+            v = [rng.randint(-3, 3) for _ in range(grp.n)]
+            if any(v):
+                vectors.append(v)
+        assert rational_closure(grp, vectors) == _closure_oracle(grp, vectors), vectors
+
+
+@pytest.mark.parametrize("key,vectors", FLOAT_CLOSURE_CASES)
+def test_closure_of_float_directions_matches_oracle(key, vectors):
+    grp = catalog_get(key).group
+    assert rational_closure(grp, vectors()) == _closure_oracle(grp, vectors())
 
 
 def test_closure_axis_direction_klein_bottle():
@@ -284,6 +337,41 @@ def test_resolution_order_mismatch():
     p4 = catalog_get("p4").group
     with pytest.raises(NoIsomorphismError):
         product_resolution(p4, kb())
+
+
+@pytest.mark.parametrize("orb,mfd", [("p4", "G6"), ("pmm", "G4")])
+def test_resolution_equal_orders_but_not_isomorphic(orb, mfd):
+    # Z4 against Z2 x Z2 and back: the orders agree, the groups do not
+    with pytest.raises(NoIsomorphismError):
+        product_resolution(catalog_get(orb).group, catalog_get(mfd).group)
+
+
+HALF_TURN = ((-1, 0), (0, -1))  # p2's holonomy is {I, HALF_TURN}
+MIRROR = ((1, 0), (0, -1))  # pg's holonomy is {I, MIRROR}
+I2 = ((1, 0), (0, 1))
+
+
+@pytest.mark.parametrize(
+    "pairing",
+    [
+        {HALF_TURN: MIRROR},  # misses the identity
+        {I2: MIRROR, HALF_TURN: I2},  # not a homomorphism
+        {I2: I2, HALF_TURN: I2},  # a homomorphism, not a bijection
+        {I2: I2, HALF_TURN: HALF_TURN},  # HALF_TURN is not in pg's holonomy
+    ],
+)
+def test_resolution_rejects_bad_pairing(pairing):
+    with pytest.raises(NoIsomorphismError):
+        product_resolution(catalog_get("p2").group, catalog_get("pg").group, pairing=pairing)
+
+
+@pytest.mark.parametrize("orb,mfd", [("p2", "pg"), ("pmm", "B3"), ("p4", "G4"), ("p6", "G5")])
+def test_resolution_accepts_the_pairing_it_finds(orb, mfd):
+    o, m = catalog_get(orb).group, catalog_get(mfd).group
+    pairing = _iso_search(o.holonomy().elements, m.holonomy().elements)
+    assert pairing is not None
+    found = product_resolution(o, m, pairing=pairing)
+    assert group_to_dict(found) == group_to_dict(product_resolution(o, m))
 
 
 def test_resolution_rejects_orbifold_partner():
