@@ -73,11 +73,10 @@ def catalog_get(key: str) -> CatalogEntry:
     meta = idx["entries"][canonical]
     with open(DATA_DIR / meta["file"], "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    group = group_from_dict(doc)
-    group.validate()
+    raw = group_from_dict(doc)
+    group = raw.normalize()
     if meta.get("recipe"):
-        _run_recipe(group, meta["recipe"])
-    group = group.normalize()
+        _run_recipe(raw, meta["recipe"])
     group.name = canonical
     return CatalogEntry(
         key=canonical,

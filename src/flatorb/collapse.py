@@ -12,7 +12,12 @@ dimension (point, interval, circle, or a wallpaper class).
 ``rational_closure`` enlarges a direction that is not rational or not
 invariant to the smallest subspace that is both: the span of the images
 A v, over the whole point group, of the exact vectors and of the rational
-span of the float vectors (``lattices.rational_span``).
+span of the float vectors (``lattices.rational_span``).  The vectors are
+scaled to primitive integer vectors first, so the images are integer
+vectors; they are echeloned by ``rational.hnf`` and only the nonzero
+Hermite rows are reduced to the returned rref basis.  ``is_invariant``
+tests a span against the generators' linear parts alone, in integers:
+invariance under the generators is invariance under the group.
 ``rational_isotypic_components`` and ``invariant_directions`` read the
 exact class-sum decomposition in ``reps.rational_components``.
 
@@ -81,15 +86,49 @@ def _span_basis(vectors: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[:] for row, _ in zip(R, pivots)]
 
 
+def _primitive_rows(basis) -> list[list[int]]:
+    """Each vector scaled to a primitive integer vector."""
+    rows = []
+    for v in basis:
+        d = math.lcm(*(x.denominator for x in v))
+        w = [x.numerator * (d // x.denominator) for x in v]
+        g = math.gcd(*w) or 1
+        rows.append([x // g for x in w])
+    return rows
+
+
 def _saturate(group: CrystalGroup, basis: list[list[Fraction]]) -> list[list[Fraction]]:
     # the images A v over the whole finite point group already span an
-    # invariant subspace, since B (A v) = (B A) v
-    return _span_basis([ra.mat_vec(A, v) for A in group.holonomy().elements for v in basis])
+    # invariant subspace, since B (A v) = (B A) v; for primitive integer v
+    # they are integer vectors, echeloned by HNF, and only the nonzero
+    # Hermite rows go through rref
+    rows = _primitive_rows(basis)
+    images = dict.fromkeys(
+        tuple(sum(a * x for a, x in zip(r, v)) for r in A) for A in group.holonomy().elements for v in rows
+    )
+    H, _ = ra.hnf(list(images))
+    return _span_basis([ra.vec(h) for h in H if any(h)])
 
 
 def is_invariant(group: CrystalGroup, basis: list[list[Fraction]]) -> bool:
-    span = _span_basis(basis)
-    return len(_saturate(group, span)) == len(span)
+    """True when span(basis) is invariant under the point group.
+
+    The linear parts of the generators generate the point group, so it
+    suffices that each of them maps the span into itself: in integers,
+    every image A v of a Hermite row v of the span reduces to zero against
+    the Hermite rows, taken in pivot order.
+    """
+    H, _ = ra.hnf(_primitive_rows(basis))
+    echelon = [(u, next(j for j, x in enumerate(u) if x)) for u in H if any(u)]
+    for g in group.generators:
+        for v, _ in echelon:
+            w = [sum(a * x for a, x in zip(r, v)) for r in g.linear]
+            for u, p in echelon:
+                if w[p]:
+                    w = [u[p] * x - w[p] * y for x, y in zip(w, u)]
+            if any(w):
+                return False
+    return True
 
 
 def _check_vectors(n: int, vectors) -> None:

@@ -100,9 +100,6 @@ class AffineElement:
     def dim(self) -> int:
         return len(self.translation)
 
-    def is_identity(self) -> bool:
-        return self == AffineElement.identity(self.dim)
-
     def is_translation(self) -> bool:
         return self.linear == _int_identity(self.dim)
 
@@ -248,6 +245,13 @@ class CrystalGroup:
     # -- validation ----------------------------------------------------
 
     def validate(self) -> None:
+        """Check the Gram form and that each generator is an isometry of it.
+
+        The form must be a symmetric positive definite n x n matrix; each
+        generator's linear part must be a unimodular n x n integer matrix A
+        with A^T G A = G.  That last check runs in Python integers, on the
+        form scaled once by the common denominator of its entries.
+        """
         G = ra.mat(self.gram)
         if len(G) != self.n or any(len(r) != self.n for r in G):
             raise InvalidGroupError("gram form has the wrong shape")
@@ -255,13 +259,15 @@ class CrystalGroup:
             raise InvalidGroupError("gram form must be symmetric")
         if not ra.is_positive_definite(G):
             raise InvalidGroupError("gram form must be positive definite")
+        d = math.lcm(*(x.denominator for row in G for x in row))
+        Gi = tuple(tuple(int(x * d) for x in row) for row in G)
         for g in self.generators:
-            if g.dim != self.n or len(g.linear) != self.n or any(len(r) != self.n for r in g.linear):
+            A = g.linear
+            if g.dim != self.n or len(A) != self.n or any(len(r) != self.n for r in A):
                 raise InvalidGroupError("generator dimension mismatch")
-            A = ra.mat(g.linear)
-            if abs(ra.det(A)) != 1:
+            if abs(ra.det(ra.mat(A))) != 1:
                 raise InvalidGroupError("generator linear part is not unimodular")
-            if not ra.mat_eq(ra.mat_mul(ra.transpose(A), ra.mat_mul(G, A)), G):
+            if _int_mul(_int_mul(tuple(zip(*A)), Gi), A) != Gi:
                 raise InvalidGroupError("generator does not preserve the gram form")
 
     # -- normalization -------------------------------------------------
@@ -279,40 +285,37 @@ class CrystalGroup:
                 break
             rows = ra.transpose(basis) if basis else ra.identity(n)
             basis = ra.transpose(ra.lattice_basis(rows + [translation]))
-        # on an unchanged lattice the closure is already the holonomy
-        holonomy = HolonomyData(n, tuple(sorted(table)), table) if basis is None else None
-        basis = basis or ra.identity(n)
-
-        # rewrite generators and gram in the refined basis
-        Binv = ra.inverse(basis)
-        new_gens = []
-        for g in self.generators:
-            A = ra.mat_mul(Binv, ra.mat_mul(ra.mat(g.linear), basis))
-            v = ra.mat_vec(Binv, list(g.translation))
-            if any(x.denominator != 1 for row in A for x in row):
-                raise NotCrystallographicError("refined lattice is not invariant under a generator")
-            elem = AffineElement.of(A, _frac_part(tuple(v)))
-            if not elem.is_identity() and not (elem.is_translation() and not any(elem.translation)):
-                new_gens.append(elem)
-        seen = set()
-        uniq = []
-        for g in new_gens:
-            key = (g.linear, g.translation)
-            if key not in seen:
-                seen.add(key)
-                uniq.append(g)
-        G = ra.mat(self.gram)
-        new_gram = ra.mat_mul(ra.transpose(basis), ra.mat_mul(G, basis))
+        if basis is None:
+            # an unchanged lattice keeps the linear parts and the form, and
+            # the closure is already the holonomy
+            holonomy = HolonomyData(n, tuple(sorted(table)), table)
+            basis = ra.identity(n)
+            rewritten = [AffineElement(g.linear, _frac_part(g.translation)) for g in self.generators]
+            gram = self.gram
+        else:
+            holonomy = None
+            Binv = ra.inverse(basis)
+            rewritten = []
+            for g in self.generators:
+                A = ra.mat_mul(Binv, ra.mat_mul(ra.mat(g.linear), basis))
+                v = ra.mat_vec(Binv, list(g.translation))
+                if any(x.denominator != 1 for row in A for x in row):
+                    raise NotCrystallographicError("refined lattice is not invariant under a generator")
+                rewritten.append(AffineElement.of(A, _frac_part(tuple(v))))
+            gram = ra.mat_mul(ra.transpose(basis), ra.mat_mul(ra.mat(self.gram), basis))
+        # drop the identity and repeats, keeping the first of each
+        gens = dict.fromkeys(g for g in rewritten if not (g.is_translation() and not any(g.translation)))
         out = CrystalGroup(
             n=n,
-            generators=tuple(uniq),
-            gram=tuple(tuple(r) for r in new_gram),
+            generators=tuple(gens),
+            gram=tuple(tuple(r) for r in gram),
             name=self.name,
             normalized=True,
             notes=dict(self.notes),
         )
         out.notes["basis_change"] = [[ra.fraction_str(x) for x in row] for row in basis]
-        out.validate()
+        if holonomy is None:
+            out.validate()  # every matrix was rewritten in the refined basis
         out._holonomy_cache = holonomy
         return out
 

@@ -1,5 +1,6 @@
 import pytest
 
+from flatorb import catalog
 from flatorb import rational as ra
 from flatorb.catalog import (
     UnknownCatalogKeyError,
@@ -10,6 +11,7 @@ from flatorb.catalog import (
     torus,
 )
 from flatorb.collapse import collapse, rational_isotypic_components
+from flatorb.groups import FlatOrbError
 from flatorb.reps import teich_report
 from flatorb.wallpaper import classify2
 
@@ -35,6 +37,19 @@ def test_aliases_resolve():
 def test_unknown_key():
     with pytest.raises(UnknownCatalogKeyError):
         catalog_get("no-such-group")
+
+
+@pytest.mark.parametrize(
+    "check,message",
+    [({"order": 4}, "wrong order"), ({"char_poly": [1, 0, 0, 0, 0, 1]}, "wrong characteristic polynomial")],
+)
+def test_failed_recipe_refuses_to_load(monkeypatch, check, message):
+    idx = catalog._index()
+    assert idx["entries"]["K5"]["recipe"] == {"0": {"char_poly": [-1, 0, 0, 0, 0, 1], "order": 5}}
+    idx["entries"]["K5"]["recipe"] = {"0": check}
+    monkeypatch.setattr(catalog, "_index", lambda: idx)
+    with pytest.raises(FlatOrbError, match=f"^catalog verification recipe failed: {message}$"):
+        catalog_get("K5")
 
 
 @pytest.mark.parametrize("key", sorted(catalog_list()))

@@ -99,6 +99,7 @@ BAD_GROUP_FILES = {
     "non-numeric-entry": '{"dimension": 2, "generators": [{"linear": [["x", 0], [0, -1]], "translation": [0, 0]}]}',
     "indefinite-gram": '{"dimension": 2, "gram": [[1, 0], [0, -1]], "generators": []}',
     "wrong-dimension": '{"dimension": 2, "generators": [{"linear": [[1, 0, 0], [0, -1, 0], [0, 0, 1]], "translation": ["1/2", 0, 0]}]}',
+    "shear-on-hexagonal-gram": '{"dimension": 2, "gram": [[1, "1/2"], ["1/2", 1]], "generators": [{"linear": [[1, 1], [0, 1]], "translation": [0, 0]}]}',
 }
 
 

@@ -105,6 +105,42 @@ def _closure_oracle(group, vectors):
         span = grown
 
 
+def _is_invariant_oracle(group, basis):
+    """Invariance by saturation: the images A v over the whole point group span no more than the basis."""
+    images = [ra.mat_vec(A, ra.vec(v)) for A in group.holonomy().elements for v in basis]
+    return ra.rank(images) == ra.rank([ra.vec(v) for v in basis])
+
+
+@pytest.mark.parametrize("key", sorted(catalog_list()))
+def test_is_invariant_matches_saturation_oracle(key):
+    grp = catalog_get(key).group
+    rng = random.Random(f"invariant-{key}")
+    cases = rational_isotypic_components(grp)
+    if grp.n <= 4:
+        cases += [basis for _, basis in invariant_directions(grp, slope_bound=1)]
+    for size in (1, 1, 1, 2, 2):
+        vectors = []
+        while len(vectors) < min(size, grp.n):
+            v = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(grp.n)]
+            if any(v):
+                vectors.append(v)
+        cases.append(vectors)
+    for basis in cases:
+        assert is_invariant(grp, basis) == _is_invariant_oracle(grp, basis), basis
+
+
+@pytest.mark.parametrize(
+    "key",
+    [k for k in catalog_list() if (g := catalog_get(k).group).n == 2 and len(g.generators) < g.holonomy().order > 2],
+)
+def test_is_invariant_on_generator_lists_shorter_than_the_holonomy(key):
+    grp = catalog_get(key).group
+    lines = [[p, q] for p in range(-3, 4) for q in range(4) if math.gcd(p, q) == 1 and (q or p == 1)]
+    answers = [is_invariant(grp, [line]) for line in lines]
+    assert answers == [_is_invariant_oracle(grp, [line]) for line in lines]
+    assert not all(answers)
+
+
 def _k5_line():
     k5 = catalog_get("K5").group
     comp = next(c for c in teich_report(k5).components if c.signature() == (2, 1, "C", 1))
@@ -292,8 +328,10 @@ def test_collapse_rejects_noninvariant_without_closure():
     g3 = catalog_get("G3").group
     from flatorb.collapse import NotInvariantError
 
-    with pytest.raises(NotInvariantError):
-        collapse(g3, [[0, 1, 0]], closure=False)
+    for subspace in ([[0, 1, 0]], [[1, 0, 0], [0, 1, 0]]):
+        assert not _is_invariant_oracle(g3, subspace)
+        with pytest.raises(NotInvariantError):
+            collapse(g3, subspace, closure=False)
 
 
 def test_collapse_quotient_invariants():

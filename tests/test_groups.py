@@ -14,6 +14,7 @@ from flatorb.groups import (
     FlatOrbError,
     GroupNotNormalizedError,
     HolonomyData,
+    InvalidGroupError,
     group_from_dict,
     group_to_dict,
 )
@@ -235,6 +236,34 @@ def test_gram_preserved_by_holonomy():
         for A in grp.holonomy().elements:
             M = ra.mat(A)
             assert ra.mat_eq(ra.mat_mul(ra.transpose(M), ra.mat_mul(G, M)), G)
+
+
+HEXAGONAL = [[1, "1/2"], ["1/2", 1]]
+
+
+def test_validate_scales_a_fractional_gram_form():
+    # the 60-degree rotation and the mirror preserve the hexagonal form
+    # only as it is, not as its truncation to integers
+    p6m = CrystalGroup.make(2, [([[0, -1], [1, 1]], [0, 0]), ([[0, 1], [1, 0]], [0, 0])], gram=HEXAGONAL)
+    assert p6m.normalize().holonomy().order == 12
+
+
+@pytest.mark.parametrize(
+    "linear,gram,message",
+    [
+        ([[2, 0], [0, 1]], HEXAGONAL, "generator linear part is not unimodular"),
+        ([[1, 1], [0, 1]], HEXAGONAL, "generator does not preserve the gram form"),
+        ([[0, -1], [1, 1]], [[1, "1/2"], ["1/3", 1]], "gram form must be symmetric"),
+        ([[0, -1], [1, 1]], [[1, "3/2"], ["3/2", 1]], "gram form must be positive definite"),
+        ([[0, -1], [1, 1]], [[1, "1/2"]], "gram form has the wrong shape"),
+        ([[0, -1, 0], [1, 1, 0], [0, 0, 1]], HEXAGONAL, "generator dimension mismatch"),
+    ],
+    ids=["not-unimodular", "not-an-isometry", "not-symmetric", "not-definite", "gram-shape", "dimension"],
+)
+def test_validate_names_each_bad_input(linear, gram, message):
+    grp = CrystalGroup.make(2, [(linear, [0, 0])], gram=gram)
+    with pytest.raises(InvalidGroupError, match=f"^{message}$"):
+        grp.normalize()
 
 
 def test_json_roundtrip():
