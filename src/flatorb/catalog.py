@@ -57,13 +57,12 @@ def _resolve(idx: dict, key: str) -> str:
 
 def _run_recipe(group: CrystalGroup, recipe: dict) -> None:
     for gen_idx, checks in recipe.items():
-        M = ra.mat(group.generators[int(gen_idx)].linear)
+        M = group.generators[int(gen_idx)].linear
         if "order" in checks:
             if ra.matrix_order(M, cap=64) != checks["order"]:
                 raise FlatOrbError("catalog verification recipe failed: wrong order")
         if "char_poly" in checks:
-            want = [ra.frac(c) for c in checks["char_poly"]]
-            if ra.char_poly(M) != want:
+            if ra.char_poly(M) != checks["char_poly"]:
                 raise FlatOrbError("catalog verification recipe failed: wrong characteristic polynomial")
 
 

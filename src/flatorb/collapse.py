@@ -81,9 +81,9 @@ class InvalidSubspaceError(FlatOrbError):
 # -- subspaces -------------------------------------------------------------
 
 
-def _span_basis(vectors: list[list[Fraction]]) -> list[list[Fraction]]:
-    R, pivots = ra.rref([list(v) for v in vectors])
-    return [row[:] for row, _ in zip(R, pivots)]
+def _span_basis(vectors) -> list[list[Fraction]]:
+    R, pivots = ra.rref(vectors)
+    return R[: len(pivots)]
 
 
 def _primitive_rows(basis) -> list[list[int]]:
@@ -107,7 +107,7 @@ def _saturate(group: CrystalGroup, basis: list[list[Fraction]]) -> list[list[Fra
         tuple(sum(a * x for a, x in zip(r, v)) for r in A) for A in group.holonomy().elements for v in rows
     )
     H, _ = ra.hnf(list(images))
-    return _span_basis([ra.vec(h) for h in H if any(h)])
+    return _span_basis([h for h in H if any(h)])
 
 
 def is_invariant(group: CrystalGroup, basis: list[list[Fraction]]) -> bool:
@@ -194,7 +194,7 @@ def collapse(group: CrystalGroup, subspace, *, closure: bool = True) -> Collapse
         W = rational_closure(grp, subspace)
     else:
         _check_vectors(n, subspace)
-        W = _span_basis([ra.vec(v) for v in subspace])
+        W = _span_basis(subspace)
         if not is_invariant(grp, W):
             raise NotInvariantError("subspace is not invariant under the holonomy action")
     k = len(W)
@@ -241,7 +241,7 @@ def collapse(group: CrystalGroup, subspace, *, closure: bool = True) -> Collapse
     # basis change into the coordinate map so push_forward stays exact
     bc = quotient.notes.get("basis_change")
     if bc is not None:
-        coord_map = ra.mat_mul(ra.inverse(ra.mat(bc)), coord_map)
+        coord_map = ra.mat_mul(ra.inverse(bc), coord_map)
     return CollapseResult(
         quotient,
         label,
@@ -252,13 +252,6 @@ def collapse(group: CrystalGroup, subspace, *, closure: bool = True) -> Collapse
 
 
 # -- product resolution ------------------------------------------------------
-
-
-def _order(A: IntMat) -> int:
-    I, P, k = _int_identity(len(A)), A, 1
-    while P != I:
-        P, k = _int_mul(P, A), k + 1
-    return k
 
 
 def _extend(gens, images, phi: dict[IntMat, IntMat]) -> dict[IntMat, IntMat] | None:
@@ -301,10 +294,11 @@ def _iso_search(els_a: tuple[IntMat, ...], els_b: tuple[IntMat, ...]) -> dict[In
         ),
         rest,
     )
+    # an element's order divides the group order
     by_order: dict[int, list[IntMat]] = {}
     for B in els_b:
-        by_order.setdefault(_order(B), []).append(B)
-    candidates = [by_order.get(_order(g), []) for g in gens]
+        by_order.setdefault(ra.matrix_order(B, cap=na), []).append(B)
+    candidates = [by_order.get(ra.matrix_order(g, cap=na), []) for g in gens]
 
     def backtrack(images):
         if len(images) == len(gens):
@@ -432,11 +426,11 @@ def invariant_directions(group: CrystalGroup, slope_bound: int = SLOPE_BOUND):
     """Named invariant rational subspaces to sweep for a collapse survey."""
     grp = group.normalize()
     comps = rational_isotypic_components(grp)
-    directions: list[tuple[str, list[list[Fraction]]]] = []
-    for idx, piece in enumerate(comps, start=1):
-        directions.append((f"W{idx}", piece))
+    # (name, basis, rref of the span): each span is reduced once, and the
+    # components come reduced
+    directions = [(f"W{idx}", piece, piece) for idx, piece in enumerate(comps, start=1)]
     # rational lines inside scalar components of dimension >= 2
-    line_pool: list[tuple[str, list[list[Fraction]]]] = []
+    lines = []
     for idx, piece in enumerate(comps, start=1):
         if len(piece) >= 2 and _acts_by(grp, piece, (1, -1)):
             lat = _sublattice_basis(piece)
@@ -465,38 +459,29 @@ def invariant_directions(group: CrystalGroup, slope_bound: int = SLOPE_BOUND):
                     for j in range(grp.n)
                 ]
                 slope = ":".join(str(c) for c in canon)
-                line_pool.append((f"W{idx}[{slope}]", [vec]))
+                lines.append((f"W{idx}[{slope}]", [vec], _span_basis([vec])))
         elif len(piece) >= 2:
             # non-scalar 2-dimensional components: rational lines close up to
             # the whole component, but sweep them anyway to observe that
             lat = _sublattice_basis(piece)
             for p, q in ((1, 0), (0, 1), (1, 1), (1, -1)):
                 vec = [ra.frac(p) * lat[0][j] + ra.frac(q) * lat[1][j] for j in range(grp.n)]
-                line_pool.append((f"W{idx}[{p}:{q}]", [vec]))
-    directions.extend(line_pool)
+                lines.append((f"W{idx}[{p}:{q}]", [vec], _span_basis([vec])))
     # invariant rational planes: sums of invariant pieces of total dimension 2
-    units: list[tuple[str, list[list[Fraction]]]] = []
-    for idx, piece in enumerate(comps, start=1):
-        if len(piece) == 1:
-            units.append((f"W{idx}", piece))
-    units.extend(nm_line for nm_line in line_pool if len(nm_line[1]) == 1)
-    for (na, va), (nb, vb) in itertools.combinations(units, 2):
-        span = _span_basis([ra.vec(v) for v in va + vb])
-        if len(span) != 2:
-            continue
-        if not is_invariant(grp, span):
-            continue
-        directions.append((f"{na}+{nb}", span))
+    units = [d for d in directions if len(d[2]) == 1] + lines
+    directions.extend(lines)
+    for (na, _, ka), (nb, _, kb) in itertools.combinations(units, 2):
+        span = _span_basis(ka + kb)
+        if len(span) == 2 and is_invariant(grp, span):
+            directions.append((f"{na}+{nb}", span, span))
     # dedupe by span signature; a full-space component collapses to a point
     seen_spans = set()
     out = []
-    for name, basis in directions:
-        span = _span_basis([ra.vec(v) for v in basis])
-        key = tuple(tuple(x for x in row) for row in span)
-        if key in seen_spans:
-            continue
-        seen_spans.add(key)
-        out.append((name, basis))
+    for name, basis, span in directions:
+        key = tuple(map(tuple, span))
+        if key not in seen_spans:
+            seen_spans.add(key)
+            out.append((name, basis))
     return out
 
 

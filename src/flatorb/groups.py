@@ -94,7 +94,7 @@ class AffineElement:
 
     @staticmethod
     def identity(n: int) -> "AffineElement":
-        return AffineElement.of(ra.identity(n), [0] * n)
+        return AffineElement(_int_identity(n), (Fraction(0),) * n)
 
     @property
     def dim(self) -> int:
@@ -114,12 +114,12 @@ class AffineElement:
         return AffineElement(_int_mul(self.linear, other.linear), v)
 
     def inverse(self) -> "AffineElement":
-        Ainv = ra.inverse(ra.mat(self.linear))
+        Ainv = ra.inverse(self.linear)
         v = ra.vec_scale(-1, ra.mat_vec(Ainv, list(self.translation)))
         return AffineElement(_freeze_int_mat(Ainv), tuple(v))
 
     def apply(self, point) -> list[Fraction]:
-        return ra.vec_add(ra.mat_vec(ra.mat(self.linear), ra.vec(point)), list(self.translation))
+        return ra.vec_add(ra.mat_vec(self.linear, ra.vec(point)), list(self.translation))
 
 
 def _frac_part(v: FracVec) -> FracVec:
@@ -162,6 +162,11 @@ def _coset_closure(
     Returns ``(table, None)``, the reduced translation v_A of every linear
     part A, or ``(None, t)`` with ``t`` the first pure translation found
     outside the lattice: two cosets with one linear part differ by one.
+
+    Right multiplication by the generators alone reaches every coset: a
+    validated generator g preserves a positive definite form, so it has
+    finite order k, g^-1 = g^(k-1), and g^k arrives as a pure translation
+    that is checked against the identity coset like any other.
     """
     if basis is None:
         reduce = _frac_part
@@ -173,8 +178,7 @@ def _coset_closure(
             return tuple(ra.mat_vec(basis, [c - math.floor(c) for c in coords]))
 
     table: dict[IntMat, FracVec] = {_int_identity(n): (Fraction(0),) * n}
-    frontier = list(generators) + [g.inverse() for g in generators]
-    queue = list(frontier)
+    queue = list(generators)
     while queue:
         g = queue.pop()
         v = reduce(g.translation)
@@ -187,7 +191,7 @@ def _coset_closure(
         if len(table) > POINT_GROUP_CAP:
             raise CapExceededError(f"point group has more than {POINT_GROUP_CAP} elements")
         coset = AffineElement(g.linear, v)
-        queue.extend(coset * h for h in frontier)
+        queue.extend(coset * h for h in generators)
     return table, None
 
 
@@ -206,7 +210,7 @@ def _fixed_point(A: IntMat, v) -> tuple[FracVec, FracVec] | None:
     if any(c.denominator != 1 for c in qv):
         return None
     w = tuple(x - sum(r * c for r, c in zip(row, qv)) for x, row in zip(v, R))
-    return w, tuple(ra.solve(ra.mat(ImA), list(w)))
+    return w, tuple(ra.solve(ImA, list(w)))
 
 
 @dataclass(frozen=True)
@@ -265,7 +269,7 @@ class CrystalGroup:
             A = g.linear
             if g.dim != self.n or len(A) != self.n or any(len(r) != self.n for r in A):
                 raise InvalidGroupError("generator dimension mismatch")
-            if abs(ra.det(ra.mat(A))) != 1:
+            if abs(ra.det(A)) != 1:
                 raise InvalidGroupError("generator linear part is not unimodular")
             if _int_mul(_int_mul(tuple(zip(*A)), Gi), A) != Gi:
                 raise InvalidGroupError("generator does not preserve the gram form")
@@ -273,11 +277,17 @@ class CrystalGroup:
     # -- normalization -------------------------------------------------
 
     def normalize(self) -> "CrystalGroup":
-        """Absorb hidden pure translations and rescale the lattice to Z^n."""
+        """Absorb hidden pure translations and rescale the lattice to Z^n.
+
+        When the lattice is refined, ``notes["basis_change"]`` holds the new
+        basis as columns in the old coordinates; an unchanged lattice has no
+        such note.
+        """
         if self.normalized:
             return self
         self.validate()
         n = self.n
+        notes = {k: v for k, v in self.notes.items() if k != "basis_change"}
         basis = None  # columns: current lattice basis in original coords; None is Z^n
         while True:
             table, translation = _coset_closure(n, self.generators, basis)
@@ -289,7 +299,6 @@ class CrystalGroup:
             # an unchanged lattice keeps the linear parts and the form, and
             # the closure is already the holonomy
             holonomy = HolonomyData(n, tuple(sorted(table)), table)
-            basis = ra.identity(n)
             rewritten = [AffineElement(g.linear, _frac_part(g.translation)) for g in self.generators]
             gram = self.gram
         else:
@@ -297,12 +306,13 @@ class CrystalGroup:
             Binv = ra.inverse(basis)
             rewritten = []
             for g in self.generators:
-                A = ra.mat_mul(Binv, ra.mat_mul(ra.mat(g.linear), basis))
+                A = ra.mat_mul(Binv, ra.mat_mul(g.linear, basis))
                 v = ra.mat_vec(Binv, list(g.translation))
                 if any(x.denominator != 1 for row in A for x in row):
                     raise NotCrystallographicError("refined lattice is not invariant under a generator")
                 rewritten.append(AffineElement.of(A, _frac_part(tuple(v))))
-            gram = ra.mat_mul(ra.transpose(basis), ra.mat_mul(ra.mat(self.gram), basis))
+            gram = ra.mat_mul(ra.transpose(basis), ra.mat_mul(self.gram, basis))
+            notes["basis_change"] = [[ra.fraction_str(x) for x in row] for row in basis]
         # drop the identity and repeats, keeping the first of each
         gens = dict.fromkeys(g for g in rewritten if not (g.is_translation() and not any(g.translation)))
         out = CrystalGroup(
@@ -311,9 +321,8 @@ class CrystalGroup:
             gram=tuple(tuple(r) for r in gram),
             name=self.name,
             normalized=True,
-            notes=dict(self.notes),
+            notes=notes,
         )
-        out.notes["basis_change"] = [[ra.fraction_str(x) for x in row] for row in basis]
         if holonomy is None:
             out.validate()  # every matrix was rewritten in the refined basis
         out._holonomy_cache = holonomy
@@ -353,7 +362,7 @@ class CrystalGroup:
 
     def volume(self) -> float:
         hol = self.holonomy()
-        return math.sqrt(float(ra.det(ra.mat(self.gram)))) / hol.order
+        return math.sqrt(float(ra.det(self.gram))) / hol.order
 
     def betti(self, k: int) -> int:
         """Dimension of the holonomy-fixed subspace of the k-th exterior power.
@@ -368,12 +377,12 @@ class CrystalGroup:
         total = (-1) ** k * self._char_poly_sum[self.n - k]
         if total % order:
             raise FlatOrbError(f"Betti character sum {total} is not divisible by the holonomy order {order}")
-        return int(total) // order
+        return total // order
 
     @cached_property
-    def _char_poly_sum(self) -> list[Fraction]:
+    def _char_poly_sum(self) -> list[int]:
         """Coefficientwise sum of the characteristic polynomials of the holonomy."""
-        polys = [ra.char_poly(ra.mat(A)) for A in self.holonomy().elements]
+        polys = [ra.char_poly(A) for A in self.holonomy().elements]
         return [sum(coeffs) for coeffs in zip(*polys)]
 
 

@@ -370,9 +370,9 @@ def _float_span(y: np.ndarray) -> list[ra.Vec]:
     y = y / np.abs(y).max()  # first into the unit cube, so that the norm cannot overflow
     y = y / np.linalg.norm(y)
     fine, coarse = (_relations_at(y, scale) for scale in RELATION_SCALES)
-    if not ra.rank(ra.mat(fine)) == ra.rank(ra.mat(coarse)) == ra.rank(ra.mat(fine + coarse)):
+    if not ra.rank(fine) == ra.rank(coarse) == ra.rank(fine + coarse):
         raise FlatOrbError("cannot decide the rational closure at double precision")
-    return ra.kernel(ra.mat(fine)) if fine else ra.identity(len(y))
+    return ra.kernel(fine) if fine else ra.identity(len(y))
 
 
 def rational_span(X) -> list[ra.Vec]:

@@ -1,9 +1,14 @@
 """Exact linear algebra over the rationals for small dense systems.
 
-Everything here works on plain ``list[list[Fraction]]`` matrices and
-``list[Fraction]`` vectors.  Sizes stay tiny (n <= 8 in practice), so the
-routines favour clarity and exactness over asymptotics.  Integers are
-arbitrary precision by construction; overflow cannot occur.
+Matrices are lists (or tuples) of rows and vectors are lists.  Integer
+matrices stay in Python integers: products, ``char_poly``,
+``matrix_order`` and ``hnf`` never leave them, and the last three reject a
+non-integral entry.  Elimination divides, so ``rref``, ``det`` and
+everything built on them (``rank``, ``kernel``, ``solve``, ``inverse``)
+read their input through ``mat`` and return ``Fraction`` entries, whether
+they were given ints or Fractions.  Sizes stay tiny (n <= 8 in practice),
+so the routines favour clarity and exactness over asymptotics.  Integers
+are arbitrary precision by construction; overflow cannot occur.
 """
 
 from __future__ import annotations
@@ -79,13 +84,17 @@ def mat_eq(A: Mat, B: Mat) -> bool:
     return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
 
 
-def copy_mat(M: Mat) -> Mat:
-    return [row[:] for row in M]
+def _int_rows(M) -> list[list[int]]:
+    """The entries of M as Python integers; ValueError on a non-integral one."""
+    rows = [[int(x) for x in row] for row in M]
+    if any(x != y for row, ints in zip(M, rows) for x, y in zip(row, ints)):
+        raise ValueError("integer matrix required")
+    return rows
 
 
 def rref(M: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form and pivot column indices."""
-    R = copy_mat(M)
+    R = mat(M)
     rows = len(R)
     cols = len(R[0]) if rows else 0
     pivots: list[int] = []
@@ -114,7 +123,7 @@ def rank(M: Mat) -> int:
 
 def det(M: Mat) -> Fraction:
     n = len(M)
-    A = copy_mat(M)
+    A = mat(M)
     d = Fraction(1)
     for c in range(n):
         piv = next((i for i in range(c, n) if A[i][c] != 0), None)
@@ -134,7 +143,7 @@ def det(M: Mat) -> Fraction:
 
 def inverse(M: Mat) -> Mat:
     n = len(M)
-    A = [row[:] + ident_row for row, ident_row in zip(M, identity(n))]
+    A = [list(row) + ident_row for row, ident_row in zip(M, identity(n))]
     R, pivots = rref(A)
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
@@ -146,7 +155,7 @@ def solve(A: Mat, b: Vec) -> Vec | None:
     if len(A) != len(b):
         raise ValueError("dimension mismatch in solve")
     n = len(A[0])
-    aug = [row[:] + [bv] for row, bv in zip(A, b)]
+    aug = [list(row) + [bv] for row, bv in zip(A, b)]
     R, pivots = rref(aug)
     if n in pivots:
         return None
@@ -189,12 +198,10 @@ def hnf(M) -> tuple[list[list[int]], list[list[int]]]:
     Pivots are positive, entries above a pivot are reduced into [0, pivot).
     Zero matrices are fine (H = 0, U = I).
     """
-    H = [[int(x) for x in row] for row in M]
+    H = _int_rows(M)
     m = len(H)
     cols = len(H[0]) if m else 0
     U = [[int(i == j) for j in range(m)] for i in range(m)]
-    if any(Fraction(x) != x or x != int(x) for row in M for x in row):
-        raise ValueError("hnf requires integer entries")
 
     def rowop_sub(i, j, q):
         # row_i -= q * row_j
@@ -273,33 +280,36 @@ def quotient_map(W: list[Vec], n: int) -> tuple[list[list[int]], list[list[int]]
     Wt = [[int(frac(w[j]) * d) for w in W] for j in range(n)]
     H, U = hnf(Wt)
     rows = [i for i in range(n) if not any(H[i])]
-    Uinv = inverse(mat(U))
+    Uinv = inverse(U)
     return [U[i] for i in rows], [[int(Uinv[r][i]) for i in rows] for r in range(n)]
 
 
-def char_poly(M: Mat) -> list[Fraction]:
-    """Coefficients [c_0 .. c_n] with p(x) = sum c_k x^k, monic, c_n = 1."""
+def char_poly(M) -> list[int]:
+    """Coefficients [c_0 .. c_n] with p(x) = sum c_k x^k, monic, c_n = 1.
+
+    M must have integer entries.  Faddeev-LeVerrier stays in integers: the
+    trace of step k is divisible by k, since every c_k is an integer.
+    """
+    M = _int_rows(M)
     n = len(M)
-    # Faddeev-LeVerrier
-    c = [Fraction(0)] * (n + 1)
-    c[n] = Fraction(1)
-    A = identity(n)
+    c = [0] * n + [1]
+    A = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         A = mat_mul(M, A)
-        tr = sum(A[i][i] for i in range(n))
-        ck = -tr / k
+        ck = -sum(A[i][i] for i in range(n)) // k
         c[n - k] = ck
         for i in range(n):
             A[i][i] += ck
     return c
 
 
-def matrix_order(M: Mat, cap: int = 64) -> int | None:
-    """Multiplicative order of M, or None if it exceeds cap."""
-    I = identity(len(M))
-    P = copy_mat(M)
+def matrix_order(M, cap: int = 64) -> int | None:
+    """Multiplicative order of the integer matrix M, or None if it exceeds cap."""
+    M = _int_rows(M)
+    I = [[int(i == j) for j in range(len(M))] for i in range(len(M))]
+    P = M
     for k in range(1, cap + 1):
-        if mat_eq(P, I):
+        if P == I:
             return k
         P = mat_mul(P, M)
     return None

@@ -97,16 +97,15 @@ def invariant_forms_basis(elements, n: int) -> list[ra.Mat]:
     """Exact basis of symmetric S with A^T S A = S for every element."""
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     index = {p: k for k, p in enumerate(pairs)}
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for A in elements:
-        M = ra.mat(A)
         for i, j in pairs:
-            row = [Fraction(0)] * len(pairs)
-            # (A^T S A - S)_{ij} = sum_{k,l} M_ki S_kl M_lj - S_ij
+            row = [0] * len(pairs)
+            # (A^T S A - S)_{ij} = sum_{k,l} A_ki S_kl A_lj - S_ij
             for k in range(n):
                 for l in range(n):
                     key = (k, l) if k <= l else (l, k)
-                    row[index[key]] += M[k][i] * M[l][j]
+                    row[index[key]] += A[k][i] * A[l][j]
             row[index[(i, j)]] -= 1
             rows.append(row)
     ker = ra.kernel(rows) if rows else [e for e in ra.identity(len(pairs))]
@@ -238,8 +237,8 @@ def _eigenspaces(Z: np.ndarray, bound: int, B: ra.Mat) -> list[ra.Mat]:
     M = _restrict(Z, cols, pivots)
     if _is_scalar(M):
         return [B]
-    M = [[Fraction(int(x)) for x in row] for row in M]
-    poly = [int(c) for c in ra.char_poly(M)]  # integer coefficients, roots delta * lambda
+    M = M.tolist()
+    poly = ra.char_poly(M)  # roots delta * lambda
     pieces = []
     for lam in range(-bound, bound + 1):
         if sum(c * (lam * delta) ** k for k, c in enumerate(poly)) != 0:
@@ -280,7 +279,7 @@ def _whole(q: Fraction, what: str) -> int:
 
 
 def _rank(rows) -> int:
-    return ra.rank([[Fraction(int(x)) for x in row] for row in rows])
+    return ra.rank([row.tolist() for row in rows])
 
 
 def _splitting_element(cl: _Classes, cols, pivots, k: int) -> np.ndarray:

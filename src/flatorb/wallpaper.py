@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rational as ra
-from .groups import CrystalGroup, FlatOrbError, _fixed_point, _freeze_int_mat
+from .groups import CrystalGroup, FlatOrbError, InvalidGroupError, _fixed_point, _int_identity
 
 
 class InvalidWallpaperError(FlatOrbError):
@@ -121,13 +121,11 @@ class ReflectionClass:
 
 
 def _reflection_class_data(A, v) -> ReflectionClass:
-    M = ra.mat(A)
-    I = ra.identity(2)
-    axis_basis = ra.kernel([[M[i][j] - I[i][j] for j in range(2)] for i in range(2)])
+    axis_basis = ra.kernel([[A[i][j] - (i == j) for j in range(2)] for i in range(2)])
     if len(axis_basis) != 1:
         raise InvalidWallpaperError("reflection class without a 1-dimensional axis")
     a = _primitive(axis_basis[0])
-    p = _primitive(ra.kernel([[M[i][j] + I[i][j] for j in range(2)] for i in range(2)])[0])
+    p = _primitive(ra.kernel([[A[i][j] + (i == j) for j in range(2)] for i in range(2)])[0])
     has_mirror = _fixed_point(A, v) is not None
     # Z a + Z p has index 1 (primitive lattice) or 2 (centred) in Z^2; a
     # centred lattice puts a glide axis halfway between two mirrors
@@ -144,9 +142,7 @@ def _reflection_class_data(A, v) -> ReflectionClass:
 
 def _rotation_centers(A, v) -> list[tuple[Fraction, Fraction]]:
     """Inequivalent fixed points of translates of (A, v), reduced mod Z^2."""
-    M = ra.mat(A)
-    I = ra.identity(2)
-    ImA = [[I[i][j] - M[i][j] for j in range(2)] for i in range(2)]
+    ImA = [[(i == j) - A[i][j] for j in range(2)] for i in range(2)]
     if ra.det(ImA) == 0:
         return []
     inv = ra.inverse(ImA)
@@ -163,12 +159,8 @@ def _center_on_mirror(center, refl_classes) -> bool:
     # c lies on a mirror line iff (I - M) c = v_M + integer vector for some
     # reflection class; the witnessing element then fixes c's line
     for rc in refl_classes:
-        M = ra.mat(rc.matrix)
-        I = ra.identity(2)
-        w = ra.vec_sub(
-            ra.mat_vec([[I[i][j] - M[i][j] for j in range(2)] for i in range(2)], list(center)),
-            list(rc.v),
-        )
+        ImA = [[(i == j) - rc.matrix[i][j] for j in range(2)] for i in range(2)]
+        w = ra.vec_sub(ra.mat_vec(ImA, center), rc.v)
         if all(x.denominator == 1 for x in w):
             return True
     return False
@@ -178,14 +170,13 @@ def classify2(group: CrystalGroup) -> OrbifoldLabel:
     """Identify a 2-dimensional crystallographic group among the 17 classes."""
     grp = group.normalize()
     if grp.n != 2:
-        raise ValueError("classify2 expects a 2-dimensional group")
+        raise InvalidGroupError("classify2 expects a 2-dimensional group")
     hol = grp.holonomy()
     rotations = []
     reflections = []
     for A in hol.elements:
-        d = ra.det(ra.mat(A))
-        if d == 1:
-            order = ra.matrix_order(ra.mat(A), cap=12)
+        if ra.det(A) == 1:
+            order = ra.matrix_order(A, cap=12)
             if order is None:
                 raise InvalidWallpaperError("rotation order exceeds the crystallographic bound")
             rotations.append((A, order))
@@ -252,7 +243,7 @@ def classify_low_dim(group: CrystalGroup) -> OrbifoldLabel:
         name = f"T{grp.n}"
     else:
         tf = grp.is_torsion_free().torsion_free
-        ori = all(ra.det(ra.mat(A)) == 1 for A in hol.elements)
+        ori = all(ra.det(A) == 1 for A in hol.elements)
         name = f"flat{grp.n}:H{hol.order}" + ("" if ori else ",nonor") + ("" if tf else ",sing")
     return _label(name, "", name, [], [], hol.order)
 
@@ -314,19 +305,17 @@ def singular_locus(group: CrystalGroup) -> SingularLocus:
     """Rotation centers, mirror lines, and glide axes inside one cell."""
     grp = group.normalize()
     if grp.n != 2:
-        raise ValueError("singular_locus expects a 2-dimensional group")
+        raise InvalidGroupError("singular_locus expects a 2-dimensional group")
     hol = grp.holonomy()
     best_order: dict[tuple, int] = {}
     mirrors = []
     glides = []
-    I = ra.identity(2)
     for A in hol.elements:
-        M = ra.mat(A)
-        if _freeze_int_mat(M) == _freeze_int_mat(I):
+        if A == _int_identity(2):
             continue
         v = hol.translations[A]
-        if ra.det(M) == 1:
-            order = ra.matrix_order(M, cap=12)
+        if ra.det(A) == 1:
+            order = ra.matrix_order(A, cap=12)
             for pt in _rotation_centers(A, v):
                 if best_order.get(pt, 0) < order:
                     best_order[pt] = order
@@ -366,7 +355,7 @@ def cone_point_classes(group: CrystalGroup) -> list[int]:
             new = []
             for c in frontier:
                 for A in hol.elements:
-                    img = ra.vec_add(ra.mat_vec(ra.mat(A), list(c)), list(hol.translations[A]))
+                    img = ra.vec_add(ra.mat_vec(A, c), hol.translations[A])
                     img = tuple(x - math.floor(x) for x in img)
                     if img in remaining and img not in orbit:
                         orbit.add(img)

@@ -203,6 +203,16 @@ def test_render_svg_cli(tmp_path, capsys):
     assert out_path.exists()
 
 
+@pytest.mark.parametrize("verb", [["classify2"], ["render-svg", "--out", "G1.svg"]])
+def test_plane_verbs_on_a_3d_group_are_a_domain_error(tmp_path, monkeypatch, capsys, verb):
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *verb, "--catalog", "G1")
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "2-dimensional" in err
+    assert not (tmp_path / "G1.svg").exists()
+
+
 def test_resolve_cli(tmp_path, capsys):
     orb = tmp_path / "orb.json"
     dump_group(catalog_get("p2").group, orb)

@@ -105,6 +105,32 @@ def test_normalize_refines_scaled_lattice():
     assert grp.holonomy().order == 1
 
 
+def test_basis_change_is_noted_only_when_the_lattice_is_refined():
+    stale = [["2", "0"], ["0", "2"]]
+    plain = CrystalGroup.make(2, [([[-1, 0], [0, -1]], ["1/2", 0])])
+    plain.notes["basis_change"] = stale
+    assert "basis_change" not in plain.normalize().notes
+    # (P, e1/3) with P the 3-cycle: its cube is the hidden translation (1/3, 1/3, 1/3)
+    cycle = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+    refined = CrystalGroup.make(3, [(cycle, ["1/3", 0, 0])])
+    refined.notes["basis_change"] = stale
+    grp = refined.normalize()
+    B = ra.mat(grp.notes["basis_change"])
+    assert ra.det(B) == Fraction(1, 3)
+    assert all(x.denominator == 1 for x in ra.solve(B, ra.vec(["1/3", "1/3", "1/3"])))
+    assert ra.mat(grp.gram) == ra.mat_mul(ra.transpose(B), B)
+    assert grp.holonomy().order == 3
+
+
+def test_closure_multiplies_by_the_generators_alone(monkeypatch):
+    def inverse(self):
+        raise AssertionError("the closure took an inverse")
+
+    monkeypatch.setattr(AffineElement, "inverse", inverse)
+    for key in ("G2", "G6", "p6m", "K5", "joyce-O1"):
+        assert catalog_get(key).group.holonomy().order == catalog_get(key).expected["holonomy_order"]
+
+
 def test_holonomy_requires_normalize():
     grp = CrystalGroup.make(2, [([[1, 0], [0, -1]], ["1/2", 0])])
     with pytest.raises(GroupNotNormalizedError):

@@ -119,3 +119,74 @@ def test_frac_parsing():
     assert ra.frac(0.25) == Fraction(1, 4)
     assert ra.frac(0.1) == Fraction(1, 10)
     assert ra.frac(-2) == Fraction(-2)
+
+
+def _int_identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _check_char_poly(A):
+    n = len(A)
+    poly = ra.char_poly(A)
+    assert poly[n] == 1 and all(type(c) is int for c in poly)
+    for x in range(n + 1):
+        xI_A = [[x * (i == j) - A[i][j] for j in range(n)] for i in range(n)]
+        assert sum(c * x**k for k, c in enumerate(poly)) == ra.det(xI_A), (A, x)
+
+
+def test_char_poly_and_order_of_every_catalog_holonomy_element():
+    from flatorb.catalog import catalog_get, catalog_list
+
+    entries = [catalog_get(key) for key in catalog_list()]
+    elements = [(e.key, A) for e in entries for A in e.group.holonomy().elements]
+    assert len(elements) == sum(e.expected["holonomy_order"] for e in entries)
+    for key, A in elements:
+        _check_char_poly(A)
+        P, k = [list(row) for row in A], 1
+        while P != _int_identity(len(A)):
+            P, k = ra.mat_mul(P, A), k + 1
+        assert ra.matrix_order(A, cap=k) == k, key
+        assert ra.matrix_order(A, cap=k - 1) is None, key
+
+
+square_int_mats = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(min_value=-9, max_value=9), min_size=n, max_size=n), min_size=n, max_size=n
+    )
+)
+
+
+@given(square_int_mats)
+@settings(max_examples=150, deadline=None)
+def test_char_poly_of_any_integer_matrix(M):
+    _check_char_poly(M)
+
+
+def test_matrix_order_of_an_infinite_order_matrix():
+    assert ra.matrix_order([[1, 1], [0, 1]]) is None
+
+
+@pytest.mark.parametrize("fn", [ra.char_poly, ra.matrix_order, ra.hnf])
+def test_integer_routines_reject_a_non_integral_entry(fn):
+    with pytest.raises(ValueError):
+        fn([[1, Fraction(1, 2)], [0, 1]])
+    with pytest.raises(ValueError):
+        fn([[1, "1/2"], [0, 1]])
+    assert fn(ra.mat([[0, -1], [1, 0]])) == fn(((0, -1), (1, 0)))
+
+
+def test_elimination_of_an_int_matrix_gives_fractions():
+    A = ((2, 1, 0), (1, 3, 1), (0, 1, 4))
+    S = [[1, 2, 3], [2, 4, 6]]
+    results = {
+        "det": [[ra.det(A)]],
+        "inverse": ra.inverse(A),
+        "kernel": ra.kernel(S),
+        "rref": ra.rref(S)[0],
+        "solve": [ra.solve(A, [1, 0, 0])],
+    }
+    for name, M in results.items():
+        assert all(type(x) is Fraction for row in M for x in row), name
+    assert ra.det(A) == 18
+    assert ra.mat_mul(A, ra.inverse(A)) == _int_identity(3)
+    assert ra.kernel(S) == [[-2, 1, 0], [-3, 0, 1]]

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from flatorb import rational as ra
-from flatorb.groups import CrystalGroup
+from flatorb.catalog import catalog_get
+from flatorb.groups import CrystalGroup, FlatOrbError, InvalidGroupError
 from flatorb.wallpaper import (
     TABLE_2D,
     classify2,
@@ -275,3 +276,10 @@ def test_cone_and_corner_classes_match_table():
             remaining -= orbit
         assert sorted(cones) == sorted(label.cone_points), (name, cones)
         assert sorted(corners) == sorted(label.corner_reflectors), (name, corners)
+
+
+@pytest.mark.parametrize("verb", [classify2, singular_locus])
+def test_plane_functions_reject_other_dimensions(verb):
+    with pytest.raises(InvalidGroupError, match="2-dimensional") as info:
+        verb(catalog_get("G1").group)
+    assert isinstance(info.value, FlatOrbError) and isinstance(info.value, ValueError)
