@@ -257,7 +257,7 @@ def compute_expected(name, spec):
     hol = grp.holonomy()
     expected["holonomy_order"] = hol.order
     expected["torsion_free"] = grp.is_torsion_free().torsion_free
-    rep = teich_report(grp, seed=0)
+    rep = teich_report(grp)
     expected["teich_dim"] = rep.total_dim
     expected["components"] = [
         [c.irreducible_dim, c.multiplicity, c.division_type, c.factor_dim]

@@ -21,18 +21,25 @@ import numpy as np
 from . import rational as ra
 from .catalog import catalog_get, catalog_list
 from .collapse import InvalidSubspaceError, collapse, product_resolution, verify_theorem_c
-from .groups import CrystalGroup, FlatOrbError, load_group
+from .groups import CrystalGroup, FlatOrbError, group_to_dict, load_group
 from .lattices import InvalidLatticeError, Lattice, check_schedule, scaling_limit, special_basis
 from .reps import teich_report
 from .wallpaper import classify2, render_svg
 
 
-def _load_from_args(args) -> CrystalGroup:
-    if getattr(args, "catalog", None):
-        return catalog_get(args.catalog).group
-    if getattr(args, "group", None):
-        return load_group(args.group).normalize()
+def _load_group(key: str | None, path: str | None) -> CrystalGroup:
+    """The catalog entry ``key``, else the group file at ``path``, normalized."""
+    if key is not None:
+        return catalog_get(key).group
+    if path is not None:
+        return load_group(path).normalize()
     raise FlatOrbError("provide --group FILE or --catalog KEY")
+
+
+def _load_side(value: str) -> CrystalGroup:
+    """A ``resolve`` side: ``catalog:KEY`` or a group file path."""
+    key = value.split(":", 1)[1] if value.startswith("catalog:") else None
+    return _load_group(key, value)
 
 
 def _parse_vector(text: str):
@@ -79,11 +86,23 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
+def _components(rep) -> list[dict]:
+    return [
+        {
+            "irreducible_dim": c.irreducible_dim,
+            "multiplicity": c.multiplicity,
+            "type": c.division_type,
+            "factor_dim": c.factor_dim,
+        }
+        for c in rep.components
+    ]
+
+
 def cmd_analyze(args) -> int:
-    grp = _load_from_args(args)
+    grp = _load_group(args.catalog, args.group)
     hol = grp.holonomy()
     torsion = grp.is_torsion_free()
-    rep = teich_report(grp, seed=args.seed)
+    rep = teich_report(grp)
     betti = [grp.betti(k) for k in range(grp.n + 1)]
     payload = {
         "name": grp.name,
@@ -93,15 +112,7 @@ def cmd_analyze(args) -> int:
         "volume": grp.volume(),
         "betti": betti,
         "teich_dim": rep.total_dim,
-        "components": [
-            {
-                "irreducible_dim": c.irreducible_dim,
-                "multiplicity": c.multiplicity,
-                "type": c.division_type,
-                "factor_dim": c.factor_dim,
-            }
-            for c in rep.components
-        ],
+        "components": _components(rep),
     }
     lines = [
         f"group: {grp.name or '(unnamed)'} (dim {grp.n})",
@@ -119,28 +130,20 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_teich(args) -> int:
-    grp = _load_from_args(args)
-    rep = teich_report(grp, seed=args.seed)
+    grp = _load_group(args.catalog, args.group)
+    rep = teich_report(grp)
     payload = {
         "name": grp.name,
         "dim": rep.total_dim,
         "invariant_form_dim": rep.invariant_form_dim,
-        "components": [
-            {
-                "irreducible_dim": c.irreducible_dim,
-                "multiplicity": c.multiplicity,
-                "type": c.division_type,
-                "factor_dim": c.factor_dim,
-            }
-            for c in rep.components
-        ],
+        "components": _components(rep),
     }
     _emit(args, payload, [rep.summary()])
     return 0
 
 
 def cmd_collapse(args) -> int:
-    grp = _load_from_args(args)
+    grp = _load_group(args.catalog, args.group)
     res = collapse(grp, _parse_subspace(args.subspace))
     payload = {
         "label": res.label.orbifold_name,
@@ -154,7 +157,7 @@ def cmd_collapse(args) -> int:
 
 
 def cmd_classify2(args) -> int:
-    grp = _load_from_args(args)
+    grp = _load_group(args.catalog, args.group)
     label = classify2(grp)
     payload = {
         "iuc": label.iuc,
@@ -199,7 +202,7 @@ def cmd_limit_seq(args) -> int:
     if args.lattice:
         L = Lattice.from_rows(_parse_matrix(args.lattice))
     else:
-        grp = _load_from_args(args)
+        grp = _load_group(args.catalog, args.group)
         if grp.generators:
             raise FlatOrbError("limit-seq expects a lattice (a group with no nontrivial generators)")
         G = np.array([[float(x) for x in row] for row in grp.gram])
@@ -226,12 +229,6 @@ def cmd_limit_seq(args) -> int:
     return 0
 
 
-def _load_side(value: str) -> CrystalGroup:
-    if value.startswith("catalog:"):
-        return catalog_get(value.split(":", 1)[1]).group
-    return load_group(value).normalize()
-
-
 def cmd_resolve(args) -> int:
     orb = _load_side(args.orbifold)
     mfd = _load_side(args.manifold)
@@ -240,7 +237,7 @@ def cmd_resolve(args) -> int:
         "dimension": prod.n,
         "holonomy_order": prod.holonomy().order,
         "torsion_free": prod.is_torsion_free().torsion_free,
-        "group": _group_payload(prod),
+        "group": group_to_dict(prod),
     }
     lines = [
         f"resolved: dim {prod.n}, holonomy order {prod.holonomy().order}, torsion-free",
@@ -248,12 +245,6 @@ def cmd_resolve(args) -> int:
     ]
     _emit(args, payload, lines)
     return 0
-
-
-def _group_payload(grp: CrystalGroup) -> dict:
-    from .groups import group_to_dict
-
-    return group_to_dict(grp)
 
 
 def cmd_verify_theorem_c(args) -> int:
@@ -287,7 +278,7 @@ def cmd_catalog(args) -> int:
             "expected": entry.expected,
             "provenance": entry.provenance,
             "notes": list(entry.notes),
-            "group": _group_payload(entry.group),
+            "group": group_to_dict(entry.group),
         }
         lines = [f"{entry.key} (dim {entry.group.n})"]
         for k in sorted(entry.expected):
@@ -303,7 +294,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_render_svg(args) -> int:
-    grp = _load_from_args(args)
+    grp = _load_group(args.catalog, args.group)
     render_svg(grp, args.out)
     _emit(args, {"svg": args.out}, [f"wrote {args.out}"])
     return 0
@@ -319,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_group_args(p):
         p.add_argument("--group", help="path to a group JSON file")
         p.add_argument("--catalog", help="built-in catalog key")
-        p.add_argument("--seed", type=int, default=0, help="ignored; accepted for compatibility")
         p.add_argument("--json", action="store_true", help="machine-readable output")
 
     p = sub.add_parser("analyze", help="holonomy, torsion, volume, Betti numbers, deformations")

@@ -63,6 +63,7 @@ from .reps import isotypic_decompose, rational_components  # noqa: F401
 from .wallpaper import OrbifoldLabel, POINT_LABEL, classify_low_dim
 
 SLOPE_BOUND = 3
+MAX_DEPTH = 3  # iterated collapses in the survey
 PAIRING_CAP = 48
 
 
@@ -86,23 +87,12 @@ def _span_basis(vectors) -> list[list[Fraction]]:
     return R[: len(pivots)]
 
 
-def _primitive_rows(basis) -> list[list[int]]:
-    """Each vector scaled to a primitive integer vector."""
-    rows = []
-    for v in basis:
-        d = math.lcm(*(x.denominator for x in v))
-        w = [x.numerator * (d // x.denominator) for x in v]
-        g = math.gcd(*w) or 1
-        rows.append([x // g for x in w])
-    return rows
-
-
 def _saturate(group: CrystalGroup, basis: list[list[Fraction]]) -> list[list[Fraction]]:
     # the images A v over the whole finite point group already span an
     # invariant subspace, since B (A v) = (B A) v; for primitive integer v
     # they are integer vectors, echeloned by HNF, and only the nonzero
     # Hermite rows go through rref
-    rows = _primitive_rows(basis)
+    rows = [ra.primitive(v) for v in basis]
     images = dict.fromkeys(
         tuple(sum(a * x for a, x in zip(r, v)) for r in A) for A in group.holonomy().elements for v in rows
     )
@@ -118,7 +108,7 @@ def is_invariant(group: CrystalGroup, basis: list[list[Fraction]]) -> bool:
     every image A v of a Hermite row v of the span reduces to zero against
     the Hermite rows, taken in pivot order.
     """
-    H, _ = ra.hnf(_primitive_rows(basis))
+    H, _ = ra.hnf([ra.primitive(v) for v in basis])
     echelon = [(u, next(j for j, x in enumerate(u) if x)) for u in H if any(u)]
     for g in group.generators:
         for v, _ in echelon:
@@ -410,10 +400,15 @@ def _component_sort_key(group: CrystalGroup, piece):
 
 
 def _acts_by(group: CrystalGroup, piece, scalars) -> bool:
-    """True when every holonomy element acts on the span as one of the scalars."""
+    """True when every holonomy element acts on the span as one of the scalars.
+
+    ``scalars`` is closed under products ((1,) or (1, -1)), so it suffices
+    that each generator's linear part does, tested on primitive integer rows.
+    """
+    rows = [ra.primitive(v) for v in piece]
     return all(
-        any(all(ra.mat_vec(A, v) == [c * x for x in v] for v in piece) for c in scalars)
-        for A in group.holonomy().elements
+        any(all(ra.mat_vec(g.linear, v) == [c * x for x in v] for v in rows) for c in scalars)
+        for g in group.generators
     )
 
 
@@ -436,24 +431,12 @@ def invariant_directions(group: CrystalGroup, slope_bound: int = SLOPE_BOUND):
             lat = _sublattice_basis(piece)
             dim = len(piece)
             bound = slope_bound if dim == 2 else 1
-            seen = set()
+            # each primitive line once: the tuple whose leading entry is
+            # negative comes first in product order, and names its negation
             for coeffs in itertools.product(range(-bound, bound + 1), repeat=dim):
-                if not any(coeffs):
+                canon = [-c for c in coeffs]
+                if not any(coeffs) or ra.primitive(coeffs) != canon:
                     continue
-                g = 0
-                for c in coeffs:
-                    g = math.gcd(g, abs(c))
-                if g != 1:
-                    continue
-                canon = coeffs
-                for c in coeffs:
-                    if c != 0:
-                        if c < 0:
-                            canon = tuple(-x for x in coeffs)
-                        break
-                if canon in seen:
-                    continue
-                seen.add(canon)
                 vec = [
                     sum(ra.frac(c) * lat[i][j] for i, c in enumerate(canon))
                     for j in range(grp.n)
@@ -498,7 +481,7 @@ class TheoremCReport:
         return not self.missing and not self.extra
 
 
-def survey_collapses(groups: list[CrystalGroup], *, slope_bound: int = SLOPE_BOUND, max_depth: int = 3):
+def survey_collapses(groups: list[CrystalGroup]):
     """All collapse labels of the groups, including iterated collapses."""
     rows: list[tuple[str, str, str]] = []
     queue: list[tuple[str, CrystalGroup, int]] = [
@@ -508,12 +491,11 @@ def survey_collapses(groups: list[CrystalGroup], *, slope_bound: int = SLOPE_BOU
     seen_groups = set()
     while queue:
         name, grp, depth = queue.pop(0)
-        sig = (grp.n, holonomy_signature(grp)) if grp.n else (0,)
-        for dname, basis in invariant_directions(grp, slope_bound=slope_bound):
+        for dname, basis in invariant_directions(grp):
             res = collapse(grp, basis)
             label = res.label.orbifold_name
             rows.append((name, dname, label))
-            if depth < max_depth and res.quotient.n >= 1:
+            if depth < MAX_DEPTH and res.quotient.n >= 1:
                 qsig = (res.quotient.n, holonomy_signature(res.quotient))
                 if qsig not in seen_groups:
                     seen_groups.add(qsig)
@@ -521,13 +503,11 @@ def survey_collapses(groups: list[CrystalGroup], *, slope_bound: int = SLOPE_BOU
     return rows
 
 
-def verify_theorem_c(catalog_groups=None, *, slope_bound: int = SLOPE_BOUND) -> TheoremCReport:
+def verify_theorem_c() -> TheoremCReport:
     """Collapse survey over the ten closed flat 3-manifolds."""
-    if catalog_groups is None:
-        from .catalog import three_manifold_groups
+    from .catalog import three_manifold_groups
 
-        catalog_groups = three_manifold_groups()
-    rows = survey_collapses(list(catalog_groups), slope_bound=slope_bound)
+    rows = survey_collapses(three_manifold_groups())
     labels = {label for _, _, label in rows}
     report = TheoremCReport(
         collapses=rows,

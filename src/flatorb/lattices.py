@@ -53,6 +53,10 @@ RELATION_TOL = 1e-14
 FRACTION_DEN = 10**6
 FRACTION_TOL = 1e-15
 TIE_TOL = 1e-9
+LLL_DELTA = 0.75
+SINGULAR_TOL = 1e-12  # least |det B| / prod |b_j| of a nonsingular basis
+VANISH_TOL = 1e-2  # sequence_limit: a vanishing norm ends below this
+CONV_TOL = 1e-6  # sequence_limit: a convergent vector's last three values agree within this
 
 
 class LatticeEnumerationError(FlatOrbError):
@@ -89,10 +93,17 @@ class Lattice:
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
             raise InvalidLatticeError("basis must be a square matrix of column vectors")
         with np.errstate(over="ignore", invalid="ignore"):
-            finite = np.isfinite(B).all() and np.isfinite(B.T @ B).all()
+            G = B.T @ B
+            finite = np.isfinite(B).all() and np.isfinite(G).all()
         if not finite:
             raise InvalidLatticeError("basis entries and their inner products must be finite")
-        if abs(np.linalg.det(B)) < 1e-12:
+        # Hadamard: det(B^T B) <= prod diag(B^T B), with equality for
+        # orthogonal columns, so |det B| / prod |b_j|, the determinant of
+        # the basis scaled to unit columns, tests singularity at any scale
+        sq = np.diag(G)
+        if not (sq > 0).all():
+            raise InvalidLatticeError("basis is singular or its inner products underflow")
+        if abs(np.linalg.det(B / np.sqrt(sq))) < SINGULAR_TOL:
             raise InvalidLatticeError("basis is singular")
 
     @staticmethod
@@ -309,10 +320,10 @@ def _search_bases(Z, V, norms, coords, *, angle_bound, start):
     return best_combo
 
 
-def lll_reduce(basis: np.ndarray, delta: float = 0.75) -> np.ndarray:
+def lll_reduce(basis: np.ndarray) -> np.ndarray:
     """Classic LLL reduction on column vectors (floats, desk scale).
 
-    A delta=3/4 reduced basis has orthogonality defect at most
+    A ``LLL_DELTA`` = 3/4 reduced basis has orthogonality defect at most
     2^(n(n-1)/4), hence satisfies both the determinant inequality and the
     angle bound used throughout this module.
     """
@@ -341,7 +352,7 @@ def lll_reduce(basis: np.ndarray, delta: float = 0.75) -> np.ndarray:
             if q:
                 B[:, k] -= q * B[:, j]
                 Bs, mu = gso(B)
-        if Bs[:, k] @ Bs[:, k] >= (delta - mu[k, k - 1] ** 2) * (Bs[:, k - 1] @ Bs[:, k - 1]):
+        if Bs[:, k] @ Bs[:, k] >= (LLL_DELTA - mu[k, k - 1] ** 2) * (Bs[:, k - 1] @ Bs[:, k - 1]):
             k += 1
         else:
             B[:, [k - 1, k]] = B[:, [k, k - 1]]
@@ -567,16 +578,13 @@ def check_schedule(ts: Sequence[float]) -> None:
 def sequence_limit(
     family: Callable[[float], Lattice | np.ndarray],
     t_schedule: Sequence[float],
-    *,
-    vanish_tol: float = 1e-2,
-    conv_tol: float = 1e-6,
 ) -> TorusLimit:
     """Classify special-basis vectors of a shrinking family into limits.
 
     A basis vector is *vanishing* when its norms strictly decrease along
-    the schedule and end below ``vanish_tol``; it is *convergent* when its
-    last three values agree within ``conv_tol``.  Anything else aborts
-    with ``NoLimitError``.
+    the schedule and end below ``VANISH_TOL`` (1e-2); it is *convergent*
+    when its last three values agree within ``CONV_TOL`` (1e-6).  Anything
+    else aborts with ``NoLimitError``.
     """
     ts = list(t_schedule)
     check_schedule(ts)
@@ -596,9 +604,9 @@ def sequence_limit(
         col = norms[:, j]
         tail = [bases[k][:, j] for k in range(len(ts) - 3, len(ts))]
         cauchy = all(
-            np.linalg.norm(tail[a] - tail[b]) < conv_tol for a in range(3) for b in range(a + 1, 3)
+            np.linalg.norm(tail[a] - tail[b]) < CONV_TOL for a in range(3) for b in range(a + 1, 3)
         )
-        shrinking = all(col[k + 1] < col[k] - 1e-15 for k in range(len(ts) - 1)) and col[-1] < vanish_tol
+        shrinking = all(col[k + 1] < col[k] - 1e-15 for k in range(len(ts) - 1)) and col[-1] < VANISH_TOL
         if cauchy:
             convergent.append(j)
         elif shrinking:

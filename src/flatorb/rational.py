@@ -14,7 +14,7 @@ are arbitrary precision by construction; overflow cannot occur.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
@@ -82,6 +82,22 @@ def vec_scale(c, v: Vec) -> Vec:
 
 def mat_eq(A: Mat, B: Mat) -> bool:
     return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
+
+
+def primitive(v) -> list[int]:
+    """The primitive integer vector on the line of a nonzero rational v.
+
+    Its first nonzero entry is positive; ValueError on a zero vector.
+    """
+    v = vec(v)
+    d = _common_denominator([v])
+    w = [int(x * d) for x in v]
+    g = gcd(*w)
+    if g == 0:
+        raise ValueError("a zero vector has no primitive multiple")
+    if next(x for x in w if x) < 0:
+        g = -g
+    return [x // g for x in w]
 
 
 def _int_rows(M) -> list[list[int]]:
@@ -245,12 +261,7 @@ def hnf(M) -> tuple[list[list[int]], list[list[int]]]:
 
 
 def _common_denominator(rows) -> int:
-    d = 1
-    for row in rows:
-        for x in row:
-            f = frac(x)
-            d = d * f.denominator // gcd(d, f.denominator)
-    return d
+    return lcm(*(frac(x).denominator for row in rows for x in row))
 
 
 def lattice_basis(generators: list[Vec]) -> list[Vec]:

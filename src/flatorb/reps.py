@@ -31,7 +31,8 @@ already known exactly.  A component with k > 1 is split by the eigenspaces
 of a self-adjoint central element whose minimal polynomial on V is checked
 exactly to have degree k.  The summed factor dimensions are checked
 against the dimension of the invariant symmetric forms, computed
-independently as an exact kernel over a generating set.
+independently as an exact kernel over a generating set.  Nothing is drawn
+at random, so the same group always gives the same report.
 """
 
 from __future__ import annotations
@@ -342,13 +343,13 @@ def _real_components(cl: _Classes, B: ra.Mat, gram: np.ndarray) -> list[Isotypic
     return [IsotypicComponent(b, irreducible_dim, m, dtype, FACTOR_DIM[dtype](m)) for b in blocks]
 
 
-def isotypic_decompose(elements, gram, seed: int = 0) -> IsotypicReport:
+def isotypic_decompose(elements, gram) -> IsotypicReport:
     """Decompose the action into real isotypic components, exactly.
 
     ``elements`` is the complete list of point-group matrices (integer
     entries) preserving ``gram``.  The summed factor dimensions are checked
     against the invariant-form dimension computed as an exact kernel over a
-    generating set.  ``seed`` is ignored; it is accepted for compatibility.
+    generating set.
     """
     elements = list(elements)
     n = len(gram)
@@ -367,11 +368,8 @@ def isotypic_decompose(elements, gram, seed: int = 0) -> IsotypicReport:
     )
 
 
-def teich_report(group: CrystalGroup, seed: int = 0) -> IsotypicReport:
-    """Holonomy, then decomposition; enforces the reducibility consequences.
-
-    ``seed`` is ignored; it is accepted for compatibility.
-    """
+def teich_report(group: CrystalGroup) -> IsotypicReport:
+    """Holonomy, then decomposition; enforces the reducibility consequences."""
     grp = group.normalize()
     hol = grp.holonomy()
     report = isotypic_decompose(hol.elements, grp.gram)

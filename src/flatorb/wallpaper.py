@@ -93,23 +93,6 @@ INTERVAL_LABEL = _label("interval", "", "interval", [], [], 2)
 # -- exact reflection-class invariants ------------------------------------
 
 
-def _primitive(v: list[Fraction]) -> list[Fraction]:
-    den = 1
-    for x in v:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for x in ints:
-        g = math.gcd(g, abs(x))
-    ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return [Fraction(x) for x in ints]
-
-
 @dataclass(frozen=True)
 class ReflectionClass:
     matrix: tuple
@@ -124,8 +107,8 @@ def _reflection_class_data(A, v) -> ReflectionClass:
     axis_basis = ra.kernel([[A[i][j] - (i == j) for j in range(2)] for i in range(2)])
     if len(axis_basis) != 1:
         raise InvalidWallpaperError("reflection class without a 1-dimensional axis")
-    a = _primitive(axis_basis[0])
-    p = _primitive(ra.kernel([[A[i][j] + (i == j) for j in range(2)] for i in range(2)])[0])
+    a = ra.primitive(axis_basis[0])
+    p = ra.primitive(ra.kernel([[A[i][j] + (i == j) for j in range(2)] for i in range(2)])[0])
     has_mirror = _fixed_point(A, v) is not None
     # Z a + Z p has index 1 (primitive lattice) or 2 (centred) in Z^2; a
     # centred lattice puts a glide axis halfway between two mirrors
@@ -287,7 +270,7 @@ def _reflection_lines(rc: ReflectionClass) -> tuple[list, list]:
     """
     a, p, v = rc.axis, rc.anti, rc.v
     f = lambda x: a[1] * x[0] - a[0] * x[1]
-    x, y, sign = ra._xgcd(int(a[1]), -int(a[0]))  # sign = +-1, so f(g) = sign^2
+    x, y, sign = ra._xgcd(a[1], -a[0])  # sign = +-1, so f(g) = sign^2
     g = (sign * x, sign * y)
     values = [f(corner) for corner in ((0, 0), (1, 0), (0, 1), (1, 1))]
     mirrors, glides = [], []
@@ -399,10 +382,12 @@ def render_svg(group: CrystalGroup, out: str | Path | None = None) -> str:
     def fmt(x):
         return f"{x:.2f}"
 
+    # XML-escaped by hand: xml.sax.saxutils would import urllib.request
+    title = (grp.name or "crystal group").replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         '<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="800" height="800" viewBox="0 0 800 800">',
-        f'<title>{grp.name or "crystal group"}</title>',
+        f"<title>{title}</title>",
     ]
     cell_pts = " ".join(f"{fmt(x)},{fmt(y)}" for x, y in (to_px(c) for c in corners))
     lines.append(

@@ -66,7 +66,7 @@ def test_criterion_1_teich_dimensions():
     for key, want in sorted(cases.items()):
         grp = catalog_get(key).group
         t0 = time.time()
-        rep = teich_report(grp, seed=0)
+        rep = teich_report(grp)
         dt = time.time() - t0
         if rep.total_dim != want:
             failures.append(f"{key}: teich dim {rep.total_dim} != {want}")
@@ -108,7 +108,7 @@ def test_criterion_2_double_computation():
     failures = []
     for key in sorted(catalog_list()):
         grp = catalog_get(key).group
-        rep = teich_report(grp, seed=1)
+        rep = teich_report(grp)
         if rep.total_dim != rep.invariant_form_dim:
             failures.append(f"{key}: {rep.total_dim} != exact {rep.invariant_form_dim}")
     rng = random.Random(2024)
@@ -118,7 +118,8 @@ def test_criterion_2_double_computation():
         elems = _random_sign_perm_group(rng, n)
         if elems is None:
             continue
-        rep = isotypic_decompose(elems, ra.identity(n), seed=rng.randrange(10_000))
+        rng.randrange(10_000)  # one draw per group keeps the sequence of random groups fixed
+        rep = isotypic_decompose(elems, ra.identity(n))
         if rep.total_dim != rep.invariant_form_dim:
             failures.append(f"random rep #{done} (n={n}): {rep.total_dim} != {rep.invariant_form_dim}")
         done += 1

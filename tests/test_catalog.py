@@ -64,7 +64,7 @@ def test_every_expected_assertion(key):
     assert hol.order == exp["holonomy_order"], (key, "holonomy_order")
     assert hol.cocycle_defects() == [], (key, "cocycle")
     assert grp.is_torsion_free().torsion_free == exp["torsion_free"], (key, "torsion")
-    rep = teich_report(grp, seed=0)
+    rep = teich_report(grp)
     assert rep.total_dim == exp["teich_dim"], (key, "teich_dim")
     assert rep.total_dim == rep.invariant_form_dim, (key, "double computation")
     sig = sorted((c.irreducible_dim, c.multiplicity, c.division_type, c.factor_dim) for c in rep.components)

@@ -83,6 +83,7 @@ LIMIT = ["limit-seq", "--lattice", "1,0;0,1", "--subspace", "0,1", "--schedule"]
         ["reduce-lattice", "1,0;0,inf"],
         ["reduce-lattice", "1,0;0,1e300"],
         ["limit-seq", "--lattice", "1,0;0,1", "--subspace", "0,1,0", "--schedule", "1,0.5,0.1"],
+        ["reduce-lattice", "1e-200,0;0,1"],
     ],
 )
 def test_bad_lattice_input_is_a_domain_error(capsys, argv):
@@ -135,6 +136,12 @@ def test_reduce_lattice(capsys):
     doc = json.loads(json_out)
     # the lattice contains (-0.1, 0.1) and (0.5, 0.5): an orthogonal basis
     assert doc["R0"] == pytest.approx(2 ** 0.5 / 2, abs=1e-9)
+
+
+def test_reduce_lattice_at_a_collapse_scale(capsys):
+    code, json_out, _ = run(capsys, "reduce-lattice", "1e-7,0;0,1e-6", "--json")
+    assert code == 0
+    assert json.loads(json_out)["norms"] == pytest.approx([1e-6, 1e-7], rel=1e-12)
 
 
 def test_limit_seq(capsys):

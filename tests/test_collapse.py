@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from flatorb import rational as ra
-from flatorb.catalog import catalog_get, catalog_list, generalized_klein_bottle, torus
+from flatorb.catalog import catalog_get, catalog_list, generalized_klein_bottle, three_manifold_groups, torus
 from flatorb.collapse import (
+    _acts_by,
     _iso_search,
     InvalidSubspaceError,
     NoIsomorphismError,
@@ -455,3 +456,36 @@ def test_generalized_klein_bottle_collapse():
     assert "W1" in dirs
     res = collapse(k3, dirs["W1"])
     assert res.label.orbifold_name in {"S2(3,3,3;)", "circle"}
+
+
+def _survey_quotients():
+    """The quotients the Theorem C survey queues: iterated collapses, one per holonomy signature."""
+    out, seen = [], set()
+    queue = [(g.normalize(), 0) for g in three_manifold_groups()]
+    while queue:
+        grp, depth = queue.pop(0)
+        for _, basis in invariant_directions(grp):
+            q = collapse(grp, basis).quotient
+            sig = (q.n, holonomy_signature(q))
+            if depth < 3 and q.n >= 1 and sig not in seen:
+                seen.add(sig)
+                out.append(q)
+                queue.append((q, depth + 1))
+    return out
+
+
+def test_acts_by_on_generators_matches_all_holonomy_elements():
+    groups = [catalog_get(key).group for key in catalog_list()] + _survey_quotients()
+    assert len(groups) > 49
+    outcomes = set()
+    for grp in groups:
+        elements = grp.holonomy().elements
+        for piece in rational_isotypic_components(grp):
+            for scalars in ((1,), (1, -1)):
+                brute = all(
+                    any(all(ra.mat_vec(A, v) == [c * x for x in v] for v in piece) for c in scalars)
+                    for A in elements
+                )
+                assert _acts_by(grp, piece, scalars) == brute, (grp.name, piece, scalars)
+                outcomes.add(brute)
+    assert outcomes == {True, False}

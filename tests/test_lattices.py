@@ -218,11 +218,18 @@ def test_special_basis_rejects_a_seed_that_is_not_angle_bounded(monkeypatch):
         [[1.0, 0.0], [0.0, math.inf]],
         [[1.0, 0.0], [0.0, 1e300]],
         [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+        [[1e-200, 0.0], [0.0, 1.0]],
     ],
 )
 def test_lattice_rejects_bad_bases(rows):
     with pytest.raises(InvalidLatticeError):
         Lattice.from_rows(rows)
+
+
+@pytest.mark.parametrize("basis", [np.diag([1e-7, 1e-6]), 1e-4 * np.eye(4)])
+def test_lattice_singularity_test_is_scale_invariant(basis):
+    L = Lattice(basis)
+    assert sorted(special_basis(L).norms) == pytest.approx(sorted(np.diag(basis)))
 
 
 def test_sequence_limit_rejects_bad_schedules_and_directions():

@@ -190,3 +190,18 @@ def test_elimination_of_an_int_matrix_gives_fractions():
     assert ra.det(A) == 18
     assert ra.mat_mul(A, ra.inverse(A)) == _int_identity(3)
     assert ra.kernel(S) == [[-2, 1, 0], [-3, 0, 1]]
+
+
+def test_primitive_scales_to_a_primitive_integer_vector():
+    assert ra.primitive([4, 6, 0]) == [2, 3, 0]
+    assert ra.primitive([0, -3, 6]) == [0, 1, -2]
+    assert ra.primitive([Fraction(1, 2), Fraction(-1, 3)]) == [3, -2]
+    assert ra.primitive(["-2/3", 0, "4/9"]) == [3, 0, -2]
+    assert ra.primitive([-5]) == [1]
+    assert all(type(x) is int for x in ra.primitive([Fraction(2, 4), 1]))
+
+
+@pytest.mark.parametrize("v", [[0, 0], [Fraction(0)], []])
+def test_primitive_rejects_a_zero_vector(v):
+    with pytest.raises(ValueError):
+        ra.primitive(v)

@@ -1,5 +1,10 @@
+import hashlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+from xml.etree import ElementTree
 
 import pytest
 
@@ -283,3 +288,40 @@ def test_plane_functions_reject_other_dimensions(verb):
     with pytest.raises(InvalidGroupError, match="2-dimensional") as info:
         verb(catalog_get("G1").group)
     assert isinstance(info.value, FlatOrbError) and isinstance(info.value, ValueError)
+
+
+def test_svg_title_escapes_the_group_name():
+    grp = CrystalGroup.make(2, [], name="x<y&z")
+    doc = render_svg(grp)
+    root = ElementTree.fromstring(doc.encode("utf-8"))
+    title = root.find("{http://www.w3.org/2000/svg}title")
+    assert title is not None and title.text == "x<y&z"
+
+
+# sha256 of each file that scripts/render_wallpaper_gallery.py writes
+GALLERY_SHA256 = {
+    "cm": "7c6eb629aff78f052c5c71d4c7fa47d9efaba8bbd21ed8468b07d208c15b366d",
+    "cmm": "c27b15fa497f0a8b93590c2b1f137de1051042a10a06ddab8bde0841e8c37124",
+    "p1": "21bd9be694b5156f030d3d31e9d6aff69afb7b3844316a11482cee3ded5b899d",
+    "p2": "4ff205c98265708c5b08c2979e85c55e3542f41b9661ecbb607e56d589fa98f2",
+    "p3": "cbfd4f4314b3572bc7f2b27fea582e7f493846b34a7b4e66b7a6b51f6351af9e",
+    "p31m": "951a4fa68c4b39033ea1c958956026eb2432e5a07d76fcc055969560935f28aa",
+    "p3m1": "277357eb00661fe9de9faa37e9c3f04c9b3d7fea962d4b98bd5045bddfbe598f",
+    "p4": "fff08a6e4aa1d40909d279e980f8db840239f93d2511fd92cac92a4d2e352333",
+    "p4g": "c118e5bf5a67a5a06112b8a2620f843574952ed4ab97f7081e4bad0a0a195a09",
+    "p4m": "c44f043674012d555f26e13be437de94da608904bb3957459e352e2612310cbd",
+    "p6": "194a52474537dc1d0e6a85b7f6ac70717c164cdb1c29bd91d145ea5a81d87adc",
+    "p6m": "eedc27e73dedc241948d0ec5fb1b18b99da3a5b2dfd22c66265504d10c7a5467",
+    "pg": "c67ef005a307a5068f8cf0303dd7289c3e818b82a7e4cf508285c0a90f7865c4",
+    "pgg": "499c7c4636733060dddd07bb9aab2b9c4a49b4bacdf9c6c1204683869d01b972",
+    "pm": "42b4b010c9832e2713c7717a37f1d1f4f67900395d963bdcf293c975af951bb1",
+    "pmg": "616497d60d36ae7b43944563f7d102dda36a0869e7688040ad9126df9e674e52",
+    "pmm": "c299ad2e6c4439483def9b284a3bdfb8a6ce04356b71679a6768328e7208653c",
+}
+
+
+def test_gallery_svgs_are_byte_stable(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "render_wallpaper_gallery.py"
+    subprocess.run([sys.executable, str(script), str(tmp_path)], check=True, capture_output=True)
+    got = {p.stem: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.svg")}
+    assert got == GALLERY_SHA256
