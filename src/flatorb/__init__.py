@@ -30,7 +30,6 @@ from .lattices import (
 from .reps import (
     IsotypicComponent,
     IsotypicReport,
-    invariant_forms_basis,
     isotypic_decompose,
     teich_report,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "generalized_klein_bottle",
     "group_from_dict",
     "group_to_dict",
-    "invariant_forms_basis",
     "isotypic_decompose",
     "load_group",
     "product_resolution",

@@ -12,6 +12,7 @@ as the Python documentation advises for SIGPIPE ("Note on SIGPIPE").
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -300,6 +301,7 @@ def cmd_render_svg(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flatorb",
@@ -314,62 +316,53 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="holonomy, torsion, volume, Betti numbers, deformations")
     add_group_args(p)
-    p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("teich", help="deformation-space factors and dimension")
     add_group_args(p)
-    p.set_defaults(func=cmd_teich)
 
     p = sub.add_parser("collapse", help="collapse an invariant rational subspace")
     add_group_args(p)
     p.add_argument("--subspace", required=True, help='e.g. "1,0,0" or "1,0,0;0,1,0"')
-    p.set_defaults(func=cmd_collapse)
 
     p = sub.add_parser("classify2", help="identify a plane crystallographic group")
     add_group_args(p)
     p.add_argument("--svg", help="also render the cell to this path")
-    p.set_defaults(func=cmd_classify2)
 
     p = sub.add_parser("reduce-lattice", help="special basis of a lattice")
     p.add_argument("matrix", help='basis rows, e.g. "1,0;0.5,0.5"')
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_reduce_lattice)
 
     p = sub.add_parser("limit-seq", help="limit of a collapsing lattice family")
     add_group_args(p)
     p.add_argument("--lattice", help='basis rows, e.g. "1,0;0,1"')
     p.add_argument("--subspace", required=True, help="directions to shrink")
     p.add_argument("--schedule", required=True, help='e.g. "1,0.5,0.1,0.01,0.001"')
-    p.set_defaults(func=cmd_limit_seq)
 
     p = sub.add_parser("resolve", help="resolve an orbifold against a flat manifold")
     p.add_argument("--orbifold", required=True, help="group file or catalog:KEY")
     p.add_argument("--manifold", required=True, help="group file or catalog:KEY")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_resolve)
 
     p = sub.add_parser("verify-theorem-c", help="survey collapsed limits of the flat 3-manifolds")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify_theorem_c)
 
     p = sub.add_parser("catalog", help="list catalog keys or show one entry")
     p.add_argument("key", nargs="?", help="catalog key")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("render-svg", help="draw a cell with its singular locus")
     add_group_args(p)
     p.add_argument("--out", required=True, help="output SVG path")
-    p.set_defaults(func=cmd_render_svg)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up at call time, so a wrapper set on cmd_<verb> is the one called
+    command = globals()["cmd_" + args.verb.replace("-", "_")]
     try:
-        code = args.func(args)
+        code = command(args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

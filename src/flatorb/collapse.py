@@ -166,7 +166,7 @@ class CollapseResult:
     label: OrbifoldLabel
     log: tuple[str, ...]
     subspace: tuple[tuple[Fraction, ...], ...]
-    coord_map: tuple[tuple[Fraction, ...], ...]  # old lattice coords -> quotient coords
+    coord_map: tuple[tuple[int | Fraction, ...], ...]  # old lattice coords -> quotient coords
 
     @property
     def collapsed_dim(self) -> int:
@@ -204,19 +204,21 @@ def collapse(group: CrystalGroup, subspace, *, closure: bool = True) -> Collapse
     C = ra.transpose(ra.kernel(WtG))
     log.append(f"orthogonal complement has dimension {m}")
 
-    # x -> A x identifies R^n / W with R^m and Z^n with Z^m.  The quotient
-    # basis U0 = (A C) Y is the Hermite basis Y of the complement
-    # projection of Z^n, which is (A C)^-1 Z^m in C-coordinates; so the
-    # quotient coordinates of x are U0^-1 A x, its lattice basis in old
+    # x -> A x identifies R^n / W with R^m and Z^n with Z^m.  The complement
+    # projection of Z^n is (A C)^-1 Z^m in C-coordinates, with Hermite basis
+    # Y = H^T / d for H = V S, S = d ((A C)^-1)^T scaled to integers and V
+    # unimodular; so the quotient basis U0 = (A C) Y = V^T is integral.  The
+    # quotient coordinates of x are U0^-1 A x, the lattice basis in old
     # coordinates is D = C Y, and (M, v) acts as (U0^-1 A M R U0, U0^-1 A v).
     A, R = ra.quotient_map(W, n)
-    AC = ra.mat_mul(A, C)
-    Y = ra.transpose(ra.lattice_basis(ra.transpose(ra.inverse(AC))))
-    U0 = ra.mat_mul(AC, Y)
-    coord_map = ra.mat_mul(ra.inverse(U0), A)
-    RU0 = ra.mat_mul(R, U0)
+    ACinv_t = ra.transpose(ra.inverse(ra.mat_mul(A, C)))
+    d = math.lcm(*(x.denominator for row in ACinv_t for x in row))
+    H, V = ra.hnf([[int(x * d) for x in row] for row in ACinv_t])
+    Y = [[Fraction(h[j], d) for h in H] for j in range(m)]
+    coord_map = _int_mul(ra.transpose(ra.unimodular_inverse(V)), A)
+    RU0 = _int_mul(R, ra.transpose(V))
     gens = [
-        (ra.mat_mul(coord_map, ra.mat_mul(g.linear, RU0)), ra.mat_vec(coord_map, g.translation))
+        (_int_mul(coord_map, _int_mul(g.linear, RU0)), ra.mat_vec(coord_map, g.translation))
         for g in grp.generators
     ]
     D = ra.mat_mul(C, Y)

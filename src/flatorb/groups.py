@@ -114,9 +114,9 @@ class AffineElement:
         return AffineElement(_int_mul(self.linear, other.linear), v)
 
     def inverse(self) -> "AffineElement":
-        Ainv = ra.inverse(self.linear)
-        v = ra.vec_scale(-1, ra.mat_vec(Ainv, list(self.translation)))
-        return AffineElement(_freeze_int_mat(Ainv), tuple(v))
+        Ainv = ra.unimodular_inverse(self.linear)
+        v = tuple(-x for x in ra.mat_vec(Ainv, self.translation))
+        return AffineElement(tuple(map(tuple, Ainv)), v)
 
     def apply(self, point) -> list[Fraction]:
         return ra.vec_add(ra.mat_vec(self.linear, ra.vec(point)), list(self.translation))
@@ -409,7 +409,7 @@ def group_to_dict(group: CrystalGroup) -> dict:
 def group_from_dict(d: dict) -> CrystalGroup:
     try:
         n = d["dimension"]
-        if not isinstance(n, int) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise ValueError(f"dimension {n!r} is not a positive integer")
         gram = d.get("gram")
         gens = [(g["linear"], g["translation"]) for g in d.get("generators", [])]

@@ -2,13 +2,14 @@
 
 Matrices are lists (or tuples) of rows and vectors are lists.  Integer
 matrices stay in Python integers: products, ``char_poly``,
-``matrix_order`` and ``hnf`` never leave them, and the last three reject a
-non-integral entry.  Elimination divides, so ``rref``, ``det`` and
-everything built on them (``rank``, ``kernel``, ``solve``, ``inverse``)
-read their input through ``mat`` and return ``Fraction`` entries, whether
-they were given ints or Fractions.  Sizes stay tiny (n <= 8 in practice),
-so the routines favour clarity and exactness over asymptotics.  Integers
-are arbitrary precision by construction; overflow cannot occur.
+``matrix_order``, ``hnf`` and ``unimodular_inverse`` never leave them, and
+the last four reject a non-integral entry.  Elimination divides, so
+``rref``, ``det`` and everything built on them (``rank``, ``kernel``,
+``solve``, ``inverse``) read their input through ``mat`` and return
+``Fraction`` entries, whether they were given ints or Fractions.  Sizes
+stay tiny (n <= 8 in practice), so the routines favour clarity and
+exactness over asymptotics.  Integers are arbitrary precision by
+construction; overflow cannot occur.
 """
 
 from __future__ import annotations
@@ -73,11 +74,6 @@ def vec_add(u: Vec, v: Vec) -> Vec:
 
 def vec_sub(u: Vec, v: Vec) -> Vec:
     return [a - b for a, b in zip(u, v)]
-
-
-def vec_scale(c, v: Vec) -> Vec:
-    c = frac(c)
-    return [c * x for x in v]
 
 
 def mat_eq(A: Mat, B: Mat) -> bool:
@@ -260,6 +256,18 @@ def hnf(M) -> tuple[list[list[int]], list[list[int]]]:
     return H, U
 
 
+def unimodular_inverse(M) -> list[list[int]]:
+    """Inverse of a square integer matrix of determinant +-1, in integers.
+
+    The Hermite form of a unimodular matrix is I, so its transform U, with
+    U M = I, is the inverse; ValueError for any other matrix.
+    """
+    H, U = hnf(M)
+    if H != [[int(i == j) for j in range(len(M))] for i in range(len(M))]:
+        raise ValueError("matrix is not unimodular")
+    return U
+
+
 def _common_denominator(rows) -> int:
     return lcm(*(frac(x).denominator for row in rows for x in row))
 
@@ -291,8 +299,8 @@ def quotient_map(W: list[Vec], n: int) -> tuple[list[list[int]], list[list[int]]
     Wt = [[int(frac(w[j]) * d) for w in W] for j in range(n)]
     H, U = hnf(Wt)
     rows = [i for i in range(n) if not any(H[i])]
-    Uinv = inverse(U)
-    return [U[i] for i in rows], [[int(Uinv[r][i]) for i in rows] for r in range(n)]
+    Uinv = unimodular_inverse(U)
+    return [U[i] for i in rows], [[Uinv[r][i] for i in rows] for r in range(n)]
 
 
 def char_poly(M) -> list[int]:

@@ -30,9 +30,10 @@ Floats only give gram-orthonormal bases to subspaces whose dimensions are
 already known exactly.  A component with k > 1 is split by the eigenspaces
 of a self-adjoint central element whose minimal polynomial on V is checked
 exactly to have degree k.  The summed factor dimensions are checked
-against the dimension of the invariant symmetric forms, computed
-independently as an exact kernel over a generating set.  Nothing is drawn
-at random, so the same group always gives the same report.
+against the dimension of the invariant symmetric forms, read off
+independently over a generating set from the rank of an integer system by
+HNF.  Nothing is drawn at random, so the same group always gives the same
+report.
 """
 
 from __future__ import annotations
@@ -91,11 +92,14 @@ class IsotypicReport:
         return f"components: {parts}; dim {self.total_dim}"
 
 
-# -- exact invariant forms -------------------------------------------------
+# -- invariant forms in integers ---------------------------------------------
 
 
-def invariant_forms_basis(elements, n: int) -> list[ra.Mat]:
-    """Exact basis of symmetric S with A^T S A = S for every element."""
+def invariant_form_dim(elements, n: int) -> int:
+    """Dimension of the symmetric S with A^T S A = S for every element.
+
+    That is n(n+1)/2 minus the rank of the integer system in S_ij, i <= j, by HNF.
+    """
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     index = {p: k for k, p in enumerate(pairs)}
     rows: list[list[int]] = []
@@ -109,19 +113,8 @@ def invariant_forms_basis(elements, n: int) -> list[ra.Mat]:
                     row[index[key]] += A[k][i] * A[l][j]
             row[index[(i, j)]] -= 1
             rows.append(row)
-    ker = ra.kernel(rows) if rows else [e for e in ra.identity(len(pairs))]
-    out = []
-    for v in ker:
-        S = ra.zeros(n, n)
-        for (i, j), k in index.items():
-            S[i][j] = v[k]
-            S[j][i] = v[k]
-        out.append(S)
-    return out
-
-
-def invariant_form_dim(elements, n: int) -> int:
-    return len(invariant_forms_basis(elements, n))
+    H, _ = ra.hnf(rows)
+    return len(pairs) - sum(1 for h in H if any(h))
 
 
 # -- conjugacy classes ---------------------------------------------------------
@@ -348,8 +341,8 @@ def isotypic_decompose(elements, gram) -> IsotypicReport:
 
     ``elements`` is the complete list of point-group matrices (integer
     entries) preserving ``gram``.  The summed factor dimensions are checked
-    against the invariant-form dimension computed as an exact kernel over a
-    generating set.
+    against the invariant-form dimension, read off over a generating set
+    from the rank of an integer system by HNF.
     """
     elements = list(elements)
     n = len(gram)
@@ -361,7 +354,7 @@ def isotypic_decompose(elements, gram) -> IsotypicReport:
     exact = invariant_form_dim([elements[g] for g in cl.generators], n)
     if total != exact:
         raise FlatOrbError(
-            f"character sums give {total} invariant forms, the exact kernel {exact}"
+            f"character sums give {total} invariant forms, the integer system {exact}"
         )
     return IsotypicReport(
         n=n, components=tuple(comps), total_dim=total, invariant_form_dim=exact

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from flatorb import groups
-from flatorb.cli import main
+from flatorb.cli import build_parser, main
 from flatorb.groups import dump_group
 from flatorb.catalog import catalog_get
 
@@ -101,6 +101,7 @@ BAD_GROUP_FILES = {
     "indefinite-gram": '{"dimension": 2, "gram": [[1, 0], [0, -1]], "generators": []}',
     "wrong-dimension": '{"dimension": 2, "generators": [{"linear": [[1, 0, 0], [0, -1, 0], [0, 0, 1]], "translation": ["1/2", 0, 0]}]}',
     "shear-on-hexagonal-gram": '{"dimension": 2, "gram": [[1, "1/2"], ["1/2", 1]], "generators": [{"linear": [[1, 1], [0, 1]], "translation": [0, 0]}]}',
+    "boolean-dimension": '{"dimension": true, "generators": []}',
 }
 
 
@@ -351,3 +352,11 @@ def test_script_into_a_closed_pipe_is_not_a_traceback(script, args, tmp_path):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == ""
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    assert build_parser() is build_parser()
+    first = run(capsys, "analyze", "--catalog", "G3", "--json")
+    assert run(capsys, "collapse", "--catalog", "G3", "--subspace", "1,0,0")[0] == 0
+    second = run(capsys, "analyze", "--catalog", "G3", "--json")
+    assert first[0] == 0 and first == second

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -489,3 +491,32 @@ def test_acts_by_on_generators_matches_all_holonomy_elements():
                 assert _acts_by(grp, piece, scalars) == brute, (grp.name, piece, scalars)
                 outcomes.add(brute)
     assert outcomes == {True, False}
+
+
+# sha256 of every collapse quotient (generators, Gram form) and coordinate
+# map over the ten flat 3-manifolds' invariant directions, each quotient's
+# own directions collapsed once more; the value the Fraction-matrix
+# construction of the quotient gave
+QUOTIENT_PIN_SHA256 = "40c0c7c7361d0920e959d29fda1f7eb05611a8f083fd203415019d68f0d00e33"
+
+
+def test_collapse_quotients_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for grp in three_manifold_groups():
+        for _, basis in invariant_directions(grp):
+            res = collapse(grp, basis)
+            results = [res]
+            if res.quotient.n >= 1:
+                results += [collapse(res.quotient, b) for _, b in invariant_directions(res.quotient)]
+            for r in results:
+                doc = {
+                    "quotient": group_to_dict(r.quotient),
+                    "coord_map": [[ra.fraction_str(x) for x in row] for row in r.coord_map],
+                }
+                digest.update(json.dumps(doc, sort_keys=True).encode())
+                count += 1
+                if "basis_change" not in r.quotient.notes:
+                    assert all(x.denominator == 1 for row in r.coord_map for x in row)
+    assert count == 735
+    assert digest.hexdigest() == QUOTIENT_PIN_SHA256

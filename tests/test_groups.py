@@ -38,6 +38,8 @@ def test_inverse_law():
     g = AffineElement.of([[0, -1], [1, 0]], ["1/3", "1/4"])
     assert g * g.inverse() == AffineElement.identity(2)
     assert g.inverse() * g == AffineElement.identity(2)
+    with pytest.raises(ValueError):
+        AffineElement.of([[2, 0], [0, 1]], [0, 0]).inverse()
 
 
 def test_glide_squares_to_unit_translation():

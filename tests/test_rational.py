@@ -205,3 +205,67 @@ def test_primitive_scales_to_a_primitive_integer_vector():
 def test_primitive_rejects_a_zero_vector(v):
     with pytest.raises(ValueError):
         ra.primitive(v)
+
+
+def _elementary_product(n, ops):
+    """A product of elementary integer matrices: row adds, swaps and sign flips."""
+    M = _int_identity(n)
+    for kind, i, j, c in ops:
+        i, j = i % n, j % n
+        if kind == 0 and i != j:
+            M[i] = [a + c * b for a, b in zip(M[i], M[j])]
+        elif kind == 1:
+            M[i], M[j] = M[j], M[i]
+        else:
+            M[i] = [-a for a in M[i]]
+    return M
+
+
+elementary_ops = st.lists(
+    st.tuples(st.integers(0, 2), st.integers(0, 4), st.integers(0, 4), st.integers(-3, 3)), max_size=12
+)
+
+
+@given(st.integers(1, 5), elementary_ops)
+@settings(max_examples=150, deadline=None)
+def test_unimodular_inverse_of_a_product_of_elementary_matrices(n, ops):
+    M = _elementary_product(n, ops)
+    inv = ra.unimodular_inverse(M)
+    assert all(type(x) is int for row in inv for x in row)
+    assert ra.mat_mul(inv, M) == _int_identity(n)
+    assert ra.mat_mul(M, inv) == _int_identity(n)
+
+
+@given(st.integers(2, 5), elementary_ops, st.integers(0, 4))
+@settings(max_examples=100, deadline=None)
+def test_unimodular_inverse_rejects_determinants_zero_and_two(n, ops, row):
+    M = _elementary_product(n, ops)
+    row %= n
+    doubled = [[2 * x for x in r] if i == row else r for i, r in enumerate(M)]
+    repeated = [M[(row + 1) % n] if i == row else r for i, r in enumerate(M)]
+    assert abs(ra.det(doubled)) == 2 and ra.det(repeated) == 0
+    for bad in (doubled, repeated):
+        with pytest.raises(ValueError):
+            ra.unimodular_inverse(bad)
+
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(st.just(n), st.lists(st.lists(rationals, min_size=n, max_size=n), max_size=n))
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_quotient_map_on_random_rational_subspaces(case):
+    n, W = case
+    A, R = ra.quotient_map(W, n)
+    m = n - (ra.rank(W) if W else 0)
+    assert len(A) == m and all(len(row) == n for row in A)
+    assert len(R) == n and all(len(row) == m for row in R)
+    assert all(type(x) is int for M in (A, R) for row in M for x in row)
+    for w in W:
+        assert [sum(a * x for a, x in zip(row, w)) for row in A] == [0] * m
+    if m:
+        assert ra.mat_mul(A, R) == _int_identity(m)

@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
 
 import numpy as np
 
 from flatorb import rational as ra
+from flatorb.catalog import catalog_get, catalog_list
 from flatorb.groups import CrystalGroup
 from flatorb.reps import (
+    _conjugacy_classes,
     invariant_form_dim,
     isotypic_decompose,
     teich_report,
@@ -35,6 +38,31 @@ def test_invariant_forms_klein_bottle():
 def test_invariant_forms_kummer():
     neg = [[-1 if i == j else 0 for j in range(4)] for i in range(4)]
     assert invariant_form_dim([ra.identity(4), neg], 4) == 10
+
+
+def _kernel_form_dim(elements, n):
+    """Reference: dim ker of S -> A^T S A - S on symmetric S, by Fraction elimination."""
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    basis = []
+    for i, j in pairs:
+        E = ra.zeros(n, n)
+        E[i][j] = E[j][i] = Fraction(1)
+        basis.append(E)
+    rows = []
+    for A in elements:
+        images = [ra.mat_mul(ra.transpose(A), ra.mat_mul(E, A)) for E in basis]
+        for i, j in pairs:
+            rows.append([image[i][j] - E[i][j] for image, E in zip(images, basis)])
+    return len(ra.kernel(rows)) if rows else len(pairs)
+
+
+def test_invariant_form_dim_matches_the_fraction_kernel_on_every_catalog_holonomy():
+    for key in catalog_list():
+        grp = catalog_get(key).group
+        elements = grp.holonomy().elements
+        generators = [elements[g] for g in _conjugacy_classes(elements).generators]
+        for subset in (generators, elements):
+            assert invariant_form_dim(subset, grp.n) == _kernel_form_dim(subset, grp.n), key
 
 
 def test_decompose_klein_bottle():
