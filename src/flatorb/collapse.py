@@ -166,7 +166,7 @@ class CollapseResult:
     label: OrbifoldLabel
     log: tuple[str, ...]
     subspace: tuple[tuple[Fraction, ...], ...]
-    coord_map: tuple[tuple[int | Fraction, ...], ...]  # old lattice coords -> quotient coords
+    coord_map: IntMat  # old lattice coords -> quotient coords
 
     @property
     def collapsed_dim(self) -> int:
@@ -192,8 +192,7 @@ def collapse(group: CrystalGroup, subspace, *, closure: bool = True) -> Collapse
     G = grp.gram
     m = n - k
     if m == 0:
-        quotient = CrystalGroup.make(0, [], gram=[], name=(grp.name or "") + "/collapse")
-        quotient.normalized = True
+        quotient = CrystalGroup.make(0, [], gram=[], name=(grp.name or "") + "/collapse").normalize()
         return CollapseResult(
             quotient, POINT_LABEL, tuple(log + ["everything collapsed: limit is a point"]),
             tuple(tuple(v) for v in W), tuple(),
@@ -229,17 +228,17 @@ def collapse(group: CrystalGroup, subspace, *, closure: bool = True) -> Collapse
     log.append(f"quotient is {m}-dimensional with holonomy order {quotient.holonomy().order}")
     log.append(f"classified as {label.orbifold_name}")
 
-    # normalize() may refine the quotient lattice once more; fold that
-    # basis change into the coordinate map so push_forward stays exact
+    # normalize() may refine the quotient lattice once more; its basis
+    # change B contains Z^m, so B^-1 is integral and folds into the map
     bc = quotient.notes.get("basis_change")
     if bc is not None:
-        coord_map = ra.mat_mul(ra.inverse(bc), coord_map)
+        coord_map = _int_mul(ra._int_rows(ra.inverse(bc)), coord_map)
     return CollapseResult(
         quotient,
         label,
         tuple(log),
         tuple(tuple(v) for v in W),
-        tuple(tuple(row) for row in coord_map),
+        coord_map,
     )
 
 

@@ -5,8 +5,17 @@ translation lattice Z^n, together with a rational Gram form encoding the
 flat metric.  ``normalize`` absorbs any hidden pure translations the
 generators produce, refines the lattice so translations are exactly Z^n,
 and rewrites everything in the new basis.  All group arithmetic is exact:
-linear parts compose in Python integers, and one coset closure serves
-both ``normalize`` and ``holonomy``.
+linear parts compose in Python integers, and the normalized group keeps
+the holonomy its last coset closure built.
+
+One closure finds every hidden translation (Schreier's lemma): with a
+coset representative r_A for each linear part A, the translation
+subgroup T of the group generated by the generators and Z^n is generated
+by Z^n and the elements r_A g r_{Ag}^-1 over all cosets A and generators
+g.  T is normal, so every linear part maps T onto itself; with B a basis
+of T, each B^-1 A B is an integer matrix, and since Z^n lies in T so is
+B^-1.  The lattice is therefore refined once, in integers, and a second
+closure over the rewritten generators is the holonomy.
 
 Conventions:
   * an element (A, v) acts by x -> A x + v, composition
@@ -100,9 +109,6 @@ class AffineElement:
     def dim(self) -> int:
         return len(self.translation)
 
-    def is_translation(self) -> bool:
-        return self.linear == _int_identity(self.dim)
-
     def __mul__(self, other: "AffineElement") -> "AffineElement":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch in composition")
@@ -153,46 +159,41 @@ class HolonomyData:
 
 
 def _coset_closure(
-    n: int, generators: tuple[AffineElement, ...], basis: ra.Mat | None
-) -> tuple[dict[IntMat, FracVec] | None, ra.Vec | None]:
-    """Close the generator cosets modulo the lattice spanned by ``basis``.
+    n: int, generators: tuple[AffineElement, ...]
+) -> tuple[dict[IntMat, FracVec], list[FracVec]]:
+    """Close the generator cosets modulo Z^n.
 
-    ``basis`` holds the lattice basis as columns; ``None`` stands for Z^n.
-    Each coset translation is reduced into the half-open cell of the basis.
-    Returns ``(table, None)``, the reduced translation v_A of every linear
-    part A, or ``(None, t)`` with ``t`` the first pure translation found
-    outside the lattice: two cosets with one linear part differ by one.
+    Returns ``(table, translations)``: ``table`` maps each linear part A to
+    a coset translation r_A reduced into [0,1)^n, and ``translations``
+    lists every distinct nonzero r_A g r_{Ag}^-1 mod Z^n met on the way,
+    the pure translations by which two cosets with one linear part differ.
+    Every pair (A, g) is visited once, so by Schreier's lemma Z^n and
+    ``translations`` generate the whole translation subgroup; when
+    ``translations`` is empty, Z^n is the translation lattice and
+    ``table`` is the holonomy.
 
     Right multiplication by the generators alone reaches every coset: a
     validated generator g preserves a positive definite form, so it has
     finite order k, g^-1 = g^(k-1), and g^k arrives as a pure translation
     that is checked against the identity coset like any other.
     """
-    if basis is None:
-        reduce = _frac_part
-    else:
-        basis_inv = ra.inverse(basis)
-
-        def reduce(v):
-            coords = ra.mat_vec(basis_inv, list(v))
-            return tuple(ra.mat_vec(basis, [c - math.floor(c) for c in coords]))
-
     table: dict[IntMat, FracVec] = {_int_identity(n): (Fraction(0),) * n}
+    translations: dict[FracVec, None] = {}
     queue = list(generators)
     while queue:
         g = queue.pop()
-        v = reduce(g.translation)
+        v = _frac_part(g.translation)
         seen = table.get(g.linear)
         if seen is not None:
             if seen != v:
-                return None, ra.vec_sub(list(v), list(seen))
+                translations[_frac_part(tuple(a - b for a, b in zip(v, seen)))] = None
             continue
         table[g.linear] = v
         if len(table) > POINT_GROUP_CAP:
             raise CapExceededError(f"point group has more than {POINT_GROUP_CAP} elements")
         coset = AffineElement(g.linear, v)
         queue.extend(coset * h for h in generators)
-    return table, None
+    return table, list(translations)
 
 
 def _fixed_point(A: IntMat, v) -> tuple[FracVec, FracVec] | None:
@@ -228,7 +229,6 @@ class CrystalGroup:
     generators: tuple[AffineElement, ...]
     gram: tuple[tuple[Fraction, ...], ...]
     name: str | None = None
-    normalized: bool = False
     notes: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -236,15 +236,17 @@ class CrystalGroup:
             g if isinstance(g, AffineElement) else AffineElement.of(*g) for g in self.generators
         )
         self.gram = tuple(tuple(ra.frac(x) for x in row) for row in self.gram)
-        self._holonomy_cache: HolonomyData | None = None
+        self._holonomy: HolonomyData | None = None  # set by normalize()
 
     @staticmethod
     def make(n, generators=(), gram=None, name=None) -> "CrystalGroup":
-        gens = tuple(
-            g if isinstance(g, AffineElement) else AffineElement.of(g[0], g[1]) for g in generators
-        )
-        G = ra.mat(gram) if gram is not None else ra.identity(n)
-        return CrystalGroup(n=n, generators=gens, gram=tuple(tuple(r) for r in G), name=name)
+        gram = ra.identity(n) if gram is None else gram
+        return CrystalGroup(n=n, generators=generators, gram=gram, name=name)
+
+    @property
+    def normalized(self) -> bool:
+        """True for a group ``normalize`` built; only such a group has its holonomy."""
+        return self._holonomy is not None
 
     # -- validation ----------------------------------------------------
 
@@ -279,67 +281,57 @@ class CrystalGroup:
     def normalize(self) -> "CrystalGroup":
         """Absorb hidden pure translations and rescale the lattice to Z^n.
 
-        When the lattice is refined, ``notes["basis_change"]`` holds the new
-        basis as columns in the old coordinates; an unchanged lattice has no
-        such note.
+        One closure lists the translations r_A g r_{Ag}^-1 that generate
+        the translation lattice T together with Z^n.  If there are any, T
+        has the Hermite basis B = H^T / d, H the Hermite form of d Z^n and
+        d times the translations; B^-1 is an integer matrix since Z^n lies
+        in T, and each linear part is rewritten as B^-1 A B = (B^-1 A H^T) / d,
+        integral since T is normal.  The closure of the rewritten
+        generators is the holonomy.
+
+        When the lattice is refined, ``notes["basis_change"]`` holds B, the
+        new basis as columns in the old coordinates; an unchanged lattice
+        has no such note.
         """
         if self.normalized:
             return self
         self.validate()
         n = self.n
         notes = {k: v for k, v in self.notes.items() if k != "basis_change"}
-        basis = None  # columns: current lattice basis in original coords; None is Z^n
-        while True:
-            table, translation = _coset_closure(n, self.generators, basis)
-            if translation is None:
-                break
-            rows = ra.transpose(basis) if basis else ra.identity(n)
-            basis = ra.transpose(ra.lattice_basis(rows + [translation]))
-        if basis is None:
-            # an unchanged lattice keeps the linear parts and the form, and
-            # the closure is already the holonomy
-            holonomy = HolonomyData(n, tuple(sorted(table)), table)
-            rewritten = [AffineElement(g.linear, _frac_part(g.translation)) for g in self.generators]
+        table, translations = _coset_closure(n, self.generators)
+        if not translations:
+            gens = [AffineElement(g.linear, _frac_part(g.translation)) for g in self.generators]
             gram = self.gram
         else:
-            holonomy = None
-            Binv = ra.inverse(basis)
-            rewritten = []
+            d = math.lcm(*(x.denominator for t in translations for x in t))
+            rows = [[d * int(i == j) for j in range(n)] for i in range(n)]
+            H = ra.hnf(rows + [[int(d * x) for x in t] for t in translations])[0][:n]
+            Ht = tuple(zip(*H))  # d B
+            Binv = ra._int_rows([[d * x for x in row] for row in ra.inverse(Ht)])
+            gens = []
             for g in self.generators:
-                A = ra.mat_mul(Binv, ra.mat_mul(g.linear, basis))
-                v = ra.mat_vec(Binv, list(g.translation))
-                if any(x.denominator != 1 for row in A for x in row):
+                M = _int_mul(_int_mul(Binv, g.linear), Ht)
+                if any(x % d for row in M for x in row):
                     raise NotCrystallographicError("refined lattice is not invariant under a generator")
-                rewritten.append(AffineElement.of(A, _frac_part(tuple(v))))
-            gram = ra.mat_mul(ra.transpose(basis), ra.mat_mul(self.gram, basis))
-            notes["basis_change"] = [[ra.fraction_str(x) for x in row] for row in basis]
+                v = tuple(sum(b * x for b, x in zip(row, g.translation)) for row in Binv)
+                gens.append(AffineElement(tuple(tuple(x // d for x in row) for row in M), _frac_part(v)))
+            gram = [[x / d**2 for x in row] for row in ra.mat_mul(H, ra.mat_mul(self.gram, Ht))]
+            notes["basis_change"] = [[ra.fraction_str(Fraction(x, d)) for x in row] for row in Ht]
+            table, translations = _coset_closure(n, tuple(gens))
+            if translations:
+                raise NotCrystallographicError("refined lattice misses a translation of the group")
         # drop the identity and repeats, keeping the first of each
-        gens = dict.fromkeys(g for g in rewritten if not (g.is_translation() and not any(g.translation)))
-        out = CrystalGroup(
-            n=n,
-            generators=tuple(gens),
-            gram=tuple(tuple(r) for r in gram),
-            name=self.name,
-            normalized=True,
-            notes=notes,
-        )
-        if holonomy is None:
-            out.validate()  # every matrix was rewritten in the refined basis
-        out._holonomy_cache = holonomy
+        gens = tuple(g for g in dict.fromkeys(gens) if g != AffineElement.identity(n))
+        out = CrystalGroup(n=n, generators=gens, gram=gram, name=self.name, notes=notes)
+        out._holonomy = HolonomyData(n, tuple(sorted(table)), table)
         return out
 
     # -- holonomy ------------------------------------------------------
 
     def holonomy(self) -> HolonomyData:
-        if not self.normalized:
+        if self._holonomy is None:
             raise GroupNotNormalizedError("call normalize() before holonomy()")
-        if self._holonomy_cache is not None:
-            return self._holonomy_cache
-        table, _ = _coset_closure(self.n, self.generators, None)
-        if table is None:
-            raise GroupNotNormalizedError("pure fractional translation found; group is not normalized")
-        self._holonomy_cache = HolonomyData(self.n, tuple(sorted(table)), table)
-        return self._holonomy_cache
+        return self._holonomy
 
     # -- invariants ----------------------------------------------------
 

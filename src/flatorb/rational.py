@@ -272,20 +272,6 @@ def _common_denominator(rows) -> int:
     return lcm(*(frac(x).denominator for row in rows for x in row))
 
 
-def lattice_basis(generators: list[Vec]) -> list[Vec]:
-    """Basis of the abelian group generated by rational vectors.
-
-    Returns the nonzero rows of the scaled Hermite form, as rational vectors.
-    """
-    gens = [vec(g) for g in generators]
-    if not gens:
-        return []
-    d = _common_denominator(gens)
-    scaled = [[int(x * d) for x in g] for g in gens]
-    H, _ = hnf(scaled)
-    return [[Fraction(x, d) for x in row] for row in H if any(row)]
-
-
 def quotient_map(W: list[Vec], n: int) -> tuple[list[list[int]], list[list[int]]]:
     """Integer quotient map of R^n onto R^n / span(W), with a right inverse.
 

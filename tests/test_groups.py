@@ -124,6 +124,68 @@ def test_basis_change_is_noted_only_when_the_lattice_is_refined():
     assert grp.holonomy().order == 3
 
 
+def test_one_closure_finds_every_hidden_translation(monkeypatch):
+    # (1/2, 0) alone spans no swap-invariant lattice; the closure also
+    # returns its image (0, 1/2), so one refinement reaches the lattice
+    swap, half = ([[0, 1], [1, 0]], [0, 0]), ([[1, 0], [0, 1]], ["1/2", 0])
+    grp = CrystalGroup.make(2, [swap, half])
+    _, translations = groups._coset_closure(2, grp.generators)
+    assert sorted(translations) == [(0, Fraction(1, 2)), (Fraction(1, 2), 0)]
+    calls = []
+    closure = groups._coset_closure
+    monkeypatch.setattr(groups, "_coset_closure", lambda *a: calls.append(a) or closure(*a))
+    normal = grp.normalize()
+    assert ra.mat(normal.notes["basis_change"]) == [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
+    assert normal.holonomy().order == 2
+    assert len(calls) == 2
+    calls.clear()
+    k7 = catalog_get("K7").group
+    assert "basis_change" in k7.notes
+    k7.holonomy()
+    assert len(calls) == 2
+
+
+def _hidden_translation_presentation(grp, rng):
+    """grp over a provisional lattice k times its own, in a random basis.
+
+    The lattice's own vectors then have coordinates in Z^n / k; besides
+    the rescaled generators the presentation lists 1-2 random pure
+    translations t / k and a random subset of the e_i / k, all returned.
+    """
+    n = grp.n
+    k = rng.choice([2, 3, 4, 6])
+    P = _random_unimodular(rng, n)
+    Pinv = ra.inverse(P)
+    gens = []
+    for g in grp.generators:
+        A = ra.mat_mul(Pinv, ra.mat_mul(ra.mat(g.linear), P))
+        gens.append((A, [x / k for x in ra.mat_vec(Pinv, list(g.translation))]))
+    shifts = [[Fraction(rng.randint(-k, k), k) for _ in range(n)] for _ in range(rng.randint(1, 2))]
+    shifts += [[Fraction(int(i == j), k) for j in range(n)] for i in range(n) if rng.random() < 0.5]
+    gens += [(ra.identity(n), t) for t in shifts]
+    rng.shuffle(gens)
+    gram = ra.mat_mul(ra.transpose(P), ra.mat_mul(ra.mat(grp.gram), P))
+    return CrystalGroup.make(n, gens, gram=[[x * k * k for x in row] for row in gram]), shifts
+
+
+@pytest.mark.parametrize(
+    "key", [k for k in sorted(catalog_list()) if catalog_get(k).group.n <= 3]
+)
+def test_normalize_absorbs_hidden_translations(key):
+    entry = catalog_get(key)
+    rng = random.Random(key)
+    for _ in range(2):
+        raw, shifts = _hidden_translation_presentation(entry.group, rng)
+        grp = raw.normalize()
+        hol = grp.holonomy()
+        assert hol.order == entry.expected["holonomy_order"]
+        assert [grp.betti(j) for j in range(grp.n + 1)] == [entry.group.betti(j) for j in range(grp.n + 1)]
+        assert hol.cocycle_defects() == []
+        B = ra.mat(grp.notes.get("basis_change", ra.identity(grp.n)))
+        for t in shifts:
+            assert all(x.denominator == 1 for x in ra.solve(B, t)), (key, t)
+
+
 def test_closure_multiplies_by_the_generators_alone(monkeypatch):
     def inverse(self):
         raise AssertionError("the closure took an inverse")
@@ -253,7 +315,7 @@ def test_betti_rejects_a_sum_no_group_gives():
     grp = CrystalGroup.make(2, []).normalize()
     zero = (Fraction(0), Fraction(0))
     not_a_group = (((1, 0), (0, 1)), ((-1, 0), (0, 1)), ((1, 0), (0, -1)))
-    grp._holonomy_cache = HolonomyData(2, not_a_group, dict.fromkeys(not_a_group, zero))
+    grp._holonomy = HolonomyData(2, not_a_group, dict.fromkeys(not_a_group, zero))
     with pytest.raises(FlatOrbError, match="not divisible"):
         grp.betti(1)
 
