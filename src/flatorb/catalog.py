@@ -12,6 +12,8 @@ re-check refuse to load.
 
 from __future__ import annotations
 
+import copy
+import functools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,7 +39,9 @@ class CatalogEntry:
     aliases: tuple[str, ...] = field(default=())
 
 
+@functools.cache
 def _index() -> dict:
+    # parsed once per process; catalog_get copies what it hands out
     with open(DATA_DIR / "index.json", "r", encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -80,8 +84,8 @@ def catalog_get(key: str) -> CatalogEntry:
     return CatalogEntry(
         key=canonical,
         group=group,
-        expected=meta.get("expected", {}),
-        provenance=meta.get("provenance", {}),
+        expected=copy.deepcopy(meta.get("expected", {})),
+        provenance=copy.deepcopy(meta.get("provenance", {})),
         notes=tuple(meta.get("notes", [])),
         aliases=tuple(meta.get("aliases", [])),
     )

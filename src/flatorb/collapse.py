@@ -14,12 +14,14 @@ invariant to the smallest subspace that is both: the span of the images
 A v, over the whole point group, of the exact vectors and of the rational
 span of the float vectors (``lattices.rational_span``).  The vectors are
 scaled to primitive integer vectors first, so the images are integer
-vectors; they are echeloned by ``rational.hnf`` and only the nonzero
-Hermite rows are reduced to the returned rref basis.  ``is_invariant``
-tests a span against the generators' linear parts alone, in integers:
-invariance under the generators is invariance under the group.
+vectors; they are echeloned by ``rational.hnf``.  ``collapse`` takes the
+nonzero Hermite rows as they are, and only ``rational_closure`` reduces
+them to an rref basis.  ``is_invariant`` tests a span against the
+generators' linear parts alone, in integers: invariance under the
+generators is invariance under the group.
 ``rational_isotypic_components`` and ``invariant_directions`` read the
-exact class-sum decomposition in ``reps.rational_components``.
+exact class-sum decomposition in ``reps.rational_components``; the planes
+of ``invariant_directions`` are keyed by their primitive Plücker vectors.
 
 ``product_resolution`` builds the block-diagonal flat manifold that
 resolves an orbifold against a torsion-free partner with isomorphic
@@ -87,38 +89,10 @@ def _span_basis(vectors) -> list[list[Fraction]]:
     return R[: len(pivots)]
 
 
-def _saturate(group: CrystalGroup, basis: list[list[Fraction]]) -> list[list[Fraction]]:
-    # the images A v over the whole finite point group already span an
-    # invariant subspace, since B (A v) = (B A) v; for primitive integer v
-    # they are integer vectors, echeloned by HNF, and only the nonzero
-    # Hermite rows go through rref
-    rows = [ra.primitive(v) for v in basis]
-    images = dict.fromkeys(
-        tuple(sum(a * x for a, x in zip(r, v)) for r in A) for A in group.holonomy().elements for v in rows
-    )
-    H, _ = ra.hnf(list(images))
-    return _span_basis([h for h in H if any(h)])
-
-
-def is_invariant(group: CrystalGroup, basis: list[list[Fraction]]) -> bool:
-    """True when span(basis) is invariant under the point group.
-
-    The linear parts of the generators generate the point group, so it
-    suffices that each of them maps the span into itself: in integers,
-    every image A v of a Hermite row v of the span reduces to zero against
-    the Hermite rows, taken in pivot order.
-    """
-    H, _ = ra.hnf([ra.primitive(v) for v in basis])
-    echelon = [(u, next(j for j, x in enumerate(u) if x)) for u in H if any(u)]
-    for g in group.generators:
-        for v, _ in echelon:
-            w = [sum(a * x for a, x in zip(r, v)) for r in g.linear]
-            for u, p in echelon:
-                if w[p]:
-                    w = [u[p] * x - w[p] * y for x, y in zip(w, u)]
-            if any(w):
-                return False
-    return True
+def _hermite_rows(vectors) -> list[list[int]]:
+    """Nonzero Hermite rows of the primitive rows: an integer basis of the span."""
+    H, _ = ra.hnf([ra.primitive(v) for v in vectors])
+    return [h for h in H if any(h)]
 
 
 def _check_vectors(n: int, vectors) -> None:
@@ -133,6 +107,43 @@ def _check_vectors(n: int, vectors) -> None:
             raise InvalidSubspaceError("zero vector in subspace")
 
 
+def _saturate(group: CrystalGroup, vectors) -> list[list[int]]:
+    """``rational_closure`` of the vectors as Hermite rows; ``group`` is normalized."""
+    _check_vectors(group.n, vectors)
+    exact, floats = [], []
+    for v in vectors:
+        (exact if all(isinstance(x, (int, Fraction, str)) for x in v) else floats).append(v)
+    if floats:
+        exact.extend(rational_span(np.array(floats, dtype=float).T))
+    # the images A v over the whole finite point group already span an
+    # invariant subspace, since B (A v) = (B A) v
+    rows = _hermite_rows(exact)
+    images = dict.fromkeys(
+        tuple(sum(a * x for a, x in zip(r, v)) for r in A) for A in group.holonomy().elements for v in rows
+    )
+    return _hermite_rows(images)
+
+
+def is_invariant(group: CrystalGroup, basis) -> bool:
+    """True when span(basis) is invariant under the point group.
+
+    The linear parts of the generators generate the point group, so it
+    suffices that each of them maps the span into itself: in integers,
+    every image A v of a Hermite row v of the span reduces to zero against
+    the Hermite rows, taken in pivot order.
+    """
+    echelon = [(u, next(j for j, x in enumerate(u) if x)) for u in _hermite_rows(basis)]
+    for g in group.generators:
+        for v, _ in echelon:
+            w = [sum(a * x for a, x in zip(r, v)) for r in g.linear]
+            for u, p in echelon:
+                if w[p]:
+                    w = [u[p] * x - w[p] * y for x, y in zip(w, u)]
+            if any(w):
+                return False
+    return True
+
+
 def rational_closure(group: CrystalGroup, vectors) -> list[list[Fraction]]:
     """Smallest holonomy-invariant rational subspace containing the input.
 
@@ -140,21 +151,11 @@ def rational_closure(group: CrystalGroup, vectors) -> list[list[Fraction]]:
     they are; float vectors contribute their rational span R(floats)
     (``lattices.rational_span``), so an irrational line closes to the
     rational subspace it spans and not to whole isotypic components.  The
-    result is the saturation of both under the point group.  Raises
-    FlatOrbError when double precision cannot decide the span.
+    result is the saturation of both under the point group, as its reduced
+    row echelon basis.  Raises FlatOrbError when double precision cannot
+    decide the span.
     """
-    grp = group.normalize()
-    _check_vectors(grp.n, vectors)
-    exact: list[list[Fraction]] = []
-    floats: list[list[float]] = []
-    for v in vectors:
-        if all(isinstance(x, (int, Fraction, str)) for x in v):
-            exact.append(ra.vec(v))
-        else:
-            floats.append([float(x) for x in v])
-    if floats:
-        exact.extend(rational_span(np.array(floats).T))
-    return _saturate(grp, exact)
+    return _span_basis(_saturate(group.normalize(), vectors))
 
 
 # -- collapse ---------------------------------------------------------------
@@ -165,7 +166,7 @@ class CollapseResult:
     quotient: CrystalGroup
     label: OrbifoldLabel
     log: tuple[str, ...]
-    subspace: tuple[tuple[Fraction, ...], ...]
+    subspace: tuple[tuple[int, ...], ...]  # Hermite rows of the collapsed subspace
     coord_map: IntMat  # old lattice coords -> quotient coords
 
     @property
@@ -181,10 +182,10 @@ def collapse(group: CrystalGroup, subspace, *, closure: bool = True) -> Collapse
     grp = group.normalize()
     n = grp.n
     if closure:
-        W = rational_closure(grp, subspace)
+        W = _saturate(grp, subspace)
     else:
         _check_vectors(n, subspace)
-        W = _span_basis(subspace)
+        W = _hermite_rows(subspace)
         if not is_invariant(grp, W):
             raise NotInvariantError("subspace is not invariant under the holonomy action")
     k = len(W)
@@ -193,13 +194,11 @@ def collapse(group: CrystalGroup, subspace, *, closure: bool = True) -> Collapse
     m = n - k
     if m == 0:
         quotient = CrystalGroup.make(0, [], gram=[], name=(grp.name or "") + "/collapse").normalize()
-        return CollapseResult(
-            quotient, POINT_LABEL, tuple(log + ["everything collapsed: limit is a point"]),
-            tuple(tuple(v) for v in W), tuple(),
-        )
+        log.append("everything collapsed: limit is a point")
+        return CollapseResult(quotient, POINT_LABEL, tuple(log), tuple(map(tuple, W)), tuple())
 
     # complement: kernel of W^T G, columns C
-    WtG = [ra.mat_vec(G, list(w)) for w in W]
+    WtG = [ra.mat_vec(G, w) for w in W]
     C = ra.transpose(ra.kernel(WtG))
     log.append(f"orthogonal complement has dimension {m}")
 
@@ -233,13 +232,7 @@ def collapse(group: CrystalGroup, subspace, *, closure: bool = True) -> Collapse
     bc = quotient.notes.get("basis_change")
     if bc is not None:
         coord_map = _int_mul(ra._int_rows(ra.inverse(bc)), coord_map)
-    return CollapseResult(
-        quotient,
-        label,
-        tuple(log),
-        tuple(tuple(v) for v in W),
-        coord_map,
-    )
+    return CollapseResult(quotient, label, tuple(log), tuple(map(tuple, W)), coord_map)
 
 
 # -- product resolution ------------------------------------------------------
@@ -418,18 +411,27 @@ def _sublattice_basis(piece) -> list[list[int]]:
     return ra.quotient_map(ra.kernel(piece), len(piece[0]))[0]
 
 
+def _plucker(u, v) -> tuple[int, ...]:
+    """Primitive Plücker vector (2 x 2 minors) of span(u, v): one key per plane."""
+    n = len(u)
+    return tuple(ra.primitive([u[i] * v[j] - u[j] * v[i] for i in range(n) for j in range(i + 1, n)]))
+
+
 def invariant_directions(group: CrystalGroup, slope_bound: int = SLOPE_BOUND):
     """Named invariant rational subspaces to sweep for a collapse survey."""
     grp = group.normalize()
     comps = rational_isotypic_components(grp)
-    # (name, basis, rref of the span): each span is reduced once, and the
-    # components come reduced
-    directions = [(f"W{idx}", piece, piece) for idx, piece in enumerate(comps, start=1)]
-    # rational lines inside scalar components of dimension >= 2
+    directions = [(f"W{idx}", piece) for idx, piece in enumerate(comps, start=1)]
+    # units (name, integer vector, invariant?): the 1-dimensional components,
+    # then rational lines inside the components of dimension >= 2
+    units = [(f"W{idx}", ra.primitive(piece[0]), True) for idx, piece in enumerate(comps, start=1) if len(piece) == 1]
     lines = []
     for idx, piece in enumerate(comps, start=1):
-        if len(piece) >= 2 and _acts_by(grp, piece, (1, -1)):
-            lat = _sublattice_basis(piece)
+        if len(piece) < 2:
+            continue
+        lat = _sublattice_basis(piece)
+        if _acts_by(grp, piece, (1, -1)):
+            # a scalar component: every line in it is invariant
             dim = len(piece)
             bound = slope_bound if dim == 2 else 1
             # each primitive line once: the tuple whose leading entry is
@@ -438,35 +440,27 @@ def invariant_directions(group: CrystalGroup, slope_bound: int = SLOPE_BOUND):
                 canon = [-c for c in coeffs]
                 if not any(coeffs) or ra.primitive(coeffs) != canon:
                     continue
-                vec = [
-                    sum(ra.frac(c) * lat[i][j] for i, c in enumerate(canon))
-                    for j in range(grp.n)
-                ]
+                vec = [sum(c * row[j] for c, row in zip(canon, lat)) for j in range(grp.n)]
                 slope = ":".join(str(c) for c in canon)
-                lines.append((f"W{idx}[{slope}]", [vec], _span_basis([vec])))
-        elif len(piece) >= 2:
-            # non-scalar 2-dimensional components: rational lines close up to
-            # the whole component, but sweep them anyway to observe that
-            lat = _sublattice_basis(piece)
+                lines.append((f"W{idx}[{slope}]", vec, True))
+        else:
+            # a non-scalar component of any dimension >= 2: its rational lines
+            # are not invariant, but the lines of its first two lattice vectors
+            # are swept anyway to observe that
             for p, q in ((1, 0), (0, 1), (1, 1), (1, -1)):
-                vec = [ra.frac(p) * lat[0][j] + ra.frac(q) * lat[1][j] for j in range(grp.n)]
-                lines.append((f"W{idx}[{p}:{q}]", [vec], _span_basis([vec])))
-    # invariant rational planes: sums of invariant pieces of total dimension 2
-    units = [d for d in directions if len(d[2]) == 1] + lines
-    directions.extend(lines)
-    for (na, _, ka), (nb, _, kb) in itertools.combinations(units, 2):
-        span = _span_basis(ka + kb)
-        if len(span) == 2 and is_invariant(grp, span):
-            directions.append((f"{na}+{nb}", span, span))
-    # dedupe by span signature; a full-space component collapses to a point
-    seen_spans = set()
-    out = []
-    for name, basis, span in directions:
-        key = tuple(map(tuple, span))
-        if key not in seen_spans:
-            seen_spans.add(key)
-            out.append((name, basis))
-    return out
+                vec = [p * a + q * b for a, b in zip(lat[0], lat[1])]
+                lines.append((f"W{idx}[{p}:{q}]", vec, False))
+    directions += [(name, [vec]) for name, vec, _ in lines]
+    # planes spanned by two units: invariant when both units are, else
+    # tested; each plane once, keyed by its Plücker vector, and none that
+    # is a 2-dimensional component (listed first)
+    seen = {_plucker(*piece) for piece in comps if len(piece) == 2}
+    for (na, a, inv_a), (nb, b, inv_b) in itertools.combinations(units + lines, 2):
+        key = _plucker(a, b)
+        if key not in seen and (inv_a and inv_b or is_invariant(grp, [a, b])):
+            seen.add(key)
+            directions.append((f"{na}+{nb}", [a, b]))
+    return directions
 
 
 @dataclass

@@ -85,9 +85,11 @@ def primitive(v) -> list[int]:
 
     Its first nonzero entry is positive; ValueError on a zero vector.
     """
-    v = vec(v)
-    d = _common_denominator([v])
-    w = [int(x * d) for x in v]
+    w = list(v)
+    if not all(type(x) is int for x in w):
+        q = vec(w)
+        d = lcm(*(x.denominator for x in q))
+        w = [x.numerator * (d // x.denominator) for x in q]
     g = gcd(*w)
     if g == 0:
         raise ValueError("a zero vector has no primitive multiple")
@@ -268,10 +270,6 @@ def unimodular_inverse(M) -> list[list[int]]:
     return U
 
 
-def _common_denominator(rows) -> int:
-    return lcm(*(frac(x).denominator for row in rows for x in row))
-
-
 def quotient_map(W: list[Vec], n: int) -> tuple[list[list[int]], list[list[int]]]:
     """Integer quotient map of R^n onto R^n / span(W), with a right inverse.
 
@@ -281,7 +279,7 @@ def quotient_map(W: list[Vec], n: int) -> tuple[list[list[int]], list[list[int]]
     the rows of U against zero rows of H form A, and since U is unimodular
     the matching columns of U^-1 form R.  W may be empty (A = R = I).
     """
-    d = _common_denominator(W)
+    d = lcm(*(frac(x).denominator for w in W for x in w))
     Wt = [[int(frac(w[j]) * d) for w in W] for j in range(n)]
     H, U = hnf(Wt)
     rows = [i for i in range(n) if not any(H[i])]

@@ -1,3 +1,5 @@
+import copy
+
 import pytest
 
 from flatorb import catalog
@@ -44,12 +46,24 @@ def test_unknown_key():
     [({"order": 4}, "wrong order"), ({"char_poly": [1, 0, 0, 0, 0, 1]}, "wrong characteristic polynomial")],
 )
 def test_failed_recipe_refuses_to_load(monkeypatch, check, message):
-    idx = catalog._index()
+    # the parsed index is shared by the process; edit a copy
+    idx = copy.deepcopy(catalog._index())
     assert idx["entries"]["K5"]["recipe"] == {"0": {"char_poly": [-1, 0, 0, 0, 0, 1], "order": 5}}
     idx["entries"]["K5"]["recipe"] = {"0": check}
     monkeypatch.setattr(catalog, "_index", lambda: idx)
     with pytest.raises(FlatOrbError, match=f"^catalog verification recipe failed: {message}$"):
         catalog_get("K5")
+
+
+def test_entries_share_no_mutable_dict_with_the_index():
+    entry = catalog_get("G3")
+    entry.expected["collapse"]["W1"] = "changed"
+    entry.expected["holonomy_order"] = 0
+    entry.provenance.clear()
+    again = catalog_get("G3")
+    assert again.expected["collapse"]["W1"] == "S2(3,3,3;)"
+    assert again.expected["holonomy_order"] == 3
+    assert again.provenance == {"expected": "computed", "generators": "reference presentation"}
 
 
 @pytest.mark.parametrize("key", sorted(catalog_list()))

@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -460,6 +462,7 @@ def test_generalized_klein_bottle_collapse():
     assert res.label.orbifold_name in {"S2(3,3,3;)", "circle"}
 
 
+@functools.cache
 def _survey_quotients():
     """The quotients the Theorem C survey queues: iterated collapses, one per holonomy signature."""
     out, seen = [], set()
@@ -473,11 +476,64 @@ def _survey_quotients():
                 seen.add(sig)
                 out.append(q)
                 queue.append((q, depth + 1))
+    return tuple(out)
+
+
+def _span_key(basis):
+    R, pivots = ra.rref(basis)
+    return tuple(map(tuple, R[: len(pivots)]))
+
+
+def _directions_by_brute_force(grp, directions):
+    """The library's components and lines, then the planes by brute force.
+
+    Every pair of 1-dimensional directions that spans a plane, kept iff the
+    saturation oracle finds it invariant; a span listed before is dropped.
+    """
+    out = [(name, _span_key(basis)) for name, basis in directions if "+" not in name]
+    seen = {key for _, key in out}
+    units = [(name, key) for name, key in out if len(key) == 1]
+    for (na, a), (nb, b) in itertools.combinations(units, 2):
+        key = _span_key(a + b)
+        if len(key) == 2 and key not in seen and _is_invariant_oracle(grp, key):
+            seen.add(key)
+            out.append((f"{na}+{nb}", key))
     return out
 
 
+def test_invariant_directions_match_brute_force_planes():
+    groups = [catalog_get(k).group for k in catalog_list() if catalog_get(k).group.n <= 4]
+    groups += [catalog_get("joyce-O1").group, catalog_get("joyce-O2").group]
+    assert len(_survey_quotients()) == 25
+    for grp in groups + list(_survey_quotients()):
+        directions = invariant_directions(grp, slope_bound=1)
+        got = [(name, _span_key(basis)) for name, basis in directions]
+        assert got == _directions_by_brute_force(grp, directions), grp.name
+
+
+def test_a_plane_through_non_invariant_lines_can_be_invariant():
+    # joyce-O1's W2 is a 4-dimensional non-scalar component; two of its
+    # lines, each not invariant, span an invariant plane
+    grp = catalog_get("joyce-O1").group
+    dirs = dict(invariant_directions(grp, slope_bound=1))
+    assert len(dirs["W2"]) == 4 and not _acts_by(grp, dirs["W2"], (1, -1))
+    assert not _is_invariant_oracle(grp, dirs["W2[1:0]"])
+    assert not _is_invariant_oracle(grp, dirs["W2[0:1]"])
+    assert _is_invariant_oracle(grp, dirs["W2[1:0]+W2[0:1]"])
+
+
+def test_collapse_keeps_the_subspace_as_integer_hermite_rows():
+    for grp in three_manifold_groups():
+        for _, basis in invariant_directions(grp):
+            res = collapse(grp, basis)
+            closed = rational_closure(grp, basis)
+            assert all(type(x) is int for row in res.subspace for x in row)
+            assert ra.rref(res.subspace)[0] == closed
+            assert res.collapsed_dim == len(closed) == grp.n - res.quotient.n
+
+
 def test_acts_by_on_generators_matches_all_holonomy_elements():
-    groups = [catalog_get(key).group for key in catalog_list()] + _survey_quotients()
+    groups = [catalog_get(key).group for key in catalog_list()] + list(_survey_quotients())
     assert len(groups) > 49
     outcomes = set()
     for grp in groups:
