@@ -59,6 +59,10 @@ class InvalidGroupError(FlatOrbError, ValueError):
     """A group description that names no crystallographic group."""
 
 
+class OutOfRangeError(FlatOrbError):
+    """An exact quantity whose float value lies outside the double range."""
+
+
 IntMat = tuple[tuple[int, ...], ...]
 FracVec = tuple[Fraction, ...]
 
@@ -336,12 +340,16 @@ class CrystalGroup:
     # -- invariants ----------------------------------------------------
 
     def is_torsion_free(self) -> TorsionReport:
-        """Exact fixed-point test per holonomy class.
+        """Exact fixed-point test per holonomy class, computed once per group.
 
         Some translate (A, v_A + l), l in Z^n, fixes a point iff
         v_A lies in im(I - A) + Z^n; the first class that passes gives the
         witness and its fixed point (see ``_fixed_point``).
         """
+        return self._torsion
+
+    @cached_property
+    def _torsion(self) -> TorsionReport:
         hol = self.holonomy()
         for A in hol.elements:
             if A == _int_identity(self.n):
@@ -353,8 +361,17 @@ class CrystalGroup:
         return TorsionReport(True)
 
     def volume(self) -> float:
-        hol = self.holonomy()
-        return math.sqrt(float(ra.det(self.gram))) / hol.order
+        """sqrt(det G) / |H|; det G = 4^k r is split exactly, so only r near 1 meets ``sqrt``."""
+        det = ra.det(self.gram)
+        k = (det.numerator.bit_length() - det.denominator.bit_length()) // 2
+        order = self.holonomy().order
+        try:
+            vol = math.ldexp(math.sqrt(det / Fraction(4) ** k), k) / order
+        except OverflowError:
+            vol = math.inf
+        if not 0 < vol < math.inf:
+            raise OutOfRangeError(f"the volume sqrt(det G) / {order} lies outside the double range")
+        return vol
 
     def betti(self, k: int) -> int:
         """Dimension of the holonomy-fixed subspace of the k-th exterior power.

@@ -1,9 +1,11 @@
 """Classification of 2-dimensional crystallographic groups.
 
-The classifier works on exact holonomy data only: the maximal rotation
-order, which reflection classes contain genuine mirrors, whether glide
-axes coincide with mirror axes, and whether all rotation centers lie on
-mirror lines.  A reflection class (A, v) holds a mirror iff some translate
+The classifier works on exact holonomy data only, read off integer 2 x 2
+matrices: the maximal rotation order, which reflection classes contain
+genuine mirrors, whether glide axes coincide with mirror axes, and whether
+all rotation centers lie on mirror lines.  A finite-order integer matrix
+with det 1 has the integer trace 2 cos(2 pi / k), so the trace gives the
+rotation order k.  A reflection class (A, v) holds a mirror iff some translate
 fixes a point, decided by the same fixed-point test as torsion
 (``groups._fixed_point``: v in im(I - A) + Z^2).  Its glide axes lie on
 mirrors iff it holds a mirror and the lattice is primitive rather than
@@ -16,6 +18,8 @@ Orbifold data for each of the 17 classes comes from the standard table:
 IUC name, Conway symbol, underlying topology, cone points and corner
 reflectors, and the point-group order.
 
+``singular_locus`` clips the invariant lines to the cell in exact
+rationals and rounds the endpoints to 9 decimals only at its output.
 ``render_svg`` draws the lattice cell with the singular locus.  Color map
 (fixed): cell outline black, rotation centers red dots labeled with their
 order, mirror lines solid blue, glide axes dashed green.
@@ -31,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import rational as ra
-from .groups import CrystalGroup, FlatOrbError, InvalidGroupError, _fixed_point, _int_identity
+from .groups import CrystalGroup, FlatOrbError, HolonomyData, InvalidGroupError, _fixed_point
 
 
 class InvalidWallpaperError(FlatOrbError):
@@ -98,17 +102,15 @@ class ReflectionClass:
     matrix: tuple
     v: tuple
     axis: tuple  # primitive direction of the fixed line
-    anti: tuple  # primitive -1 eigenvector
     has_mirror: bool
     glide_axes_on_mirrors: bool
 
 
 def _reflection_class_data(A, v) -> ReflectionClass:
-    axis_basis = ra.kernel([[A[i][j] - (i == j) for j in range(2)] for i in range(2)])
-    if len(axis_basis) != 1:
-        raise InvalidWallpaperError("reflection class without a 1-dimensional axis")
-    a = ra.primitive(axis_basis[0])
-    p = ra.primitive(ra.kernel([[A[i][j] + (i == j) for j in range(2)] for i in range(2)])[0])
+    # A^2 = I gives (A - I)(A + I) = 0: the nonzero columns of A + I lie on
+    # the axis a, those of A - I on the -1 eigenline p
+    columns = lambda s: ((A[0][j] + s * (j == 0), A[1][j] + s * (j == 1)) for j in (0, 1))
+    a, p = (ra.primitive(next(c for c in columns(s) if any(c))) for s in (1, -1))
     has_mirror = _fixed_point(A, v) is not None
     # Z a + Z p has index 1 (primitive lattice) or 2 (centred) in Z^2; a
     # centred lattice puts a glide axis halfway between two mirrors
@@ -117,24 +119,26 @@ def _reflection_class_data(A, v) -> ReflectionClass:
         matrix=A,
         v=tuple(v),
         axis=tuple(a),
-        anti=tuple(p),
         has_mirror=has_mirror,
         glide_axes_on_mirrors=has_mirror and primitive,
     )
 
 
 def _rotation_centers(A, v) -> list[tuple[Fraction, Fraction]]:
-    """Inequivalent fixed points of translates of (A, v), reduced mod Z^2."""
-    ImA = [[(i == j) - A[i][j] for j in range(2)] for i in range(2)]
-    if ra.det(ImA) == 0:
-        return []
-    inv = ra.inverse(ImA)
+    """Inequivalent fixed points of translates of the rotation (A, v), reduced mod Z^2.
+
+    (A, v + l) fixes x = adj(I - A)(v + l) / d, d = det(I - A) = 2 - tr A, and
+    (A, v + l + (I - A) m) fixes x + m.  (I - A) adj(I - A) = d I puts d Z^2
+    inside (I - A) Z^2, so l in [0, d)^2 reaches every center (none for A = I).
+    """
+    d = 2 - A[0][0] - A[1][1]
+    adj = ((1 - A[1][1], A[0][1]), (A[1][0], 1 - A[0][0]))
     seen = set()
-    for l1 in range(-2, 3):
-        for l2 in range(-2, 3):
-            x = ra.mat_vec(inv, [v[0] + l1, v[1] + l2])
-            pt = tuple(c - math.floor(c) for c in x)
-            seen.add(pt)
+    for l1 in range(d):
+        for l2 in range(d):
+            w = (v[0] + l1, v[1] + l2)
+            x = [Fraction(r[0] * w[0] + r[1] * w[1], d) for r in adj]
+            seen.add(tuple(c - math.floor(c) for c in x))
     return sorted(seen)
 
 
@@ -149,27 +153,26 @@ def _center_on_mirror(center, refl_classes) -> bool:
     return False
 
 
-def classify2(group: CrystalGroup) -> OrbifoldLabel:
-    """Identify a 2-dimensional crystallographic group among the 17 classes."""
+def _plane_elements(group: CrystalGroup, verb: str) -> tuple[HolonomyData, list, list[ReflectionClass]]:
+    """The holonomy, its rotations as (A, order) and its reflection classes."""
     grp = group.normalize()
     if grp.n != 2:
-        raise InvalidGroupError("classify2 expects a 2-dimensional group")
+        raise InvalidGroupError(f"{verb} expects a 2-dimensional group")
     hol = grp.holonomy()
-    rotations = []
-    reflections = []
+    rotations, reflections = [], []
     for A in hol.elements:
-        if ra.det(A) == 1:
-            order = ra.matrix_order(A, cap=12)
-            if order is None:
-                raise InvalidWallpaperError("rotation order exceeds the crystallographic bound")
-            rotations.append((A, order))
+        if A[0][0] * A[1][1] - A[0][1] * A[1][0] == 1:
+            # order k by the trace 2 cos(2 pi / k)
+            rotations.append((A, {2: 1, 1: 6, 0: 4, -1: 3, -2: 2}[A[0][0] + A[1][1]]))
         else:
-            reflections.append(A)
-    N = max(order for _, order in rotations)
-    if N not in (1, 2, 3, 4, 6):
-        raise InvalidWallpaperError(f"rotation order {N} violates the crystallographic restriction")
+            reflections.append(_reflection_class_data(A, hol.translations[A]))
+    return hol, rotations, reflections
 
-    refl_classes = [_reflection_class_data(A, hol.translations[A]) for A in reflections]
+
+def classify2(group: CrystalGroup) -> OrbifoldLabel:
+    """Identify a 2-dimensional crystallographic group among the 17 classes."""
+    hol, rotations, refl_classes = _plane_elements(group, "classify2")
+    N = max(order for _, order in rotations)
     mirror_classes = sum(1 for rc in refl_classes if rc.has_mirror)
 
     if N == 1:
@@ -242,22 +245,18 @@ class SingularLocus:
 
 
 def _clip_line_to_cell(p0, d):
-    """Clip the line p0 + t d to the unit cell [0,1]^2; None if disjoint."""
-    t_lo, t_hi = -math.inf, math.inf
-    for k in range(2):
-        if abs(d[k]) < 1e-14:
-            if not (-1e-12 <= p0[k] <= 1 + 1e-12):
-                return None
-        else:
-            a = (0 - p0[k]) / d[k]
-            b = (1 - p0[k]) / d[k]
-            t_lo = max(t_lo, min(a, b))
-            t_hi = min(t_hi, max(a, b))
-    if t_lo >= t_hi - 1e-12:
+    """Clip the line p0 + t d to the unit cell [0,1]^2, exactly; None unless a segment remains."""
+    bounds = []
+    for x, dx in zip(p0, d):
+        if dx:
+            bounds.append(sorted((-x / dx, (1 - x) / dx)))
+        elif not 0 <= x <= 1:
+            return None
+    t_lo = max(lo for lo, _ in bounds)
+    t_hi = min(hi for _, hi in bounds)
+    if t_lo >= t_hi:
         return None
-    q0 = (p0[0] + t_lo * d[0], p0[1] + t_lo * d[1])
-    q1 = (p0[0] + t_hi * d[0], p0[1] + t_hi * d[1])
-    return (q0, q1)
+    return tuple(tuple(x + t * dx for x, dx in zip(p0, d)) for t in (t_lo, t_hi))
 
 
 def _reflection_lines(rc: ReflectionClass) -> tuple[list, list]:
@@ -265,10 +264,10 @@ def _reflection_lines(rc: ReflectionClass) -> tuple[list, list]:
 
     f(x) = a_2 x_1 - a_1 x_2 vanishes on the axis a; (A, w) keeps the line
     f(x) = f(w) / 2.  f(v + l), l in Z^2, runs over f(v) + k, k in Z, and line
-    k holds (A, v + k g + m a) for f(g) = 1: each is a glide axis, and a
-    mirror iff v + k g has an integer a-coordinate in the basis (a, p).
+    k holds (A, w + m a), w = v + k g for f(g) = 1: each is a glide axis, and
+    a mirror iff its glide vector (I + A) w / 2 is a lattice vector.
     """
-    a, p, v = rc.axis, rc.anti, rc.v
+    A, a, v = rc.matrix, rc.axis, rc.v
     f = lambda x: a[1] * x[0] - a[0] * x[1]
     x, y, sign = ra._xgcd(a[1], -a[0])  # sign = +-1, so f(g) = sign^2
     g = (sign * x, sign * y)
@@ -276,76 +275,53 @@ def _reflection_lines(rc: ReflectionClass) -> tuple[list, list]:
     mirrors, glides = [], []
     for k in range(math.ceil(2 * min(values) - f(v)), math.floor(2 * max(values) - f(v)) + 1):
         w = (v[0] + k * g[0], v[1] + k * g[1])
-        seg = _clip_line_to_cell([float(c / 2) for c in w], [float(c) for c in a])
+        seg = _clip_line_to_cell([c / 2 for c in w], a)
         if seg:
             glides.append(seg)
-            if ((w[0] * p[1] - w[1] * p[0]) / (a[0] * p[1] - a[1] * p[0])).denominator == 1:
+            if all(((w[i] + A[i][0] * w[0] + A[i][1] * w[1]) / 2).denominator == 1 for i in (0, 1)):
                 mirrors.append(seg)
     return mirrors, glides
 
 
 def singular_locus(group: CrystalGroup) -> SingularLocus:
     """Rotation centers, mirror lines, and glide axes inside one cell."""
-    grp = group.normalize()
-    if grp.n != 2:
-        raise InvalidGroupError("singular_locus expects a 2-dimensional group")
-    hol = grp.holonomy()
+    hol, rotations, refl_classes = _plane_elements(group, "singular_locus")
     best_order: dict[tuple, int] = {}
-    mirrors = []
-    glides = []
-    for A in hol.elements:
-        if A == _int_identity(2):
-            continue
-        v = hol.translations[A]
-        if ra.det(A) == 1:
-            order = ra.matrix_order(A, cap=12)
-            for pt in _rotation_centers(A, v):
-                if best_order.get(pt, 0) < order:
-                    best_order[pt] = order
-        else:
-            lines = _reflection_lines(_reflection_class_data(A, v))
-            mirrors.extend(lines[0])
-            glides.extend(lines[1])
+    for A, order in rotations:
+        for pt in _rotation_centers(A, hol.translations[A]):
+            if best_order.get(pt, 0) < order:
+                best_order[pt] = order
+    mirrors, glides = [], []
+    for rc in refl_classes:
+        m, g = _reflection_lines(rc)
+        mirrors += m
+        glides += g
 
-    def dedupe(segs):
-        seen = []
-        for s in segs:
-            key = tuple(round(c, 9) for pt in s for c in pt)
-            rkey = tuple(round(c, 9) for pt in reversed(s) for c in pt)
-            if key not in seen and rkey not in seen:
-                seen.append(key)
-        return tuple(
-            ((k[0], k[1]), (k[2], k[3])) for k in sorted(seen)
-        )
+    def to_floats(segs):
+        return tuple(sorted(tuple(tuple(round(float(x), 9) for x in pt) for pt in s) for s in set(segs)))
 
-    centers = tuple(sorted((pt, o) for pt, o in best_order.items()))
-    return SingularLocus(centers, dedupe(mirrors), dedupe(glides))
+    centers = tuple(sorted(best_order.items()))
+    return SingularLocus(centers, to_floats(mirrors), to_floats(glides))
 
 
 def cone_point_classes(group: CrystalGroup) -> list[int]:
-    """Orders of rotation centers, one per group orbit (not per cell)."""
+    """Orders of rotation centers, one per group orbit (not per cell).
+
+    The group is the cosets (A, v_A) + Z^2, so the orbit of a center mod
+    Z^2 is its images under the coset representatives alone.
+    """
     grp = group.normalize()
     locus = singular_locus(grp)
     hol = grp.holonomy()
-    centers = {pt: order for pt, order in locus.rotation_centers}
+    centers = dict(locus.rotation_centers)
     orders = []
     remaining = set(centers)
     while remaining:
         pt = min(remaining)
-        orbit = {pt}
-        frontier = [pt]
-        while frontier:
-            new = []
-            for c in frontier:
-                for A in hol.elements:
-                    img = ra.vec_add(ra.mat_vec(A, c), hol.translations[A])
-                    img = tuple(x - math.floor(x) for x in img)
-                    if img in remaining and img not in orbit:
-                        orbit.add(img)
-                        new.append(img)
-            frontier = new
         orders.append(centers[pt])
-        remaining -= orbit
+        for A in hol.elements:
+            img = ra.vec_add(ra.mat_vec(A, pt), hol.translations[A])
+            remaining.discard(tuple(x - math.floor(x) for x in img))
     return sorted(orders)
 
 

@@ -43,6 +43,28 @@ def test_analyze(capsys):
     assert "b1=0" in out
 
 
+@pytest.mark.parametrize("scale", ["1e200", "1e-200"])
+def test_analyze_volume_at_extreme_scales(tmp_path, capsys, scale):
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps({"dimension": 2, "gram": [[scale, 0], [0, scale]], "generators": []}))
+    code, out, err = run(capsys, "analyze", "--group", str(path), "--json")
+    assert code == 0, err
+    assert json.loads(out)["volume"] == pytest.approx(float(scale), rel=1e-15, abs=0)
+
+
+def test_volume_beyond_the_double_range_is_a_domain_error(tmp_path, capsys):
+    # every entry is a double, but sqrt(det G) = 1e450 is not
+    path = tmp_path / "torus.json"
+    gram = [["1e300" if i == j else 0 for j in range(3)] for i in range(3)]
+    path.write_text(json.dumps({"dimension": 3, "gram": gram, "generators": []}))
+    code, _, err = run(capsys, "analyze", "--group", str(path))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "double range" in err
+    with pytest.raises(groups.OutOfRangeError):
+        groups.load_group(path).normalize().volume()
+
+
 def test_collapse_cli(capsys):
     code, out, _ = run(capsys, "collapse", "--catalog", "G3", "--subspace", "1,0,0")
     assert code == 0

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -224,6 +225,11 @@ def test_torsion_witness_pillowcase():
     assert w.apply(rep.fixed_point) == list(rep.fixed_point)
 
 
+def test_torsion_report_is_computed_once_per_group():
+    grp = pillowcase()
+    assert grp.is_torsion_free() is grp.is_torsion_free()
+
+
 @pytest.mark.parametrize(
     "key", [k for k in sorted(catalog_list()) if catalog_get(k).group.n <= 3]
 )
@@ -254,6 +260,13 @@ def test_volume():
         2, [([[1, 0], [0, -1]], ["1/2", 0])], gram=[[4, 0], [0, 9]]
     ).normalize()
     assert kb.volume() == pytest.approx(2 * 3 / 2)
+
+
+def test_volume_matches_the_float_square_root_on_the_catalog():
+    # the exponent split changes no bit where det G is a normal double
+    for key in catalog_list():
+        grp = catalog_get(key).group
+        assert grp.volume() == math.sqrt(float(ra.det(grp.gram))) / grp.holonomy().order, key
 
 
 def test_betti_torus_binomial():

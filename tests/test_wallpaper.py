@@ -1,4 +1,6 @@
+import functools
 import hashlib
+import math
 import random
 import subprocess
 import sys
@@ -13,8 +15,11 @@ from flatorb.catalog import catalog_get
 from flatorb.groups import CrystalGroup, FlatOrbError, InvalidGroupError
 from flatorb.wallpaper import (
     TABLE_2D,
+    _reflection_class_data,
+    _rotation_centers,
     classify2,
     classify_low_dim,
+    cone_point_classes,
     render_svg,
     singular_locus,
 )
@@ -131,6 +136,99 @@ def test_singular_locus_under_basis_change(name):
         assert bool(locus.mirror_segments) == has_mirrors, where
         if name in ("pm", "pmm"):
             assert set(locus.mirror_segments) == set(locus.glide_axes), where
+
+
+@functools.cache
+def _plane_groups() -> tuple:
+    """The 17 standard groups and their seeded conjugates, each with where it came from."""
+    out = []
+    for name, grp in sorted(wallpaper_groups().items()):
+        out.append(((name, "standard"), grp.normalize()))
+        out.extend(((name, where), conj) for conj, where in _seeded_conjugates(name))
+    return tuple(out)
+
+
+def test_rotation_centers_match_brute_force():
+    # l in [-8, 8]^2 holds every class of Z^2 mod (I - A) Z^2, whose index
+    # det(I - A) is at most 4
+    for where, grp in _plane_groups():
+        hol = grp.holonomy()
+        for A in hol.elements:
+            v = hol.translations[A]
+            ImA = [[(i == j) - A[i][j] for j in range(2)] for i in range(2)]
+            if ra.det(ra.mat(A)) != 1 or ra.det(ImA) == 0:
+                assert ra.det(ra.mat(A)) == -1 or _rotation_centers(A, v) == [], where
+                continue
+            inv = ra.inverse(ImA)
+            want = set()
+            for l1 in range(-8, 9):
+                for l2 in range(-8, 9):
+                    x = ra.mat_vec(inv, [v[0] + l1, v[1] + l2])
+                    want.add(tuple(c - math.floor(c) for c in x))
+            assert _rotation_centers(A, v) == sorted(want), (where, A)
+
+
+def _exact_lines(rc):
+    """Exact (glide axes, mirrors) in the cell of a reflection class, as endpoint pairs.
+
+    With f(x) = a_2 x_1 - a_1 x_2, the translate (A, u) keeps the line
+    f(x) = f(u) / 2, and f(v + Z^2) = f(v) + Z; the line is a mirror iff
+    (I - A) x - v is integral for a point x on it.
+    """
+    (a1, a2), A, v = rc.axis, rc.matrix, rc.v
+    f = lambda x: a2 * x[0] - a1 * x[1]
+    values = [f(c) for c in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    glides, mirrors = set(), set()
+    for k in range(math.floor(2 * min(values) - f(v)) - 1, math.ceil(2 * max(values) - f(v)) + 2):
+        c = (f(v) + k) / 2
+        pts = set()
+        for t in (0, 1):
+            if a1:
+                pts.add((Fraction(t), (a2 * t - c) / a1))
+            if a2:
+                pts.add(((c + a1 * t) / a2, Fraction(t)))
+        pts = {p for p in pts if 0 <= p[0] <= 1 and 0 <= p[1] <= 1}
+        if len(pts) != 2:
+            continue
+        glides.add(frozenset(pts))
+        x = min(pts)
+        if all((x[i] - A[i][0] * x[0] - A[i][1] * x[1] - v[i]).denominator == 1 for i in range(2)):
+            mirrors.add(frozenset(pts))
+    return glides, mirrors
+
+
+def test_singular_locus_segments_are_rounded_exact_endpoints():
+    def rounded(segs):
+        return {frozenset(tuple(round(float(e), 9) for e in pt) for pt in seg) for seg in segs}
+
+    for where, grp in _plane_groups():
+        hol = grp.holonomy()
+        glides, mirrors = set(), set()
+        for A in hol.elements:
+            if ra.det(ra.mat(A)) == -1:
+                g, m = _exact_lines(_reflection_class_data(A, hol.translations[A]))
+                glides |= g
+                mirrors |= m
+        locus = singular_locus(grp)
+        assert rounded(locus.glide_axes) == rounded(glides), where
+        assert rounded(locus.mirror_segments) == rounded(mirrors), where
+        assert len(locus.glide_axes) == len(glides) and len(locus.mirror_segments) == len(mirrors), where
+
+
+def test_plane_layer_needs_no_rational_elimination(monkeypatch):
+    # rotation orders come from the trace, reflection lines from the columns
+    # of A +- I, rotation centers from the adjugate of I - A
+    groups = _plane_groups()
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the plane-group layer called a rational elimination")
+
+    for name in ("det", "inverse", "kernel", "matrix_order"):
+        monkeypatch.setattr(ra, name, forbidden)
+    for where, grp in groups:
+        assert classify2(grp).iuc == where[0], where
+        cone_point_classes(grp)  # and singular_locus
+        render_svg(grp)
 
 
 @pytest.mark.parametrize(
