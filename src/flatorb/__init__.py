@@ -18,15 +18,6 @@ from .groups import (
     group_to_dict,
     load_group,
 )
-from .lattices import (
-    Lattice,
-    SpecialBasis,
-    check_diameter_bound,
-    covering_radius,
-    sequence_limit,
-    short_vectors,
-    special_basis,
-)
 from .reps import (
     IsotypicComponent,
     IsotypicReport,
@@ -36,6 +27,26 @@ from .reps import (
 from .wallpaper import OrbifoldLabel, classify2, render_svg, singular_locus
 
 __version__ = "0.1.0"
+
+# The lattice layer needs numpy; it is imported on first use of one of these
+# names (PEP 562), so ``import flatorb`` loads no numpy.
+_LATTICE_NAMES = {
+    "Lattice",
+    "SpecialBasis",
+    "check_diameter_bound",
+    "covering_radius",
+    "sequence_limit",
+    "short_vectors",
+    "special_basis",
+}
+
+
+def __getattr__(name: str):
+    if name in _LATTICE_NAMES:
+        from . import lattices
+
+        return getattr(lattices, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AffineElement",

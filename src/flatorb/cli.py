@@ -7,6 +7,8 @@ plain text, or a stable JSON document with ``--json``.  Exit codes:
 2 usage error.  When the reader of stdout goes away early (``flatorb ...
 | head``), stdout is pointed at ``os.devnull`` and the exit code is 1,
 as the Python documentation advises for SIGPIPE ("Note on SIGPIPE").
+Only the lattice verbs import ``lattices`` and numpy, when they run, so
+the exact verbs start without them.
 """
 
 from __future__ import annotations
@@ -17,13 +19,10 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import rational as ra
 from .catalog import catalog_get, catalog_list
 from .collapse import InvalidSubspaceError, collapse, product_resolution, verify_theorem_c
 from .groups import CrystalGroup, FlatOrbError, group_to_dict, load_group
-from .lattices import InvalidLatticeError, Lattice, check_schedule, scaling_limit, special_basis
 from .reps import teich_report
 from .wallpaper import classify2, render_svg
 
@@ -72,7 +71,11 @@ def _parse_subspace(text: str):
     return vectors
 
 
-def _parse_matrix(text: str) -> np.ndarray:
+def _parse_matrix(text: str):
+    import numpy as np
+
+    from .lattices import InvalidLatticeError
+
     try:
         return np.array([[float(x) for x in _parse_vector(chunk)] for chunk in text.split(";")])
     except ValueError:
@@ -179,6 +182,10 @@ def cmd_classify2(args) -> int:
 
 
 def cmd_reduce_lattice(args) -> int:
+    import numpy as np
+
+    from .lattices import Lattice, special_basis
+
     L = Lattice.from_rows(_parse_matrix(args.matrix))
     sb = special_basis(L)
     payload = {
@@ -200,6 +207,10 @@ def cmd_reduce_lattice(args) -> int:
 
 
 def cmd_limit_seq(args) -> int:
+    import numpy as np
+
+    from .lattices import InvalidLatticeError, Lattice, check_schedule, scaling_limit
+
     if args.lattice:
         L = Lattice.from_rows(_parse_matrix(args.lattice))
     else:

@@ -47,8 +47,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from . import rational as ra
 from .groups import (
     CrystalGroup,
@@ -59,7 +57,6 @@ from .groups import (
     _int_identity,
     _int_mul,
 )
-from .lattices import rational_span
 # isotypic_decompose is not called here; it stays importable from this module
 from .reps import isotypic_decompose, rational_components  # noqa: F401
 from .wallpaper import OrbifoldLabel, POINT_LABEL, classify_low_dim
@@ -114,6 +111,10 @@ def _saturate(group: CrystalGroup, vectors) -> list[list[int]]:
     for v in vectors:
         (exact if all(isinstance(x, (int, Fraction, str)) for x in v) else floats).append(v)
     if floats:
+        import numpy as np
+
+        from .lattices import rational_span
+
         exact.extend(rational_span(np.array(floats, dtype=float).T))
     # the images A v over the whole finite point group already span an
     # invariant subspace, since B (A v) = (B A) v

@@ -27,26 +27,34 @@ multiplicity m is
     m(2m-1)    quaternionic type.
 
 Floats only give gram-orthonormal bases to subspaces whose dimensions are
-already known exactly.  A component with k > 1 is split by the eigenspaces
-of a self-adjoint central element whose minimal polynomial on V is checked
-exactly to have degree k.  The summed factor dimensions are checked
-against the dimension of the invariant symmetric forms, read off
-independently over a generating set from the rank of an integer system by
-HNF.  Nothing is drawn at random, so the same group always gives the same
-report.
+already known exactly, and only when ``IsotypicComponent.basis`` is read.
+A component with k > 1 is split by the eigenspaces of a self-adjoint
+central element whose minimal polynomial on V is checked exactly to have
+degree k.  The summed factor dimensions are checked against the dimension
+of the invariant symmetric forms, read off independently over a generating
+set from the rank of an integer system by HNF.  Nothing is drawn at
+random, so the same group always gives the same report.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import rational as ra
 from .groups import CrystalGroup, FlatOrbError, _freeze_int_mat
+
+if TYPE_CHECKING:
+    from collections.abc import Callable
+
+    import numpy as np
+
+# numpy is imported inside the functions that build the int64 class tables
+# and the float bases, so the exact verbs that never reach them do not load it.
 
 # Entry bound for the int64 arithmetic on elements, class sums and scaled
 # bases: with n * |H| < 2^23 no product below can reach 2^63.
@@ -61,11 +69,17 @@ FACTOR_DIM = {
 
 @dataclass(frozen=True)
 class IsotypicComponent:
-    basis: np.ndarray  # columns: gram-orthonormal vectors in lattice coordinates
     irreducible_dim: int
     multiplicity: int
     division_type: str  # 'R', 'C' or 'H'
     factor_dim: int
+    _blocks: Callable[[], list[np.ndarray]] = field(repr=False, compare=False)  # shared by the k conjugates
+    _index: int = field(repr=False, compare=False)
+
+    @property
+    def basis(self) -> np.ndarray:
+        """Columns: gram-orthonormal float vectors in lattice coordinates, built on first read."""
+        return self._blocks()[self._index]
 
     @property
     def dim(self) -> int:
@@ -121,6 +135,8 @@ def invariant_form_dim(elements, n: int) -> int:
 
 
 def _int64(rows) -> np.ndarray:
+    import numpy as np
+
     arr = np.array(rows, dtype=object)
     if arr.size and np.abs(arr).max() > ENTRY_CAP:
         raise FlatOrbError(f"matrix entries exceed the cap {ENTRY_CAP} of the exact int64 class sums")
@@ -139,6 +155,8 @@ class _Classes:
 
 
 def _conjugacy_classes(elements) -> _Classes:
+    import numpy as np
+
     mats = _int64([_freeze_int_mat(A) for A in elements])
     h, n = len(mats), len(elements[0])
     index = {m.tobytes(): i for i, m in enumerate(mats)}
@@ -222,6 +240,8 @@ def _restrict(Z: np.ndarray, cols: np.ndarray, pivots: list[int]) -> np.ndarray:
 
 
 def _is_scalar(M: np.ndarray) -> bool:
+    import numpy as np
+
     return bool(np.all(M == M[..., :1, :1] * np.eye(M.shape[-1], dtype=M.dtype)))
 
 
@@ -283,6 +303,8 @@ def _splitting_element(cl: _Classes, cols, pivots, k: int) -> np.ndarray:
     1, t, t^2, ...; two real components differ in some such sum, so at most
     (number of sums - 1) values of t per pair of components can fail.
     """
+    import numpy as np
+
     pairs = [
         (cl.sums[i] + cl.sums[cl.inverse[i]]).astype(object)
         for i in range(len(cl.sums))
@@ -300,11 +322,28 @@ def _splitting_element(cl: _Classes, cols, pivots, k: int) -> np.ndarray:
     raise FlatOrbError("no central element separates the real components")
 
 
-def _real_components(cl: _Classes, B: ra.Mat, gram: np.ndarray) -> list[IsotypicComponent]:
+def _gram_orthonormal_blocks(cl: _Classes, B: ra.Mat, gram: ra.Mat, k: int) -> list[np.ndarray]:
+    """A gram-orthonormal float basis of span(B), split into k eigenspaces of equal size."""
+    import numpy as np
+
+    G = np.array([[float(x) for x in row] for row in gram])
+    Bf = np.array(B, dtype=float).T
+    Q = Bf @ np.linalg.inv(np.linalg.cholesky(Bf.T @ G @ Bf)).T
+    if k == 1:
+        return [Q]
+    cols, pivots, _ = _scaled_columns(B)
+    y = _splitting_element(cl, cols, pivots, k)
+    Y = Q.T @ G @ y @ Q
+    _, U = np.linalg.eigh((Y + Y.T) / 2)
+    size = len(B) // k
+    return [Q @ U[:, i * size : (i + 1) * size] for i in range(k)]
+
+
+def _real_components(cl: _Classes, B: ra.Mat, gram: ra.Mat) -> list[IsotypicComponent]:
     h = len(cl.mats)
     cols, pivots, delta = _scaled_columns(B)
     reps = cl.mats[[c[0] for c in cl.classes]]
-    chi = [Fraction(int(np.trace(M)), delta) for M in _restrict(reps, cols, pivots)]
+    chi = [Fraction(int(M.trace()), delta) for M in _restrict(reps, cols, pivots)]
     sizes = [len(c) for c in cl.classes]
     c = _whole(sum(size * x * x for size, x in zip(sizes, chi)) / h, "commutant dimension")
     s = _whole(
@@ -322,18 +361,8 @@ def _real_components(cl: _Classes, B: ra.Mat, gram: np.ndarray) -> list[Isotypic
     else:
         dtype, k, m = "H", d, _whole(Fraction(c, 2 * c - 4 * s), "multiplicity")
     irreducible_dim = _whole(Fraction(len(B), k * m), "irreducible dimension")
-
-    # gram-orthonormal float basis of V, split into k eigenspaces of equal size
-    Bf = np.array(B, dtype=float).T
-    Q = Bf @ np.linalg.inv(np.linalg.cholesky(Bf.T @ gram @ Bf)).T
-    blocks = [Q]
-    if k > 1:
-        y = _splitting_element(cl, cols, pivots, k)
-        Y = Q.T @ gram @ y @ Q
-        _, U = np.linalg.eigh((Y + Y.T) / 2)
-        size = len(B) // k
-        blocks = [Q @ U[:, i * size : (i + 1) * size] for i in range(k)]
-    return [IsotypicComponent(b, irreducible_dim, m, dtype, FACTOR_DIM[dtype](m)) for b in blocks]
+    blocks = functools.cache(lambda: _gram_orthonormal_blocks(cl, B, gram, k))
+    return [IsotypicComponent(irreducible_dim, m, dtype, FACTOR_DIM[dtype](m), blocks, i) for i in range(k)]
 
 
 def isotypic_decompose(elements, gram) -> IsotypicReport:
@@ -347,8 +376,7 @@ def isotypic_decompose(elements, gram) -> IsotypicReport:
     elements = list(elements)
     n = len(gram)
     cl = _conjugacy_classes(elements)
-    G = np.array([[float(x) for x in row] for row in gram])
-    comps = [comp for B in _q_components(cl) for comp in _real_components(cl, B, G)]
+    comps = [comp for B in _q_components(cl) for comp in _real_components(cl, B, gram)]
     comps.sort(key=lambda c: (c.irreducible_dim, c.multiplicity, c.division_type))
     total = sum(c.factor_dim for c in comps)
     exact = invariant_form_dim([elements[g] for g in cl.generators], n)

@@ -32,10 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
-
 from . import rational as ra
-from .groups import CrystalGroup, FlatOrbError, HolonomyData, InvalidGroupError, _fixed_point
+from .groups import CrystalGroup, FlatOrbError, HolonomyData, InvalidGroupError, OutOfRangeError, _fixed_point
 
 
 class InvalidWallpaperError(FlatOrbError):
@@ -333,16 +331,36 @@ SVG_COLORS = {
 }
 
 
+def _cholesky_2x2(gram) -> tuple[float, float, float]:
+    """(a, b, c) with G = L L^T for L = [[a, 0], [b, c]], in doubles.
+
+    a = sqrt(g11), b = g12 / a, c = sqrt(g22 - b^2).  A form with an entry
+    beyond the double range, or one that is no longer positive definite once
+    rounded to doubles, raises ``OutOfRangeError``.
+    """
+    try:
+        g11, g12, g22 = float(gram[0][0]), float(gram[0][1]), float(gram[1][1])
+        a = math.sqrt(g11)
+        b = g12 / a
+        c = math.sqrt(g22 - b * b)
+        if c > 0:
+            return a, b, c
+    except (OverflowError, ValueError, ZeroDivisionError):
+        pass
+    raise OutOfRangeError("the Gram form lies outside the double range")
+
+
 def render_svg(group: CrystalGroup, out: str | Path | None = None) -> str:
     """Deterministic 800x800 SVG of one lattice cell with its singular locus."""
     grp = group.normalize()
     locus = singular_locus(grp)
-    G = np.array([[float(x) for x in row] for row in grp.gram])
-    L = np.linalg.cholesky(G)
-    emb = L.T  # lattice coords -> Cartesian
+    a, b, c = _cholesky_2x2(grp.gram)
 
-    corners = [np.array(c, dtype=float) for c in [(0, 0), (1, 0), (1, 1), (0, 1)]]
-    pts = [emb @ c for c in corners]
+    def embed(p):  # lattice coords -> Cartesian, L^T p
+        return a * p[0] + b * p[1], c * p[1]
+
+    corners = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
+    pts = [embed(p) for p in corners]
     allx = [p[0] for p in pts]
     ally = [p[1] for p in pts]
     span = max(max(allx) - min(allx), max(ally) - min(ally))
@@ -350,7 +368,7 @@ def render_svg(group: CrystalGroup, out: str | Path | None = None) -> str:
     scale = (800 - 2 * margin) / span
 
     def to_px(p):
-        q = emb @ np.asarray(p, dtype=float)
+        q = embed([float(x) for x in p])
         x = margin + (q[0] - min(allx)) * scale
         y = 800 - margin - (q[1] - min(ally)) * scale
         return x, y
@@ -382,7 +400,7 @@ def render_svg(group: CrystalGroup, out: str | Path | None = None) -> str:
             f'stroke="{SVG_COLORS["glide"]}" stroke-width="1.5" stroke-dasharray="8,6"/>'
         )
     for (pt, order) in locus.rotation_centers:
-        x, y = to_px([float(c) for c in pt])
+        x, y = to_px(pt)
         lines.append(
             f'<circle cx="{fmt(x)}" cy="{fmt(y)}" r="6" fill="{SVG_COLORS["center"]}"/>'
         )

@@ -65,6 +65,21 @@ def test_volume_beyond_the_double_range_is_a_domain_error(tmp_path, capsys):
         groups.load_group(path).normalize().volume()
 
 
+@pytest.mark.parametrize(
+    "scale,generators",
+    [("1e400", [{"linear": [[-1, 0], [0, -1]], "translation": [0, 0]}]), ("1e-400", [])],
+)
+def test_analyze_and_teich_with_a_gram_entry_beyond_the_double_range(tmp_path, capsys, scale, generators):
+    # the deformation space is exact: no float Gram form is built for it
+    path = tmp_path / "group.json"
+    path.write_text(json.dumps({"dimension": 2, "gram": [[scale, 0], [0, 1]], "generators": generators}))
+    code, _, err = run(capsys, "analyze", "--group", str(path), "--json")
+    assert code == 0, err
+    code, out, err = run(capsys, "teich", "--group", str(path), "--json")
+    assert code == 0, err
+    assert json.loads(out)["dim"] == 3
+
+
 def test_collapse_cli(capsys):
     code, out, _ = run(capsys, "collapse", "--catalog", "G3", "--subspace", "1,0,0")
     assert code == 0
@@ -231,6 +246,18 @@ def test_render_svg_cli(tmp_path, capsys):
     code, out, _ = run(capsys, "render-svg", "--catalog", "p2", "--out", str(out_path))
     assert code == 0
     assert out_path.exists()
+
+
+@pytest.mark.parametrize("gram", [[["1e400", 0], [0, 1]], [["1e-400", 0], [0, 1]], [[1, 1], [1, "1.00000000000000000001"]]])
+def test_render_svg_of_a_gram_beyond_the_double_range_is_a_domain_error(tmp_path, monkeypatch, capsys, gram):
+    # the last form is positive definite, but not once rounded to doubles
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "p1.json"
+    path.write_text(json.dumps({"dimension": 2, "gram": gram, "generators": []}))
+    code, _, err = run(capsys, "render-svg", "--group", str(path), "--out", "p1.svg")
+    assert code == 1
+    assert err == "error: the Gram form lies outside the double range\n"
+    assert not (tmp_path / "p1.svg").exists()
 
 
 @pytest.mark.parametrize("verb", [["classify2"], ["render-svg", "--out", "G1.svg"]])
