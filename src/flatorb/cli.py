@@ -22,7 +22,7 @@ import sys
 from . import rational as ra
 from .catalog import catalog_get, catalog_list
 from .collapse import InvalidSubspaceError, collapse, product_resolution, verify_theorem_c
-from .groups import CrystalGroup, FlatOrbError, group_to_dict, load_group
+from .groups import CrystalGroup, FlatOrbError, OutOfRangeError, group_to_dict, load_group
 from .reps import teich_report
 from .wallpaper import classify2, render_svg
 
@@ -217,8 +217,11 @@ def cmd_limit_seq(args) -> int:
         grp = _load_group(args.catalog, args.group)
         if grp.generators:
             raise FlatOrbError("limit-seq expects a lattice (a group with no nontrivial generators)")
-        G = np.array([[float(x) for x in row] for row in grp.gram])
-        L = Lattice(np.linalg.cholesky(G).T)
+        try:
+            R = np.linalg.cholesky([[float(x) for x in row] for row in grp.gram])
+        except (OverflowError, np.linalg.LinAlgError):
+            raise OutOfRangeError("the Gram form lies outside the double range") from None
+        L = Lattice(R.T)
     try:
         schedule = [float(x) for x in _parse_vector(args.schedule)]
     except ValueError:

@@ -138,7 +138,7 @@ def _frac_part(v: FracVec) -> FracVec:
 
 @dataclass(frozen=True)
 class HolonomyData:
-    """The finite point group together with coset translations v_A mod Z^n."""
+    """The finite point group together with coset translations v_A reduced into [0,1)^n."""
 
     n: int
     elements: tuple[IntMat, ...]
@@ -157,7 +157,7 @@ class HolonomyData:
         for A, vA in self.items():
             for B, vB in self.items():
                 AB = AffineElement(A, vA) * AffineElement(B, vB)
-                if _frac_part(self.translations[AB.linear]) != _frac_part(AB.translation):
+                if self.translations[AB.linear] != _frac_part(AB.translation):
                     bad.append((A, B))
         return bad
 
@@ -203,19 +203,23 @@ def _coset_closure(
 def _fixed_point(A: IntMat, v) -> tuple[FracVec, FracVec] | None:
     """A translate (A, w) of (A, v) by Z^n and a point it fixes, or None.
 
-    Some translate fixes a point iff v lies in im(I - A) + Z^n.  With
-    (Q, R) the integer quotient map of R^n onto R^n / im(I - A), that holds
-    iff Q v is integral; then w = v - R Q v lies in im(I - A), and
-    (I - A) x = w gives the fixed point x.
+    Some translate fixes a point iff v lies in im(I - A) + Z^n, that is iff
+    U v is integral on the zero rows of the Hermite form H = U (I - A).
+    Back-substitution on the other rows of H x = U v, with the non-pivot
+    entries of x set to 0, then gives the point x, and w = (I - A) x.
     """
     n = len(v)
     ImA = [[int(i == j) - A[i][j] for j in range(n)] for i in range(n)]
-    Q, R = ra.quotient_map(ra.transpose(ImA), n)
-    qv = [sum(q * x for q, x in zip(row, v)) for row in Q]
-    if any(c.denominator != 1 for c in qv):
+    H, U = ra.hnf(ImA)
+    r = sum(1 for h in H if any(h))
+    y = [sum(u * t for u, t in zip(row, v)) for row in U]
+    if any(c.denominator != 1 for c in y[r:]):
         return None
-    w = tuple(x - sum(r * c for r, c in zip(row, qv)) for x, row in zip(v, R))
-    return w, tuple(ra.solve(ImA, list(w)))
+    x = [Fraction(0)] * n
+    for i in reversed(range(r)):
+        c = next(j for j, h in enumerate(H[i]) if h)
+        x[c] = Fraction(y[i] - sum(h * t for h, t in zip(H[i], x)), H[i][c])  # x[c] is still 0
+    return tuple(sum(a * t for a, t in zip(row, x)) for row in ImA), tuple(x)
 
 
 @dataclass(frozen=True)
@@ -257,27 +261,29 @@ class CrystalGroup:
     def validate(self) -> None:
         """Check the Gram form and that each generator is an isometry of it.
 
-        The form must be a symmetric positive definite n x n matrix; each
-        generator's linear part must be a unimodular n x n integer matrix A
-        with A^T G A = G.  That last check runs in Python integers, on the
-        form scaled once by the common denominator of its entries.
+        Every test runs in Python integers, on the form Gi scaled once by
+        the common denominator of its entries.  Gi must be symmetric and
+        positive definite: its roots are real, so the coefficients of its
+        characteristic polynomial must alternate strictly in sign.  Each
+        generator's n x n integer linear part A must satisfy A^T Gi A = Gi,
+        which forces det A = +-1, so only a failing A is tested for that.
         """
         G = ra.mat(self.gram)
         if len(G) != self.n or any(len(r) != self.n for r in G):
             raise InvalidGroupError("gram form has the wrong shape")
-        if not ra.is_symmetric(G):
-            raise InvalidGroupError("gram form must be symmetric")
-        if not ra.is_positive_definite(G):
-            raise InvalidGroupError("gram form must be positive definite")
         d = math.lcm(*(x.denominator for row in G for x in row))
         Gi = tuple(tuple(int(x * d) for x in row) for row in G)
+        if Gi != tuple(zip(*Gi)):
+            raise InvalidGroupError("gram form must be symmetric")
+        if any(c * (-1) ** k <= 0 for k, c in enumerate(reversed(ra.char_poly(Gi)))):
+            raise InvalidGroupError("gram form must be positive definite")
         for g in self.generators:
             A = g.linear
             if g.dim != self.n or len(A) != self.n or any(len(r) != self.n for r in A):
                 raise InvalidGroupError("generator dimension mismatch")
-            if abs(ra.det(A)) != 1:
-                raise InvalidGroupError("generator linear part is not unimodular")
             if _int_mul(_int_mul(tuple(zip(*A)), Gi), A) != Gi:
+                if abs(ra.det(A)) != 1:
+                    raise InvalidGroupError("generator linear part is not unimodular")
                 raise InvalidGroupError("generator does not preserve the gram form")
 
     # -- normalization -------------------------------------------------
@@ -288,10 +294,11 @@ class CrystalGroup:
         One closure lists the translations r_A g r_{Ag}^-1 that generate
         the translation lattice T together with Z^n.  If there are any, T
         has the Hermite basis B = H^T / d, H the Hermite form of d Z^n and
-        d times the translations; B^-1 is an integer matrix since Z^n lies
-        in T, and each linear part is rewritten as B^-1 A B = (B^-1 A H^T) / d,
-        integral since T is normal.  The closure of the rewritten
-        generators is the holonomy.
+        d times the translations.  B^-1 is an integer matrix since Z^n lies
+        in T: with U the Hermite transform, the input rows d I equal
+        (U^-1)[:n,:n] H, so that block is d H^-1 = (B^-1)^T.  Each linear
+        part is rewritten as B^-1 A B = (B^-1 A H^T) / d, integral since T
+        is normal.  The closure of the rewritten generators is the holonomy.
 
         When the lattice is refined, ``notes["basis_change"]`` holds B, the
         new basis as columns in the old coordinates; an unchanged lattice
@@ -309,9 +316,9 @@ class CrystalGroup:
         else:
             d = math.lcm(*(x.denominator for t in translations for x in t))
             rows = [[d * int(i == j) for j in range(n)] for i in range(n)]
-            H = ra.hnf(rows + [[int(d * x) for x in t] for t in translations])[0][:n]
-            Ht = tuple(zip(*H))  # d B
-            Binv = ra._int_rows([[d * x for x in row] for row in ra.inverse(Ht)])
+            H, U = ra.hnf(rows + [[int(d * x) for x in t] for t in translations])
+            Ht = tuple(zip(*H[:n]))  # d B
+            Binv = tuple(zip(*(row[:n] for row in ra.unimodular_inverse(U)[:n])))
             gens = []
             for g in self.generators:
                 M = _int_mul(_int_mul(Binv, g.linear), Ht)
@@ -319,7 +326,7 @@ class CrystalGroup:
                     raise NotCrystallographicError("refined lattice is not invariant under a generator")
                 v = tuple(sum(b * x for b, x in zip(row, g.translation)) for row in Binv)
                 gens.append(AffineElement(tuple(tuple(x // d for x in row) for row in M), _frac_part(v)))
-            gram = [[x / d**2 for x in row] for row in ra.mat_mul(H, ra.mat_mul(self.gram, Ht))]
+            gram = [[x / d**2 for x in row] for row in ra.mat_mul(H[:n], ra.mat_mul(self.gram, Ht))]
             notes["basis_change"] = [[ra.fraction_str(Fraction(x, d)) for x in row] for row in Ht]
             table, translations = _coset_closure(n, tuple(gens))
             if translations:
@@ -445,5 +452,4 @@ def dump_group(group: CrystalGroup, path: str | Path) -> None:
 
 def holonomy_signature(group: CrystalGroup) -> tuple:
     """Canonical (matrix, coset) signature used to compare normalized groups."""
-    hol = group.holonomy()
-    return tuple(sorted((A, _frac_part(hol.translations[A])) for A in hol.elements))
+    return tuple(sorted(group.holonomy().items()))

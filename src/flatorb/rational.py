@@ -3,13 +3,14 @@
 Matrices are lists (or tuples) of rows and vectors are lists.  Integer
 matrices stay in Python integers: products, ``char_poly``,
 ``matrix_order``, ``hnf`` and ``unimodular_inverse`` never leave them, and
-the last four reject a non-integral entry.  Elimination divides, so
-``rref``, ``det`` and everything built on them (``rank``, ``kernel``,
-``solve``, ``inverse``) read their input through ``mat`` and return
-``Fraction`` entries, whether they were given ints or Fractions.  Sizes
-stay tiny (n <= 8 in practice), so the routines favour clarity and
-exactness over asymptotics.  Integers are arbitrary precision by
-construction; overflow cannot occur.
+the last four reject a non-integral entry; the group layer eliminates
+integer matrices through ``hnf`` and ``char_poly`` alone.  Elimination
+over the rationals divides, so ``rref``, ``det`` and everything built on
+them (``rank``, ``kernel``, ``solve``, ``inverse``) read their input
+through ``mat`` and return ``Fraction`` entries, whether they were given
+ints or Fractions.  Sizes stay tiny (n <= 8 in practice), so the routines
+favour clarity and exactness over asymptotics.  Integers are arbitrary
+precision by construction; overflow cannot occur.
 """
 
 from __future__ import annotations
@@ -316,16 +317,6 @@ def matrix_order(M, cap: int = 64) -> int | None:
             return k
         P = mat_mul(P, M)
     return None
-
-
-def is_symmetric(G: Mat) -> bool:
-    return mat_eq(G, transpose(G))
-
-
-def is_positive_definite(G: Mat) -> bool:
-    """Sylvester criterion on leading principal minors."""
-    n = len(G)
-    return all(det([row[: k + 1] for row in G[: k + 1]]) > 0 for k in range(n))
 
 
 def fraction_str(x: Fraction) -> str:

@@ -109,6 +109,11 @@ class IsotypicReport:
 # -- invariant forms in integers ---------------------------------------------
 
 
+def _rank(rows) -> int:
+    """Rank of integer rows, given as lists or arrays: the nonzero rows of their Hermite form."""
+    return sum(1 for h in ra.hnf(list(rows))[0] if any(h))
+
+
 def invariant_form_dim(elements, n: int) -> int:
     """Dimension of the symmetric S with A^T S A = S for every element.
 
@@ -127,8 +132,7 @@ def invariant_form_dim(elements, n: int) -> int:
                     row[index[key]] += A[k][i] * A[l][j]
             row[index[(i, j)]] -= 1
             rows.append(row)
-    H, _ = ra.hnf(rows)
-    return len(pairs) - sum(1 for h in H if any(h))
+    return len(pairs) - _rank(rows)
 
 
 # -- conjugacy classes ---------------------------------------------------------
@@ -290,10 +294,6 @@ def _whole(q: Fraction, what: str) -> int:
     if q.denominator != 1 or q < 0:
         raise FlatOrbError(f"character sums give a non-integral {what}")
     return int(q)
-
-
-def _rank(rows) -> int:
-    return ra.rank([row.tolist() for row in rows])
 
 
 def _splitting_element(cl: _Classes, cols, pivots, k: int) -> np.ndarray:

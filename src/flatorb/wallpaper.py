@@ -227,7 +227,7 @@ def classify_low_dim(group: CrystalGroup) -> OrbifoldLabel:
         name = f"T{grp.n}"
     else:
         tf = grp.is_torsion_free().torsion_free
-        ori = all(ra.det(A) == 1 for A in hol.elements)
+        ori = all((-1) ** grp.n * ra.char_poly(A)[0] == 1 for A in hol.elements)
         name = f"flat{grp.n}:H{hol.order}" + ("" if ori else ",nonor") + ("" if tf else ",sing")
     return _label(name, "", name, [], [], hol.order)
 

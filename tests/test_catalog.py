@@ -1,4 +1,7 @@
 import copy
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -176,3 +179,19 @@ def test_all_holonomy_elements_preserve_gram_and_lattice():
             M = ra.mat(A)
             assert abs(ra.det(M)) == 1, key  # A Z^n = Z^n
             assert ra.mat_eq(ra.mat_mul(ra.transpose(M), ra.mat_mul(G, M)), G), key
+
+
+def test_build_catalog_script_reproduces_the_shipped_data(tmp_path, monkeypatch):
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("build_catalog", root / "scripts" / "build_catalog.py")
+    script = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script puts src/ first
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "DATA", tmp_path)
+    script.main()
+    shipped = root / "src" / "flatorb" / "data"
+    names = sorted(p.name for p in shipped.iterdir())
+    assert len(names) == 50
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name

@@ -260,6 +260,15 @@ def test_render_svg_of_a_gram_beyond_the_double_range_is_a_domain_error(tmp_path
     assert not (tmp_path / "p1.svg").exists()
 
 
+@pytest.mark.parametrize("scale", ["1e400", "1e-400"])
+def test_limit_seq_of_a_gram_beyond_the_double_range_is_a_domain_error(tmp_path, capsys, scale):
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps({"dimension": 2, "gram": [[scale, 0], [0, 1]], "generators": []}))
+    code, _, err = run(capsys, "limit-seq", "--group", str(path), "--subspace", "1,0", "--schedule", "1,0.5,0.1")
+    assert code == 1
+    assert err == "error: the Gram form lies outside the double range\n"
+
+
 @pytest.mark.parametrize("verb", [["classify2"], ["render-svg", "--out", "G1.svg"]])
 def test_plane_verbs_on_a_3d_group_are_a_domain_error(tmp_path, monkeypatch, capsys, verb):
     monkeypatch.chdir(tmp_path)

@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from flatorb import groups
 from flatorb import rational as ra
@@ -253,6 +255,36 @@ def test_torsion_is_invariant_under_basis_and_origin_change(key):
             assert rep.witness.apply(rep.fixed_point) == list(rep.fixed_point)
 
 
+def _quotient_map_fixed_point(A, v):
+    # the reference formula: with (Q, R) the integer quotient map of R^n onto
+    # R^n / im(I - A), Q v integral, w = v - R Q v and a Fraction solve of (I - A) x = w
+    n = len(v)
+    ImA = [[int(i == j) - A[i][j] for j in range(n)] for i in range(n)]
+    Q, R = ra.quotient_map(ra.transpose(ImA), n)
+    qv = [sum(q * x for q, x in zip(row, v)) for row in Q]
+    if any(c.denominator != 1 for c in qv):
+        return None
+    w = tuple(x - sum(r * c for r, c in zip(row, qv)) for x, row in zip(v, R))
+    return w, tuple(ra.solve(ImA, list(w)))
+
+
+def test_fixed_point_matches_the_quotient_map_and_solve():
+    rng = random.Random(19)
+    found_some = False
+    for key in catalog_list():
+        for A, vA in catalog_get(key).group.holonomy().items():
+            seeded = [[Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 4, 6])) for _ in vA] for _ in range(3)]
+            for v in [vA, *seeded]:
+                found = groups._fixed_point(A, v)
+                assert found == _quotient_map_fixed_point(A, v), (key, A, v)
+                if found is not None:
+                    w, x = found
+                    assert AffineElement(A, w).apply(x) == list(x), (key, A, v)
+                    assert all((a - b).denominator == 1 for a, b in zip(w, v)), (key, A, v)
+                    found_some = True
+    assert found_some
+
+
 def test_volume():
     t2 = CrystalGroup.make(2, [], gram=[[1, 0], [0, 1]]).normalize()
     assert t2.volume() == pytest.approx(1.0)
@@ -367,6 +399,36 @@ def test_validate_names_each_bad_input(linear, gram, message):
     grp = CrystalGroup.make(2, [(linear, [0, 0])], gram=gram)
     with pytest.raises(InvalidGroupError, match=f"^{message}$"):
         grp.normalize()
+
+
+def _leading_minors_positive(G):
+    return all(ra.det([row[: k + 1] for row in G[: k + 1]]) > 0 for k in range(len(G)))
+
+
+@st.composite
+def _symmetric_int_matrices(draw):
+    n = draw(st.integers(1, 5))
+    G = [[0] * n for _ in range(n)]
+    for i in range(n):
+        G[i][i] = draw(st.integers(-2, 12))
+        for j in range(i + 1, n):
+            G[i][j] = G[j][i] = draw(st.integers(-4, 4))
+    return G
+
+
+@settings(max_examples=300, deadline=None)
+@given(_symmetric_int_matrices())
+@example([[1, "-1/2"], ["-1/2", 1]])
+@example([[1, 2], [2, 1]])
+def test_validate_tests_definiteness_as_sylvester_does(gram):
+    # validate reads definiteness off the signs of the characteristic
+    # polynomial; Sylvester's leading minors are the reference
+    grp = CrystalGroup.make(len(gram), [], gram=gram)
+    if _leading_minors_positive(gram):
+        grp.validate()
+    else:
+        with pytest.raises(InvalidGroupError, match="^gram form must be positive definite$"):
+            grp.validate()
 
 
 def test_json_roundtrip():

@@ -109,11 +109,6 @@ def test_char_poly_and_order():
     assert ra.char_poly(shift) == ra.vec([-1, 0, 0, 1])
 
 
-def test_positive_definite():
-    assert ra.is_positive_definite(ra.mat([[1, "-1/2"], ["-1/2", 1]]))
-    assert not ra.is_positive_definite(ra.mat([[1, 2], [2, 1]]))
-
-
 def test_frac_parsing():
     assert ra.frac("3/2") == Fraction(3, 2)
     assert ra.frac(0.25) == Fraction(1, 4)
