@@ -1,8 +1,10 @@
 """Walk one manifold through degeneration, step by step.
 
-Shows the exact quotient data for each invariant direction of a chosen
-catalog entry (default: the Hantzsche-Wendt manifold G6), then chases one
-iterated collapse chain down to a point.
+Prints the entry's dimension and holonomy order, then the limit label of
+the collapse along each invariant direction of a chosen catalog entry
+(default: the Hantzsche-Wendt manifold G6), then the labels of one
+iterated collapse chain down to a point, collapsing the first direction
+at each step.
 
     python3 scripts/collapse_flow.py [KEY]
 """

@@ -1,13 +1,15 @@
 """Degeneration of flat manifolds and orbifolds along invariant subspaces.
 
-Collapsing a rational, holonomy-invariant subspace W is the quotient map
-x -> A x onto R^n / W: A is an integer matrix with A W = 0 and
-A Z^n = Z^m (``rational.quotient_map``), so the lattice goes to Z^m, each
-generator (M, v) of the group to (A M R, A v) with R a right inverse of A,
-and the metric to the Gram form of the complement of W.  The quotient basis
-is the Hermite basis of the complement projection of Z^n.  The quotient is a
-crystallographic group of dimension n - dim W and is classified by
-dimension (point, interval, circle, or a wallpaper class).
+Collapsing a rational, holonomy-invariant subspace W projects R^n
+G-orthogonally along W onto its complement, and the lattice onto the
+projection of Z^n, taken in its Hermite basis.  The coordinate map A onto
+that basis is an integer matrix with A W = 0 and A Z^n = Z^m, so each
+generator (M, v) of the group goes to (A M R, A v) with R an integer right
+inverse of A, and the metric to the Gram form of the complement.  Scaled
+by a common denominator the projection is an integer matrix, so the one
+rational elimination is the k x k inverse that defines it (k = dim W).
+The quotient is a crystallographic group of dimension n - dim W and is
+classified by dimension (point, interval, circle, or a wallpaper class).
 
 ``rational_closure`` enlarges a direction that is not rational or not
 invariant to the smallest subspace that is both: the span of the images
@@ -191,48 +193,46 @@ def collapse(group: CrystalGroup, subspace, *, closure: bool = True) -> Collapse
             raise NotInvariantError("subspace is not invariant under the holonomy action")
     k = len(W)
     log = [f"collapsing a {k}-dimensional invariant rational subspace of R^{n}"]
-    G = grp.gram
     m = n - k
     if m == 0:
         quotient = CrystalGroup.make(0, [], gram=[], name=(grp.name or "") + "/collapse").normalize()
         log.append("everything collapsed: limit is a point")
         return CollapseResult(quotient, POINT_LABEL, tuple(log), tuple(map(tuple, W)), tuple())
 
-    # complement: kernel of W^T G, columns C
-    WtG = [ra.mat_vec(G, w) for w in W]
-    C = ra.transpose(ra.kernel(WtG))
     log.append(f"orthogonal complement has dimension {m}")
 
-    # x -> A x identifies R^n / W with R^m and Z^n with Z^m.  The complement
-    # projection of Z^n is (A C)^-1 Z^m in C-coordinates, with Hermite basis
-    # Y = H^T / d for H = V S, S = d ((A C)^-1)^T scaled to integers and V
-    # unimodular; so the quotient basis U0 = (A C) Y = V^T is integral.  The
-    # quotient coordinates of x are U0^-1 A x, the lattice basis in old
-    # coordinates is D = C Y, and (M, v) acts as (U0^-1 A M R U0, U0^-1 A v).
-    A, R = ra.quotient_map(W, n)
-    ACinv_t = ra.transpose(ra.inverse(ra.mat_mul(A, C)))
-    d = math.lcm(*(x.denominator for row in ACinv_t for x in row))
-    H, V = ra.hnf([[int(x * d) for x in row] for row in ACinv_t])
-    Y = [[Fraction(h[j], d) for h in H] for j in range(m)]
-    coord_map = _int_mul(ra.transpose(ra.unimodular_inverse(V)), A)
-    RU0 = _int_mul(R, ra.transpose(V))
-    gens = [
-        (_int_mul(coord_map, _int_mul(g.linear, RU0)), ra.mat_vec(coord_map, g.translation))
-        for g in grp.generators
-    ]
-    D = ra.mat_mul(C, Y)
-    Gq = ra.mat_mul(ra.transpose(D), ra.mat_mul(G, D))
-    quotient = CrystalGroup.make(m, gens, gram=Gq, name=(grp.name or "group") + "/collapse")
-    quotient = quotient.normalize()
+    # With Gi = q G, WG = W Gi and s the common denominator of the one
+    # rational elimination, the k x k (WG W^T)^-1: sP = s I - W^T s
+    # (WG W^T)^-1 WG is s times the G-orthogonal projection P along W onto
+    # C = ker WG, on which the non-pivot columns of WG are coordinates.  The
+    # quotient lattice is P Z^n.  With S the rows s (P e_i)[free] and U S =
+    # [H; 0] their Hermite form, its Hermite basis is H^T / s; the first m
+    # columns of U^-1 are S H^-1, so they map x to Hermite coordinates, and
+    # the first m rows of U form a right inverse R.  (M, v) acts as
+    # (coord_map M R, coord_map v), and the Gram form is R^T G P R.
+    q = math.lcm(*(x.denominator for row in grp.gram for x in row))
+    Gi = [[int(x * q) for x in row] for row in grp.gram]
+    WG, Wt = _int_mul(W, Gi), tuple(zip(*W))
+    K = ra.inverse(_int_mul(WG, Wt))
+    s = math.lcm(*(x.denominator for row in K for x in row))
+    WsKWG = _int_mul(_int_mul(Wt, [[int(x * s) for x in row] for row in K]), WG)
+    sP = [[s * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(WsKWG)]
+    pivots = {next(j for j, x in enumerate(h) if x) for h in ra.hnf(WG)[0]}
+    free = [j for j in range(n) if j not in pivots]
+    _, U = ra.hnf([[sP[j][i] for j in free] for i in range(n)])
+    coord_map = tuple(zip(*(row[:m] for row in ra.unimodular_inverse(U))))
+    R = tuple(zip(*U[:m]))
+    gens = [(_int_mul(coord_map, _int_mul(g.linear, R)), ra.mat_vec(coord_map, g.translation)) for g in grp.generators]
+    Gq = [[Fraction(x, q * s) for x in row] for row in _int_mul(_int_mul(U[:m], Gi), _int_mul(sP, R))]
+    quotient = CrystalGroup.make(m, gens, gram=Gq, name=(grp.name or "group") + "/collapse").normalize()
     label = classify_low_dim(quotient)
     log.append(f"quotient is {m}-dimensional with holonomy order {quotient.holonomy().order}")
     log.append(f"classified as {label.orbifold_name}")
 
-    # normalize() may refine the quotient lattice once more; its basis
-    # change B contains Z^m, so B^-1 is integral and folds into the map
-    bc = quotient.notes.get("basis_change")
-    if bc is not None:
-        coord_map = _int_mul(ra._int_rows(ra.inverse(bc)), coord_map)
+    # normalize() may refine the quotient lattice once more; its integer
+    # B^-1 maps the old quotient coordinates to the new ones
+    if quotient.Binv is not None:
+        coord_map = _int_mul(quotient.Binv, coord_map)
     return CollapseResult(quotient, label, tuple(log), tuple(map(tuple, W)), coord_map)
 
 

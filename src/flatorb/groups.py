@@ -237,7 +237,6 @@ class CrystalGroup:
     generators: tuple[AffineElement, ...]
     gram: tuple[tuple[Fraction, ...], ...]
     name: str | None = None
-    notes: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.generators = tuple(
@@ -245,6 +244,7 @@ class CrystalGroup:
         )
         self.gram = tuple(tuple(ra.frac(x) for x in row) for row in self.gram)
         self._holonomy: HolonomyData | None = None  # set by normalize()
+        self.Binv: IntMat | None = None  # set by normalize() when it refines the lattice
 
     @staticmethod
     def make(n, generators=(), gram=None, name=None) -> "CrystalGroup":
@@ -300,15 +300,14 @@ class CrystalGroup:
         part is rewritten as B^-1 A B = (B^-1 A H^T) / d, integral since T
         is normal.  The closure of the rewritten generators is the holonomy.
 
-        When the lattice is refined, ``notes["basis_change"]`` holds B, the
-        new basis as columns in the old coordinates; an unchanged lattice
-        has no such note.
+        When the lattice is refined, the result's ``Binv`` holds the integer
+        B^-1, which maps old lattice coordinates to new ones; on an
+        unchanged lattice it is None.
         """
         if self.normalized:
             return self
         self.validate()
-        n = self.n
-        notes = {k: v for k, v in self.notes.items() if k != "basis_change"}
+        n, Binv = self.n, None
         table, translations = _coset_closure(n, self.generators)
         if not translations:
             gens = [AffineElement(g.linear, _frac_part(g.translation)) for g in self.generators]
@@ -327,14 +326,14 @@ class CrystalGroup:
                 v = tuple(sum(b * x for b, x in zip(row, g.translation)) for row in Binv)
                 gens.append(AffineElement(tuple(tuple(x // d for x in row) for row in M), _frac_part(v)))
             gram = [[x / d**2 for x in row] for row in ra.mat_mul(H[:n], ra.mat_mul(self.gram, Ht))]
-            notes["basis_change"] = [[ra.fraction_str(Fraction(x, d)) for x in row] for row in Ht]
             table, translations = _coset_closure(n, tuple(gens))
             if translations:
                 raise NotCrystallographicError("refined lattice misses a translation of the group")
         # drop the identity and repeats, keeping the first of each
         gens = tuple(g for g in dict.fromkeys(gens) if g != AffineElement.identity(n))
-        out = CrystalGroup(n=n, generators=gens, gram=gram, name=self.name, notes=notes)
+        out = CrystalGroup(n=n, generators=gens, gram=gram, name=self.name)
         out._holonomy = HolonomyData(n, tuple(sorted(table)), table)
+        out.Binv = Binv
         return out
 
     # -- holonomy ------------------------------------------------------

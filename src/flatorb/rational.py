@@ -4,7 +4,8 @@ Matrices are lists (or tuples) of rows and vectors are lists.  Integer
 matrices stay in Python integers: products, ``char_poly``,
 ``matrix_order``, ``hnf`` and ``unimodular_inverse`` never leave them, and
 the last four reject a non-integral entry; the group layer eliminates
-integer matrices through ``hnf`` and ``char_poly`` alone.  Elimination
+integer matrices through ``hnf`` and ``char_poly`` alone, and a collapse
+adds only the ``inverse`` of one k x k form.  Elimination
 over the rationals divides, so ``rref``, ``det`` and everything built on
 them (``rank``, ``kernel``, ``solve``, ``inverse``) read their input
 through ``mat`` and return ``Fraction`` entries, whether they were given

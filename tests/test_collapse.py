@@ -5,6 +5,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -575,3 +576,97 @@ def test_collapse_quotients_are_pinned():
                 assert all(type(x) is int for row in r.coord_map for x in row)
     assert count == 735
     assert digest.hexdigest() == QUOTIENT_PIN_SHA256
+
+
+def _reference_collapse(grp, W):
+    """The quotient by the rational construction that the integer one replaced.
+
+    C is the rref kernel of W^T G, (A, R) the integer quotient map, Y the
+    Hermite basis of the complement projection (A C)^-1 Z^m and D = C Y the
+    quotient basis in old coordinates; returns the normalized quotient and
+    the coordinate map with its refinement folded in.
+    """
+    n, m = grp.n, grp.n - len(W)
+    G = ra.mat(grp.gram)
+    C = ra.transpose(ra.kernel([ra.mat_vec(G, w) for w in W]))
+    A, R = ra.quotient_map(W, n)
+    ACinv_t = ra.transpose(ra.inverse(ra.mat_mul(A, C)))
+    d = math.lcm(*(x.denominator for row in ACinv_t for x in row))
+    H, V = ra.hnf([[int(x * d) for x in row] for row in ACinv_t])
+    Y = [[Fraction(h[j], d) for h in H] for j in range(m)]
+    coord_map = ra.mat_mul(ra.transpose(ra.unimodular_inverse(V)), A)
+    RU0 = ra.mat_mul(R, ra.transpose(V))
+    gens = [
+        (ra.mat_mul(coord_map, ra.mat_mul(g.linear, RU0)), ra.mat_vec(coord_map, g.translation))
+        for g in grp.generators
+    ]
+    D = ra.mat_mul(C, Y)
+    quotient = CrystalGroup.make(m, gens, gram=ra.mat_mul(ra.transpose(D), ra.mat_mul(G, D))).normalize()
+    if quotient.Binv is not None:
+        coord_map = ra.mat_mul(quotient.Binv, coord_map)
+    return quotient, coord_map
+
+
+def _random_torus_collapse(rng):
+    """A torus of dimension 2-6 with a random rational Gram form, and a random subspace of rank 1..n-1."""
+    n = rng.randint(2, 6)
+    while True:
+        P = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if ra.det(P):
+            break
+    scales = [Fraction(rng.randint(1, 9), rng.randint(1, 6)) for _ in range(n)]
+    gram = [[sum(P[k][i] * c * P[k][j] for k, c in enumerate(scales)) for j in range(n)] for i in range(n)]
+    k = rng.randint(1, n - 1)
+    while True:
+        W = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(k)]
+        if ra.rank(W) == k:
+            return CrystalGroup.make(n, [], gram=gram).normalize(), W
+
+
+def test_integer_quotient_matches_the_rational_construction():
+    jobs = [
+        (grp, basis)
+        for grp in three_manifold_groups() + list(_survey_quotients())
+        for _, basis in invariant_directions(grp)
+    ]
+    rng = random.Random(20)
+    jobs += [_random_torus_collapse(rng) for _ in range(300)]
+    checked = 0
+    for grp, basis in jobs:
+        res = collapse(grp, basis)
+        if res.quotient.n == 0:
+            continue
+        quotient, coord_map = _reference_collapse(grp.normalize(), [list(w) for w in res.subspace])
+        assert [list(row) for row in res.coord_map] == coord_map, (grp.name, basis)
+        assert res.quotient.generators == quotient.generators, (grp.name, basis)
+        assert res.quotient.gram == quotient.gram, (grp.name, basis)
+        checked += 1
+    assert checked == 244 + 300
+
+
+def test_collapse_eliminates_only_the_k_by_k_form(monkeypatch):
+    # the survey's directions come first: _sublattice_basis still takes a kernel
+    golden = json.loads(
+        (Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "collapse-survey.json").read_text()
+    )["ops"]
+    jobs = [
+        (f"collapse:{grp.name}:{name}", grp, basis)
+        for grp in three_manifold_groups()
+        for name, basis in invariant_directions(grp)
+    ]
+    assert len(jobs) == 177
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("collapse() called a rational kernel or quotient map")
+
+    shapes = []
+    inverse = ra.inverse
+    monkeypatch.setattr(ra, "kernel", forbidden)
+    monkeypatch.setattr(ra, "quotient_map", forbidden)
+    monkeypatch.setattr(ra, "inverse", lambda M: shapes.append((len(M), len(M[0]))) or inverse(M))
+    for op_id, grp, basis in jobs:
+        shapes.clear()
+        res = collapse(grp, basis)
+        assert res.label.orbifold_name == golden[op_id]["output"]["label"], op_id
+        k = res.collapsed_dim
+        assert shapes == ([] if k == grp.n else [(k, k)]), op_id

@@ -111,18 +111,14 @@ def test_normalize_refines_scaled_lattice():
 
 
 def test_basis_change_is_noted_only_when_the_lattice_is_refined():
-    stale = [["2", "0"], ["0", "2"]]
-    plain = CrystalGroup.make(2, [([[-1, 0], [0, -1]], ["1/2", 0])])
-    plain.notes["basis_change"] = stale
-    assert "basis_change" not in plain.normalize().notes
+    assert CrystalGroup.make(2, [([[-1, 0], [0, -1]], ["1/2", 0])]).normalize().Binv is None
     # (P, e1/3) with P the 3-cycle: its cube is the hidden translation (1/3, 1/3, 1/3)
     cycle = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
-    refined = CrystalGroup.make(3, [(cycle, ["1/3", 0, 0])])
-    refined.notes["basis_change"] = stale
-    grp = refined.normalize()
-    B = ra.mat(grp.notes["basis_change"])
-    assert ra.det(B) == Fraction(1, 3)
-    assert all(x.denominator == 1 for x in ra.solve(B, ra.vec(["1/3", "1/3", "1/3"])))
+    grp = CrystalGroup.make(3, [(cycle, ["1/3", 0, 0])]).normalize()
+    assert all(type(x) is int for row in grp.Binv for x in row)
+    assert ra.det(grp.Binv) == 3
+    assert all(x.denominator == 1 for x in ra.mat_vec(grp.Binv, ra.vec(["1/3", "1/3", "1/3"])))
+    B = ra.inverse(grp.Binv)
     assert ra.mat(grp.gram) == ra.mat_mul(ra.transpose(B), B)
     assert grp.holonomy().order == 3
 
@@ -138,12 +134,12 @@ def test_one_closure_finds_every_hidden_translation(monkeypatch):
     closure = groups._coset_closure
     monkeypatch.setattr(groups, "_coset_closure", lambda *a: calls.append(a) or closure(*a))
     normal = grp.normalize()
-    assert ra.mat(normal.notes["basis_change"]) == [[Fraction(1, 2), 0], [0, Fraction(1, 2)]]
+    assert normal.Binv == ((2, 0), (0, 2))
     assert normal.holonomy().order == 2
     assert len(calls) == 2
     calls.clear()
     k7 = catalog_get("K7").group
-    assert "basis_change" in k7.notes
+    assert k7.Binv is not None
     k7.holonomy()
     assert len(calls) == 2
 
@@ -184,9 +180,9 @@ def test_normalize_absorbs_hidden_translations(key):
         assert hol.order == entry.expected["holonomy_order"]
         assert [grp.betti(j) for j in range(grp.n + 1)] == [entry.group.betti(j) for j in range(grp.n + 1)]
         assert hol.cocycle_defects() == []
-        B = ra.mat(grp.notes.get("basis_change", ra.identity(grp.n)))
+        Binv = ra.identity(grp.n) if grp.Binv is None else grp.Binv
         for t in shifts:
-            assert all(x.denominator == 1 for x in ra.solve(B, t)), (key, t)
+            assert all(x.denominator == 1 for x in ra.mat_vec(Binv, t)), (key, t)
 
 
 def test_closure_multiplies_by_the_generators_alone(monkeypatch):
