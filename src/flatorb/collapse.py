@@ -6,8 +6,8 @@ projection of Z^n, taken in its Hermite basis.  The coordinate map A onto
 that basis is an integer matrix with A W = 0 and A Z^n = Z^m, so each
 generator (M, v) of the group goes to (A M R, A v) with R an integer right
 inverse of A, and the metric to the Gram form of the complement.  Scaled
-by a common denominator the projection is an integer matrix, so the one
-rational elimination is the k x k inverse that defines it (k = dim W).
+by the determinant of the k x k form that defines it (k = dim W), through
+the form's integer adjugate, the projection is an integer matrix.
 The quotient is a crystallographic group of dimension n - dim W and is
 classified by dimension (point, interval, circle, or a wallpaper class).
 
@@ -201,29 +201,26 @@ def collapse(group: CrystalGroup, subspace, *, closure: bool = True) -> Collapse
 
     log.append(f"orthogonal complement has dimension {m}")
 
-    # With Gi = q G, WG = W Gi and s the common denominator of the one
-    # rational elimination, the k x k (WG W^T)^-1: sP = s I - W^T s
-    # (WG W^T)^-1 WG is s times the G-orthogonal projection P along W onto
-    # C = ker WG, on which the non-pivot columns of WG are coordinates.  The
-    # quotient lattice is P Z^n.  With S the rows s (P e_i)[free] and U S =
-    # [H; 0] their Hermite form, its Hermite basis is H^T / s; the first m
-    # columns of U^-1 are S H^-1, so they map x to Hermite coordinates, and
-    # the first m rows of U form a right inverse R.  (M, v) acts as
-    # (coord_map M R, coord_map v), and the Gram form is R^T G P R.
-    q = math.lcm(*(x.denominator for row in grp.gram for x in row))
-    Gi = [[int(x * q) for x in row] for row in grp.gram]
+    # With Gi = q G, WG = W Gi and (a, D) the integer adjugate and determinant
+    # of the k x k form WG W^T (D > 0), DP = D I - W^T a WG is D times the
+    # G-orthogonal projection P along W onto C = ker WG, whose coordinates are
+    # the non-pivot columns of WG.  With S the rows D (P e_i)[free] and U S =
+    # [H; 0] their Hermite form, the quotient lattice P Z^n has the Hermite
+    # basis H^T / D; the first m columns of U^-1 are S H^-1, so they map x to
+    # Hermite coordinates, and the first m rows of U form a right inverse R.
+    # (M, v) acts as (coord_map M R, coord_map v); the Gram form is R^T G P R.
+    Gi, q = grp._gram_int
     WG, Wt = _int_mul(W, Gi), tuple(zip(*W))
-    K = ra.inverse(_int_mul(WG, Wt))
-    s = math.lcm(*(x.denominator for row in K for x in row))
-    WsKWG = _int_mul(_int_mul(Wt, [[int(x * s) for x in row] for row in K]), WG)
-    sP = [[s * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(WsKWG)]
+    adj, D = ra.adjugate(_int_mul(WG, Wt))
+    WaWG = _int_mul(_int_mul(Wt, adj), WG)
+    DP = [[D * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(WaWG)]
     pivots = {next(j for j, x in enumerate(h) if x) for h in ra.hnf(WG)[0]}
     free = [j for j in range(n) if j not in pivots]
-    _, U = ra.hnf([[sP[j][i] for j in free] for i in range(n)])
+    _, U = ra.hnf([[DP[j][i] for j in free] for i in range(n)])
     coord_map = tuple(zip(*(row[:m] for row in ra.unimodular_inverse(U))))
     R = tuple(zip(*U[:m]))
     gens = [(_int_mul(coord_map, _int_mul(g.linear, R)), ra.mat_vec(coord_map, g.translation)) for g in grp.generators]
-    Gq = [[Fraction(x, q * s) for x in row] for row in _int_mul(_int_mul(U[:m], Gi), _int_mul(sP, R))]
+    Gq = [[Fraction(x, q * D) for x in row] for row in _int_mul(_int_mul(U[:m], Gi), _int_mul(DP, R))]
     quotient = CrystalGroup.make(m, gens, gram=Gq, name=(grp.name or "group") + "/collapse").normalize()
     label = classify_low_dim(quotient)
     log.append(f"quotient is {m}-dimensional with holonomy order {quotient.holonomy().order}")

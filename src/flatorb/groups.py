@@ -1,8 +1,9 @@
 """Crystallographic groups in lattice coordinates.
 
 A group is stored as a set of affine generators over a provisional
-translation lattice Z^n, together with a rational Gram form encoding the
-flat metric.  ``normalize`` absorbs any hidden pure translations the
+translation lattice Z^n, together with a rational Gram form G encoding the
+flat metric, which is read once as the integer form d G, d the lcm of its
+denominators.  ``normalize`` absorbs any hidden pure translations the
 generators produce, refines the lattice so translations are exactly Z^n,
 and rewrites everything in the new basis.  All group arithmetic is exact:
 linear parts compose in Python integers, and the normalized group keeps
@@ -68,16 +69,10 @@ FracVec = tuple[Fraction, ...]
 
 
 def _freeze_int_mat(M) -> IntMat:
-    out = []
-    for row in M:
-        frozen = []
-        for x in row:
-            f = ra.frac(x)
-            if f.denominator != 1:
-                raise ValueError("linear parts must be integer matrices")
-            frozen.append(int(f))
-        out.append(tuple(frozen))
-    return tuple(out)
+    Mi, d = ra.clear_denominators(M)
+    if d != 1:
+        raise ValueError("linear parts must be integer matrices")
+    return tuple(map(tuple, Mi))
 
 
 def _freeze_vec(v) -> FracVec:
@@ -243,6 +238,8 @@ class CrystalGroup:
             g if isinstance(g, AffineElement) else AffineElement.of(*g) for g in self.generators
         )
         self.gram = tuple(tuple(ra.frac(x) for x in row) for row in self.gram)
+        Gi, d = ra.clear_denominators(self.gram)
+        self._gram_int = tuple(map(tuple, Gi)), d  # Gi = d G, d the lcm of the denominators
         self._holonomy: HolonomyData | None = None  # set by normalize()
         self.Binv: IntMat | None = None  # set by normalize() when it refines the lattice
 
@@ -261,18 +258,16 @@ class CrystalGroup:
     def validate(self) -> None:
         """Check the Gram form and that each generator is an isometry of it.
 
-        Every test runs in Python integers, on the form Gi scaled once by
-        the common denominator of its entries.  Gi must be symmetric and
-        positive definite: its roots are real, so the coefficients of its
-        characteristic polynomial must alternate strictly in sign.  Each
-        generator's n x n integer linear part A must satisfy A^T Gi A = Gi,
-        which forces det A = +-1, so only a failing A is tested for that.
+        Every test runs in Python integers, on the form Gi of ``_gram_int``.
+        Gi must be symmetric and positive definite: its roots are real, so
+        the coefficients of its characteristic polynomial must alternate
+        strictly in sign.  Each generator's n x n integer linear part A must
+        satisfy A^T Gi A = Gi, which forces det A = (-1)^n c_0(A) = +-1, so
+        only a failing A is tested for that.
         """
-        G = ra.mat(self.gram)
-        if len(G) != self.n or any(len(r) != self.n for r in G):
+        if len(self.gram) != self.n or any(len(r) != self.n for r in self.gram):
             raise InvalidGroupError("gram form has the wrong shape")
-        d = math.lcm(*(x.denominator for row in G for x in row))
-        Gi = tuple(tuple(int(x * d) for x in row) for row in G)
+        Gi, _ = self._gram_int
         if Gi != tuple(zip(*Gi)):
             raise InvalidGroupError("gram form must be symmetric")
         if any(c * (-1) ** k <= 0 for k, c in enumerate(reversed(ra.char_poly(Gi)))):
@@ -282,7 +277,7 @@ class CrystalGroup:
             if g.dim != self.n or len(A) != self.n or any(len(r) != self.n for r in A):
                 raise InvalidGroupError("generator dimension mismatch")
             if _int_mul(_int_mul(tuple(zip(*A)), Gi), A) != Gi:
-                if abs(ra.det(A)) != 1:
+                if abs(ra.char_poly(A)[0]) != 1:
                     raise InvalidGroupError("generator linear part is not unimodular")
                 raise InvalidGroupError("generator does not preserve the gram form")
 
@@ -298,7 +293,8 @@ class CrystalGroup:
         in T: with U the Hermite transform, the input rows d I equal
         (U^-1)[:n,:n] H, so that block is d H^-1 = (B^-1)^T.  Each linear
         part is rewritten as B^-1 A B = (B^-1 A H^T) / d, integral since T
-        is normal.  The closure of the rewritten generators is the holonomy.
+        is normal, and the Gram form as B^T G B = H Gi H^T / (d_G d^2) with
+        Gi = d_G G.  The closure of the rewritten generators is the holonomy.
 
         When the lattice is refined, the result's ``Binv`` holds the integer
         B^-1, which maps old lattice coordinates to new ones; on an
@@ -313,9 +309,8 @@ class CrystalGroup:
             gens = [AffineElement(g.linear, _frac_part(g.translation)) for g in self.generators]
             gram = self.gram
         else:
-            d = math.lcm(*(x.denominator for t in translations for x in t))
-            rows = [[d * int(i == j) for j in range(n)] for i in range(n)]
-            H, U = ra.hnf(rows + [[int(d * x) for x in t] for t in translations])
+            T, d = ra.clear_denominators(translations)
+            H, U = ra.hnf([[d * int(i == j) for j in range(n)] for i in range(n)] + T)
             Ht = tuple(zip(*H[:n]))  # d B
             Binv = tuple(zip(*(row[:n] for row in ra.unimodular_inverse(U)[:n])))
             gens = []
@@ -325,7 +320,8 @@ class CrystalGroup:
                     raise NotCrystallographicError("refined lattice is not invariant under a generator")
                 v = tuple(sum(b * x for b, x in zip(row, g.translation)) for row in Binv)
                 gens.append(AffineElement(tuple(tuple(x // d for x in row) for row in M), _frac_part(v)))
-            gram = [[x / d**2 for x in row] for row in ra.mat_mul(H[:n], ra.mat_mul(self.gram, Ht))]
+            Gi, dg = self._gram_int
+            gram = [[Fraction(x, dg * d**2) for x in row] for row in _int_mul(_int_mul(H[:n], Gi), Ht)]
             table, translations = _coset_closure(n, tuple(gens))
             if translations:
                 raise NotCrystallographicError("refined lattice misses a translation of the group")
@@ -368,7 +364,8 @@ class CrystalGroup:
 
     def volume(self) -> float:
         """sqrt(det G) / |H|; det G = 4^k r is split exactly, so only r near 1 meets ``sqrt``."""
-        det = ra.det(self.gram)
+        Gi, d = self._gram_int
+        det = Fraction((-1) ** self.n * ra.char_poly(Gi)[0], d**self.n)
         k = (det.numerator.bit_length() - det.denominator.bit_length()) // 2
         order = self.holonomy().order
         try:

@@ -1,11 +1,11 @@
 """Exact linear algebra over the rationals for small dense systems.
 
-Matrices are lists (or tuples) of rows and vectors are lists.  Integer
-matrices stay in Python integers: products, ``char_poly``,
-``matrix_order``, ``hnf`` and ``unimodular_inverse`` never leave them, and
-the last four reject a non-integral entry; the group layer eliminates
-integer matrices through ``hnf`` and ``char_poly`` alone, and a collapse
-adds only the ``inverse`` of one k x k form.  Elimination
+Matrices are lists (or tuples) of rows and vectors are lists.  A rational
+matrix enters integer arithmetic in one place, ``clear_denominators``.
+Integer matrices stay in Python integers: products, ``char_poly``,
+``adjugate``, ``matrix_order``, ``hnf`` and ``unimodular_inverse`` never
+leave them, and the last five reject a non-integral entry; the group layer
+and ``collapse`` eliminate through these alone.  Elimination
 over the rationals divides, so ``rref``, ``det`` and everything built on
 them (``rank``, ``kernel``, ``solve``, ``inverse``) read their input
 through ``mat`` and return ``Fraction`` entries, whether they were given
@@ -27,9 +27,7 @@ def frac(x) -> Fraction:
     """Coerce ints, strings like '3/2' or '0.25', and Fractions exactly."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     if isinstance(x, float):
         # decimal literal semantics: 0.1 -> 1/10, not the binary expansion
@@ -78,8 +76,11 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
     return [a - b for a, b in zip(u, v)]
 
 
-def mat_eq(A: Mat, B: Mat) -> bool:
-    return len(A) == len(B) and all(ra == rb for ra, rb in zip(A, B))
+def clear_denominators(M) -> tuple[list[list[int]], int]:
+    """(d M, d) with d the lcm of the denominators of M's entries: d M is integral."""
+    Q = [[x if type(x) is int else frac(x) for x in row] for row in M]
+    d = lcm(*(x.denominator for row in Q for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in Q], d
 
 
 def primitive(v) -> list[int]:
@@ -87,11 +88,7 @@ def primitive(v) -> list[int]:
 
     Its first nonzero entry is positive; ValueError on a zero vector.
     """
-    w = list(v)
-    if not all(type(x) is int for x in w):
-        q = vec(w)
-        d = lcm(*(x.denominator for x in q))
-        w = [x.numerator * (d // x.denominator) for x in q]
+    (w,), _ = clear_denominators([v])
     g = gcd(*w)
     if g == 0:
         raise ValueError("a zero vector has no primitive multiple")
@@ -281,31 +278,39 @@ def quotient_map(W: list[Vec], n: int) -> tuple[list[list[int]], list[list[int]]
     the rows of U against zero rows of H form A, and since U is unimodular
     the matching columns of U^-1 form R.  W may be empty (A = R = I).
     """
-    d = lcm(*(frac(x).denominator for w in W for x in w))
-    Wt = [[int(frac(w[j]) * d) for w in W] for j in range(n)]
-    H, U = hnf(Wt)
+    Wi, _ = clear_denominators(W)
+    H, U = hnf([[w[j] for w in Wi] for j in range(n)])
     rows = [i for i in range(n) if not any(H[i])]
     Uinv = unimodular_inverse(U)
     return [U[i] for i in rows], [[Uinv[r][i] for i in rows] for r in range(n)]
 
 
-def char_poly(M) -> list[int]:
-    """Coefficients [c_0 .. c_n] with p(x) = sum c_k x^k, monic, c_n = 1.
-
-    M must have integer entries.  Faddeev-LeVerrier stays in integers: the
-    trace of step k is divisible by k, since every c_k is an integer.
-    """
+def _faddeev_leverrier(M) -> tuple[list[int], list[list[int]]]:
+    """(c, N): char_poly(M) and the matrix N of the last step, with M N = -c_0 I."""
     M = _int_rows(M)
     n = len(M)
     c = [0] * n + [1]
-    A = [[int(i == j) for j in range(n)] for i in range(n)]
+    A = N = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        A = mat_mul(M, A)
-        ck = -sum(A[i][i] for i in range(n)) // k
-        c[n - k] = ck
+        N, A = A, mat_mul(M, A)
+        c[n - k] = -sum(A[i][i] for i in range(n)) // k  # exact: every c_k is an integer
         for i in range(n):
-            A[i][i] += ck
-    return c
+            A[i][i] += c[n - k]
+    return c, N
+
+
+def char_poly(M) -> list[int]:
+    """Coefficients [c_0 .. c_n] with p(x) = sum c_k x^k, monic, of an integer matrix M."""
+    return _faddeev_leverrier(M)[0]
+
+
+def adjugate(M) -> tuple[list[list[int]], int]:
+    """(adj M, det M) = (-(-1)^n N, (-1)^n c_0) of an integer M; ValueError when singular."""
+    c, N = _faddeev_leverrier(M)
+    if c[0] == 0:
+        raise ValueError("matrix is singular")
+    sign = (-1) ** len(N)
+    return [[-sign * x for x in row] for row in N], sign * c[0]
 
 
 def matrix_order(M, cap: int = 64) -> int | None:

@@ -6,7 +6,8 @@ with the classes of the powers g^k, k coprime to the order of g).  Z_R acts
 on a Q-irreducible constituent as the scalar sum of |C| chi(g) / chi(1)
 over the classes C in R; that scalar is an algebraic integer fixed by
 Galois, hence an integer in [-|R|, |R|], so the eigenvalues are integer
-roots of the characteristic polynomial and every step is exact (Serre,
+roots of the characteristic polynomial, each eigenspace is an integer
+kernel read off a Hermite transform, and every step is exact (Serre,
 *Linear Representations of Finite Groups*, sections 12-13).
 
 For a component V with character chi, take c = <chi, chi> (the commutant
@@ -233,9 +234,8 @@ def _scaled_columns(B: ra.Mat) -> tuple[np.ndarray, list[int], int]:
     For an invariant subspace with reduced row echelon basis B, the rows
     ``pivots`` of Z @ (delta * B^T) are delta times the matrix of Z on it.
     """
-    delta = math.lcm(*(x.denominator for row in B for x in row))
-    cols = _int64([[int(x * delta) for x in row] for row in B]).T
-    return cols, [next(j for j, x in enumerate(row) if x) for row in B], delta
+    Bi, delta = ra.clear_denominators(B)
+    return _int64(Bi).T, [next(j for j, x in enumerate(row) if x) for row in B], delta
 
 
 def _restrict(Z: np.ndarray, cols: np.ndarray, pivots: list[int]) -> np.ndarray:
@@ -255,14 +255,15 @@ def _eigenspaces(Z: np.ndarray, bound: int, B: ra.Mat) -> list[ra.Mat]:
     M = _restrict(Z, cols, pivots)
     if _is_scalar(M):
         return [B]
-    M = M.tolist()
-    poly = ra.char_poly(M)  # roots delta * lambda
+    Mt, Bi = M.T.tolist(), cols.T.tolist()
+    poly = ra.char_poly(Mt)  # roots delta * lambda
     pieces = []
     for lam in range(-bound, bound + 1):
         if sum(c * (lam * delta) ** k for k, c in enumerate(poly)) != 0:
             continue
-        shifted = [[x - lam * delta if i == j else x for j, x in enumerate(row)] for i, row in enumerate(M)]
-        R, rank_pivots = ra.rref(ra.mat_mul(ra.kernel(shifted), B))
+        # the rows of U on zero rows of H = U (M^T - lambda delta I) span the kernel of M - lambda delta I
+        H, U = ra.hnf([[x - lam * delta if i == j else x for j, x in enumerate(row)] for i, row in enumerate(Mt)])
+        R, rank_pivots = ra.rref(ra.mat_mul([u for h, u in zip(H, U) if not any(h)], Bi))
         pieces.append(R[: len(rank_pivots)])
     if sum(map(len, pieces)) != len(B):
         raise FlatOrbError("a class sum is not diagonalisable over Q; the matrices do not form a finite group")

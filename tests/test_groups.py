@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from flatorb import groups
+from flatorb import catalog, groups
 from flatorb import rational as ra
 from flatorb.catalog import catalog_get, catalog_list, generalized_klein_bottle
 from flatorb.groups import (
@@ -183,6 +183,37 @@ def test_normalize_absorbs_hidden_translations(key):
         Binv = ra.identity(grp.n) if grp.Binv is None else grp.Binv
         for t in shifts:
             assert all(x.denominator == 1 for x in ra.mat_vec(Binv, t)), (key, t)
+
+
+def _refined_gram_reference(raw):
+    """H G H^T / d^2 in Fractions: H the Hermite form of d Z^n and d times the hidden translations."""
+    n = raw.n
+    _, translations = groups._coset_closure(n, raw.generators)
+    d = math.lcm(*(x.denominator for t in translations for x in t))
+    rows = [[d * int(i == j) for j in range(n)] for i in range(n)]
+    H = ra.hnf(rows + [[int(d * x) for x in t] for t in translations])[0][:n]
+    return [[x / d**2 for x in row] for row in ra.mat_mul(H, ra.mat_mul(ra.mat(raw.gram), ra.transpose(H)))]
+
+
+REFINED_CATALOG_KEYS = ["K2", "K3", "K5", "K7", "plane-G3", "plane-G4", "plane-G5", "plane-G6", "plane-G7"]
+
+
+def test_refined_gram_form_matches_the_fraction_formula():
+    assert sorted(k for k in catalog_list() if catalog_get(k).group.Binv is not None) == REFINED_CATALOG_KEYS
+    raws = []
+    for key in REFINED_CATALOG_KEYS:
+        meta = catalog._index()["entries"][key]
+        raws.append(groups.load_group(catalog.DATA_DIR / meta["file"]))
+    rng = random.Random(21)
+    raws += [
+        _hidden_translation_presentation(catalog_get(key).group, rng)[0]
+        for key in sorted(catalog_list())
+        if catalog_get(key).group.n <= 4
+    ]
+    refined = [(raw, grp) for raw, grp in ((raw, raw.normalize()) for raw in raws) if grp.Binv is not None]
+    assert len(refined) == 9 + 42
+    for raw, grp in refined:
+        assert [list(row) for row in grp.gram] == _refined_gram_reference(raw), raw.name
 
 
 def test_closure_multiplies_by_the_generators_alone(monkeypatch):
@@ -366,7 +397,7 @@ def test_gram_preserved_by_holonomy():
         G = ra.mat(grp.gram)
         for A in grp.holonomy().elements:
             M = ra.mat(A)
-            assert ra.mat_eq(ra.mat_mul(ra.transpose(M), ra.mat_mul(G, M)), G)
+            assert ra.mat_mul(ra.transpose(M), ra.mat_mul(G, M)) == G
 
 
 HEXAGONAL = [[1, "1/2"], ["1/2", 1]]

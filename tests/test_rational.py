@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatorb import rational as ra
@@ -161,13 +161,46 @@ def test_matrix_order_of_an_infinite_order_matrix():
     assert ra.matrix_order([[1, 1], [0, 1]]) is None
 
 
-@pytest.mark.parametrize("fn", [ra.char_poly, ra.matrix_order, ra.hnf])
+@pytest.mark.parametrize("fn", [ra.char_poly, ra.matrix_order, ra.hnf, ra.adjugate])
 def test_integer_routines_reject_a_non_integral_entry(fn):
     with pytest.raises(ValueError):
         fn([[1, Fraction(1, 2)], [0, 1]])
     with pytest.raises(ValueError):
         fn([[1, "1/2"], [0, 1]])
     assert fn(ra.mat([[0, -1], [1, 0]])) == fn(((0, -1), (1, 0)))
+
+
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+@example([[-4]])
+@example([[0, 1], [1, 0]])
+@example([[2, 1, 0], [1, 2, 1], [0, 1, -3]])
+@example([[1, 2], [2, 4]])
+@example([[0] * 6 for _ in range(6)])
+def test_adjugate_matches_det_and_inverse(M):
+    det = ra.det(M)
+    if det == 0:
+        with pytest.raises(ValueError, match="^matrix is singular$"):
+            ra.adjugate(M)
+        return
+    adj, d = ra.adjugate(M)
+    assert type(d) is int and d == det
+    assert all(type(x) is int for row in adj for x in row)
+    assert adj == [[det * x for x in row] for row in ra.inverse(M)]
+
+
+def test_clear_denominators_scales_by_the_lcm():
+    assert ra.clear_denominators([[Fraction(1, 2), "1/3"], [1, 0.25]]) == ([[6, 4], [12, 3]], 12)
+    assert ra.clear_denominators(((2, -3), (0, 1))) == ([[2, -3], [0, 1]], 1)
+    assert ra.clear_denominators([]) == ([], 1)
+    M, d = ra.clear_denominators([[Fraction(4, 6), 2]])
+    assert d == 3 and all(type(x) is int for x in M[0])
 
 
 def test_elimination_of_an_int_matrix_gives_fractions():
