@@ -108,12 +108,13 @@ def cmd_analyze(args) -> int:
     torsion = grp.is_torsion_free()
     rep = teich_report(grp)
     betti = [grp.betti(k) for k in range(grp.n + 1)]
+    volume = grp.volume()
     payload = {
         "name": grp.name,
         "dimension": grp.n,
         "holonomy_order": hol.order,
         "torsion_free": torsion.torsion_free,
-        "volume": grp.volume(),
+        "volume": volume,
         "betti": betti,
         "teich_dim": rep.total_dim,
         "components": _components(rep),
@@ -122,7 +123,7 @@ def cmd_analyze(args) -> int:
         f"group: {grp.name or '(unnamed)'} (dim {grp.n})",
         f"holonomy order: {hol.order}",
         f"torsion-free: {'yes' if torsion.torsion_free else 'no'}",
-        f"volume: {grp.volume():.12g}",
+        f"volume: {volume:.12g}",
         "betti: " + " ".join(f"b{k}={b}" for k, b in enumerate(betti)),
         f"teichmuller dim: {rep.total_dim}",
         rep.summary(),

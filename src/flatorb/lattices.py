@@ -368,22 +368,25 @@ def _relations_at(y: np.ndarray, scale: float) -> list[list[int]]:
     return [[int(c) for c in a] for a in np.rint(B[:n].T) if abs(a @ y) <= RELATION_TOL * np.linalg.norm(a)]
 
 
-def _float_span(y: np.ndarray) -> list[ra.Vec]:
-    """R(y) for one nonzero float vector: the kernel of its integer relations.
+def _float_span(y: np.ndarray) -> list[list[int]]:
+    """R(y) for one nonzero float vector: an integer basis of the kernel of its integer relations.
 
     Found by LLL on the rows of [I | C y] with y a unit vector
     (Lenstra-Lenstra-Lovasz 1982; Hastad-Just-Lagarias-Schnorr 1989): a
-    row is a relation when |a . y| <= 1e-14 |a|.  The rows found at
-    C = 2^30 count only if C = 2^24 finds the same span; otherwise y sits
-    too close to a relation for double precision, and FlatOrbError is
-    raised rather than a guess returned.
+    row is a relation when |a . y| <= 1e-14 |a|.  Each kernel is the
+    integer quotient map of its relations (``rational.quotient_map``), whose
+    rows span the kernel's lattice of integer points, so two kernels are
+    equal iff their Hermite forms are.  The kernel found at C = 2^30 counts
+    only if C = 2^24 finds the same one; otherwise y sits too close to a
+    relation for double precision, and FlatOrbError is raised rather than
+    a guess returned.
     """
     y = y / np.abs(y).max()  # first into the unit cube, so that the norm cannot overflow
     y = y / np.linalg.norm(y)
-    fine, coarse = (_relations_at(y, scale) for scale in RELATION_SCALES)
-    if not ra.rank(fine) == ra.rank(coarse) == ra.rank(fine + coarse):
+    fine, coarse = (ra.quotient_map(_relations_at(y, scale), len(y))[0] for scale in RELATION_SCALES)
+    if ra.hnf(fine)[0] != ra.hnf(coarse)[0]:
         raise FlatOrbError("cannot decide the rational closure at double precision")
-    return ra.kernel(fine) if fine else ra.identity(len(y))
+    return fine
 
 
 def rational_span(X) -> list[ra.Vec]:

@@ -4,14 +4,18 @@ Matrices are lists (or tuples) of rows and vectors are lists.  A rational
 matrix enters integer arithmetic in one place, ``clear_denominators``.
 Integer matrices stay in Python integers: products, ``char_poly``,
 ``adjugate``, ``matrix_order``, ``hnf`` and ``unimodular_inverse`` never
-leave them, and the last five reject a non-integral entry; the group layer
-and ``collapse`` eliminate through these alone.  Elimination
+leave them, and the last five reject a non-integral entry; the group layer,
+``wallpaper`` and ``collapse`` eliminate through these alone.  Elimination
 over the rationals divides, so ``rref``, ``det`` and everything built on
 them (``rank``, ``kernel``, ``solve``, ``inverse``) read their input
 through ``mat`` and return ``Fraction`` entries, whether they were given
-ints or Fractions.  Sizes stay tiny (n <= 8 in practice), so the routines
-favour clarity and exactness over asymptotics.  Integers are arbitrary
-precision by construction; overflow cannot occur.
+ints or Fractions.  The library calls only two of them: ``rref``, for the
+reduced bases that ``collapse._span_basis``, ``reps._eigenspaces`` and
+``lattices.rational_span`` return, and ``kernel``, for the lattice bases
+of ``collapse._sublattice_basis``.  ``rank``, ``det``, ``inverse`` and
+``solve`` are references for the tests.  Sizes stay tiny (n <= 8 in
+practice), so the routines favour clarity and exactness over asymptotics.
+Integers are arbitrary precision by construction; overflow cannot occur.
 """
 
 from __future__ import annotations
@@ -193,16 +197,6 @@ def kernel(A: Mat) -> list[Vec]:
             v[c] = -R[r][f]
         basis.append(v)
     return basis
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x, nx, y, ny, g, ng = 1, 0, 0, 1, a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    return x, y, g
 
 
 def hnf(M) -> tuple[list[list[int]], list[list[int]]]:

@@ -1,18 +1,21 @@
 """Classification of 2-dimensional crystallographic groups.
 
-The classifier works on exact holonomy data only, read off integer 2 x 2
-matrices: the maximal rotation order, which reflection classes contain
-genuine mirrors, whether glide axes coincide with mirror axes, and whether
-all rotation centers lie on mirror lines.  A finite-order integer matrix
-with det 1 has the integer trace 2 cos(2 pi / k), so the trace gives the
-rotation order k.  A reflection class (A, v) holds a mirror iff some translate
-fixes a point, decided by the same fixed-point test as torsion
-(``groups._fixed_point``: v in im(I - A) + Z^2).  Its glide axes lie on
-mirrors iff it holds a mirror and the lattice is primitive rather than
-centred for A: the centring index |det(a, p)| of the primitive +1 and -1
-eigenvectors a and p of A is 1, not 2 (the p/c lattice distinction).
-These invariants are affine (basis independent), so the result does not
-depend on the chosen lattice coordinates.
+The classifier reads integer invariants of the holonomy only, off integer
+2 x 2 matrices: the maximal rotation order N, the number of reflection
+classes and of those that hold genuine mirrors, and one lattice index.  A
+finite-order integer matrix with det 1 has the integer trace
+2 cos(2 pi / k), so the trace gives the rotation order k.  A reflection
+class (A, v) holds a mirror iff some translate fixes a point, decided by
+the same fixed-point test as torsion (``groups._fixed_point``: v in
+im(I - A) + Z^2).  Its glide axes lie on mirrors iff it holds a mirror and
+the lattice is primitive rather than centred for A: the centring index
+|det(a, p)| of the primitive +1 and -1 eigenvectors a and p of A is 1, not
+2 (the p/c lattice distinction, for pm/cm and pmm/cmm).  For N = 3 the
+index |det(a, R a)| of a reflection axis a and its image under a 3-fold
+rotation R is 1 for p31m and 3 for p3m1, the two arithmetic classes of
+point group 3m (International Tables for Crystallography, Vol. A, plane
+groups 14-15).  These invariants are affine (basis independent), so the
+result does not depend on the chosen lattice coordinates.
 
 Orbifold data for each of the 17 classes comes from the standard table:
 IUC name, Conway symbol, underlying topology, cone points and corner
@@ -33,7 +36,15 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import rational as ra
-from .groups import CrystalGroup, FlatOrbError, HolonomyData, InvalidGroupError, OutOfRangeError, _fixed_point
+from .groups import (
+    CrystalGroup,
+    FlatOrbError,
+    HolonomyData,
+    InvalidGroupError,
+    OutOfRangeError,
+    _fixed_point,
+    _frac_part,
+)
 
 
 class InvalidWallpaperError(FlatOrbError):
@@ -129,26 +140,15 @@ def _rotation_centers(A, v) -> list[tuple[Fraction, Fraction]]:
     (A, v + l + (I - A) m) fixes x + m.  (I - A) adj(I - A) = d I puts d Z^2
     inside (I - A) Z^2, so l in [0, d)^2 reaches every center (none for A = I).
     """
-    d = 2 - A[0][0] - A[1][1]
-    adj = ((1 - A[1][1], A[0][1]), (A[1][0], 1 - A[0][0]))
-    seen = set()
-    for l1 in range(d):
-        for l2 in range(d):
-            w = (v[0] + l1, v[1] + l2)
-            x = [Fraction(r[0] * w[0] + r[1] * w[1], d) for r in adj]
-            seen.add(tuple(c - math.floor(c) for c in x))
-    return sorted(seen)
-
-
-def _center_on_mirror(center, refl_classes) -> bool:
-    # c lies on a mirror line iff (I - M) c = v_M + integer vector for some
-    # reflection class; the witnessing element then fixes c's line
-    for rc in refl_classes:
-        ImA = [[(i == j) - rc.matrix[i][j] for j in range(2)] for i in range(2)]
-        w = ra.vec_sub(ra.mat_vec(ImA, center), rc.v)
-        if all(x.denominator == 1 for x in w):
-            return True
-    return False
+    try:
+        adj, d = ra.adjugate([[(i == j) - A[i][j] for j in (0, 1)] for i in (0, 1)])
+    except ValueError:  # I - A is singular only for A = I
+        return []
+    return sorted({
+        _frac_part([Fraction(x, d) for x in ra.mat_vec(adj, (v[0] + l1, v[1] + l2))])
+        for l1 in range(d)
+        for l2 in range(d)
+    })
 
 
 def _plane_elements(group: CrystalGroup, verb: str) -> tuple[HolonomyData, list, list[ReflectionClass]]:
@@ -169,7 +169,7 @@ def _plane_elements(group: CrystalGroup, verb: str) -> tuple[HolonomyData, list,
 
 def classify2(group: CrystalGroup) -> OrbifoldLabel:
     """Identify a 2-dimensional crystallographic group among the 17 classes."""
-    hol, rotations, refl_classes = _plane_elements(group, "classify2")
+    _, rotations, refl_classes = _plane_elements(group, "classify2")
     N = max(order for _, order in rotations)
     mirror_classes = sum(1 for rc in refl_classes if rc.has_mirror)
 
@@ -192,12 +192,11 @@ def classify2(group: CrystalGroup) -> OrbifoldLabel:
     if N == 3:
         if not refl_classes:
             return TABLE_2D["p3"]
-        centers = []
-        for A, order in rotations:
-            if order == 3:
-                centers.extend(_rotation_centers(A, hol.translations[A]))
-        on = all(_center_on_mirror(c, refl_classes) for c in centers)
-        return TABLE_2D["p3m1" if on else "p31m"]
+        # a reflection axis a and its image R a under a 3-fold rotation span
+        # a lattice of index 1 (p31m) or 3 (p3m1): the arithmetic classes of 3m
+        a = refl_classes[0].axis
+        Ra = ra.mat_vec(next(A for A, order in rotations if order == 3), a)
+        return TABLE_2D["p3m1" if abs(a[0] * Ra[1] - a[1] * Ra[0]) == 3 else "p31m"]
     if N == 4:
         if not refl_classes:
             return TABLE_2D["p4"]
@@ -267,8 +266,7 @@ def _reflection_lines(rc: ReflectionClass) -> tuple[list, list]:
     """
     A, a, v = rc.matrix, rc.axis, rc.v
     f = lambda x: a[1] * x[0] - a[0] * x[1]
-    x, y, sign = ra._xgcd(a[1], -a[0])  # sign = +-1, so f(g) = sign^2
-    g = (sign * x, sign * y)
+    g = ra.hnf([[a[1]], [-a[0]]])[1][0]  # f(g) = 1: a is primitive
     values = [f(corner) for corner in ((0, 0), (1, 0), (0, 1), (1, 1))]
     mirrors, glides = [], []
     for k in range(math.ceil(2 * min(values) - f(v)), math.floor(2 * max(values) - f(v)) + 1):
@@ -319,7 +317,7 @@ def cone_point_classes(group: CrystalGroup) -> list[int]:
         orders.append(centers[pt])
         for A in hol.elements:
             img = ra.vec_add(ra.mat_vec(A, pt), hol.translations[A])
-            remaining.discard(tuple(x - math.floor(x) for x in img))
+            remaining.discard(_frac_part(img))
     return sorted(orders)
 
 

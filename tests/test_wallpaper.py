@@ -330,17 +330,40 @@ def test_svg_content_matches_locus():
     assert "<circle" not in doc
 
 
+def _on_mirror(c, refl) -> bool:
+    """Whether c lies on a mirror: (I - M) c - v_M is integral for a reflection (M, v_M) in ``refl``."""
+    return any(
+        all((c[i] - M[i][0] * c[0] - M[i][1] * c[1] - v[i]).denominator == 1 for i in (0, 1)) for M, v in refl
+    )
+
+
+@pytest.mark.parametrize("name", ["p3", "p31m", "p3m1", "p6", "p6m"])
+def test_hexagonal_index_matches_mirror_incidence(name):
+    # classify2 tells p3m1 from p31m by the index |det(a, R a)| of a
+    # reflection axis a and a 3-fold rotation R; the table's definition is
+    # whether every 3-fold center lies on a mirror
+    for where, grp in _plane_groups():
+        if where[0] != name:
+            continue
+        hol = grp.holonomy()
+        refl = [(A, hol.translations[A]) for A in hol.elements if ra.det(ra.mat(A)) == -1]
+        threefold = [A for A in hol.elements if A[0][0] + A[1][1] == -1]
+        centers = {c for R in threefold for c in _rotation_centers(R, hol.translations[R])}
+        assert centers, where
+        indices = set()
+        for A, v in refl:
+            a = _reflection_class_data(A, v).axis
+            indices.update(abs(ra.det([a, ra.mat_vec(R, a)])) for R in threefold)
+        assert all(_on_mirror(c, refl) for c in centers) == (3 in indices), where
+        if name in ("p3m1", "p31m"):
+            assert indices == {3 if name == "p3m1" else 1}, where
+        assert classify2(grp).iuc == name, where
+
+
 def test_cone_and_corner_classes_match_table():
     # recompute the singular data of each class from fixed points and
     # mirror incidence, one entry per group orbit, and compare with the
     # table carried by the classifier
-    from flatorb.wallpaper import (
-        TABLE_2D,
-        _center_on_mirror,
-        _reflection_class_data,
-        cone_point_classes,
-    )
-
     for name, grp in wallpaper_groups().items():
         grp = grp.normalize()
         label = TABLE_2D[name]
@@ -349,12 +372,7 @@ def test_cone_and_corner_classes_match_table():
         assert classes == want, (name, classes, want)
         # split into interior cone points vs boundary corner reflectors
         hol = grp.holonomy()
-        refl = [
-            _reflection_class_data(A, hol.translations[A])
-            for A in hol.elements
-            if ra.det(ra.mat(A)) == -1
-        ]
-        from flatorb.wallpaper import singular_locus
+        refl = [(A, hol.translations[A]) for A in hol.elements if ra.det(ra.mat(A)) == -1]
 
         cones, corners = [], []
         seen = set()
@@ -375,7 +393,7 @@ def test_cone_and_corner_classes_match_table():
                             orbit.add(img)
                             new.append(img)
                 frontier = new
-            (corners if _center_on_mirror(pt, refl) else cones).append(centers[pt])
+            (corners if _on_mirror(pt, refl) else cones).append(centers[pt])
             remaining -= orbit
         assert sorted(cones) == sorted(label.cone_points), (name, cones)
         assert sorted(corners) == sorted(label.corner_reflectors), (name, corners)
