@@ -19,20 +19,24 @@ is R0.  This is what these desk-scale inputs (n <= 4) need.
 
 The ball is enumerated once, Fincke-Pohst style, in the norm-sorted LLL
 basis, which stays well conditioned when the input basis is not; the
-innermost coordinate comes out as a whole integer interval.  The
-candidates are arrays (coefficients, vectors, norms, coordinates) in one
-order, by norm rounded to 12 digits and then by coordinates, so ties
-between equal norms never depend on the input basis.  Independence is
-one Gram-Schmidt residual step over a whole candidate pool.
+innermost coordinate comes out as a whole integer interval, the outer ones
+on Python floats.  Each public call reduces once: one frame of that basis
+serves all its balls.  The candidates are arrays (coefficients, vectors,
+norms, coordinates) in one order, by norm rounded to 12 digits and then by
+coordinates, so ties between equal norms never depend on the input basis.
+Independence is one Gram-Schmidt residual step over a whole candidate pool.
 
 The covering radius of L (the diameter of R^n / L) is the largest norm of
 a Voronoi vertex; the same enumeration, centred, finds the cell's facets
-one class of L / 2L at a time, and that vertex's lattice distance.
+with one small ball per class of L / 2L (one ball at the largest class
+radius passes ENUM_CAP at collapse scales), and that vertex's lattice
+distance.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product
@@ -135,70 +139,75 @@ class SpecialBasis:
         return np.column_stack(self.vectors)
 
 
-def _ball(lattice: Lattice, r: float, seed: np.ndarray, centre: np.ndarray | None = None) -> np.ndarray:
-    """Coefficients, in the input basis, of the lattice vectors v with |v - centre| <= r.
+_Frame = namedtuple("_Frame", "seed U R")  # LLL basis by norm, basis @ U = seed, R^T R = seed^T seed
 
-    Without ``centre``: the nonzero vectors of the r-ball, one row per
-    +-pair, listed by the member whose last nonzero seed coordinate is
-    positive.  Fincke-Pohst enumeration in ``seed``, a norm-sorted LLL basis
-    of the same lattice, with per-coordinate bounds from the Cholesky factor
-    of its gram matrix: the outer coordinates recurse in Python and the
-    innermost one is a whole integer interval, so the Python work is per
-    outer prefix.  ``ENUM_CAP`` bounds the number of vectors, with both
-    signs; it is checked before each interval is allocated.
-    """
-    n = lattice.n
+
+def _frame(lattice: Lattice, angle_bound: float | None = None) -> _Frame:
+    """The frame every ball of one public call reads; ``angle_bound`` is checked before U."""
+    seed = lll_reduce(lattice.basis)
+    seed = seed[:, np.argsort(np.linalg.norm(seed, axis=0), kind="stable")]
+    if angle_bound is not None and _min_sine(seed) < angle_bound - ANGLE_SLACK:
+        raise LatticeEnumerationError("LLL basis is not angle-bounded")
     U = np.rint(np.linalg.solve(lattice.basis, seed)).astype(np.int64)
     if abs(round(np.linalg.det(U))) != 1:
         raise LatticeEnumerationError("reduced basis does not span the input lattice")
-    R = np.linalg.cholesky(seed.T @ seed).T  # upper triangular, G = R^T R
+    return _Frame(seed, U, np.linalg.cholesky(seed.T @ seed).T)
+
+
+def _ball(frame: _Frame, r: float, centre: np.ndarray | None = None) -> np.ndarray:
+    """Coefficients, in the input basis, of the lattice vectors v with |v - S centre| <= r.
+
+    S is the frame's seed and ``centre`` is in its coordinates.  Without it:
+    the nonzero vectors of the r-ball, one row per +-pair, listed by the
+    member whose last nonzero seed coordinate is positive.  Fincke-Pohst
+    with bounds from the frame's Cholesky factor: the outer coordinates
+    recurse on Python floats; the innermost one is a whole integer interval,
+    kept as a run (lo, count, prefix) and expanded once by ``np.repeat``.
+    ``ENUM_CAP`` bounds the vectors, both signs counted, before each run is
+    kept; an interval wider than the cap (in an LLL seed it holds more
+    vectors) is reported before it is walked.
+    """
+    n = len(frame.R)
+    cols = frame.R.T.tolist()  # cols[k] is column k of R
     half = centre is None
-    start = np.zeros(n) if half else -R @ np.linalg.solve(seed, centre)
-    y = np.zeros(n, dtype=np.int64)
-    chunks: list[np.ndarray] = []
+    start = [0.0] * n if half else (-frame.R @ centre).tolist()
+    runs: list[list[int]] = []
     count = 0
 
-    def recurse(k: int, partial: np.ndarray, budget: float, leading: bool):
+    def recurse(k: int, partial: list[float], budget: float, prefix: tuple[int, ...]):
         nonlocal count
-        rkk = R[k, k]
-        center = -partial[k] / rkk
+        rkk, pk = cols[k][k], partial[k]
         span = math.sqrt(max(budget, 0.0)) / abs(rkk)
-        lo = math.ceil(center - span - 1e-12)
-        hi = math.floor(center + span + 1e-12)
-        if leading:  # every later coordinate is zero: keep the positive member
+        if span > ENUM_CAP:
+            raise LatticeEnumerationError("short-vector enumeration cap exceeded; radius too large")
+        lo = math.ceil(-pk / rkk - span - 1e-12)
+        hi = math.floor(-pk / rkk + span + 1e-12)
+        if half and not any(prefix):  # every later coordinate is zero: keep the positive member
             lo = max(lo, 1 if k == 0 else 0)
-        rem = lambda zk: budget - (partial[k] + rkk * zk) ** 2
         if k == 0:
-            while lo <= hi and rem(lo) < -1e-12:
+            while lo <= hi and budget - (pk + rkk * lo) ** 2 < -1e-12:
                 lo += 1
-            while hi >= lo and rem(hi) < -1e-12:
+            while hi >= lo and budget - (pk + rkk * hi) ** 2 < -1e-12:
                 hi -= 1
             if lo > hi:
                 return
             count += (2 if half else 1) * (hi - lo + 1)
             if count > ENUM_CAP:
                 raise LatticeEnumerationError("short-vector enumeration cap exceeded; radius too large")
-            block = np.tile(y, (hi - lo + 1, 1))
-            block[:, 0] = np.arange(lo, hi + 1)
-            chunks.append(block)
+            runs.append([lo, hi - lo + 1, *prefix])
             return
         for zk in range(lo, hi + 1):
-            left = rem(zk)
+            left = budget - (pk + rkk * zk) ** 2
             if left < -1e-12:
                 continue
-            y[k] = zk
-            recurse(k - 1, partial + R[:, k] * zk, left, leading and zk == 0)
-        y[k] = 0
+            recurse(k - 1, [p + c * zk for p, c in zip(partial, cols[k])], left, (zk, *prefix))
 
-    recurse(n - 1, start, r * r * (1 + 1e-12), half)
-    Y = np.concatenate(chunks) if chunks else np.zeros((0, n), dtype=np.int64)
-    return Y @ U.T
-
-
-def _sorted_seed(basis: np.ndarray) -> np.ndarray:
-    """The LLL basis of ``basis`` with its columns in ascending norm."""
-    seed = lll_reduce(basis)
-    return seed[:, np.argsort(np.linalg.norm(seed, axis=0), kind="stable")]
+    recurse(n - 1, start, r * r * (1 + 1e-12), ())
+    runs_ = np.array(runs, dtype=np.int64).reshape(-1, n + 1)
+    lo, counts = runs_[:, 0], runs_[:, 1]
+    Y = np.repeat(runs_[:, 1:], counts, axis=0)  # column 0, the counts, becomes lo, ..., hi
+    Y[:, 0] = np.arange(len(Y)) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    return Y @ frame.U.T
 
 
 def short_vectors(lattice: Lattice, r: float) -> list[tuple[tuple[int, ...], np.ndarray]]:
@@ -207,9 +216,9 @@ def short_vectors(lattice: Lattice, r: float) -> list[tuple[tuple[int, ...], np.
     Pairs of input-basis coefficients and vectors, sorted by (norm,
     coefficients).  A view of the enumeration ``special_basis`` runs.
     """
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    half = _ball(lattice, r, _sorted_seed(lattice.basis))
+    if not 0 <= r < math.inf:
+        raise ValueError("radius must be finite and nonnegative")
+    half = _ball(_frame(lattice), r)
     Z = np.concatenate([half, -half])
     V = Z @ lattice.basis.T
     order = np.lexsort((*Z.T[::-1], np.linalg.norm(V, axis=1)))
@@ -227,7 +236,7 @@ def _min_sine(cols: np.ndarray) -> float:
     return float(np.min(1.0 / (np.linalg.norm(cols, axis=0) * np.linalg.norm(rows, axis=1))))
 
 
-def _candidates(lattice: Lattice, r: float, seed: np.ndarray):
+def _candidates(lattice: Lattice, r: float, frame: _Frame):
     """The half set of the closed r-ball as arrays in one tie-stable order.
 
     Returns (Z, V, norms, coords): input-basis coefficient rows, vectors
@@ -235,7 +244,7 @@ def _candidates(lattice: Lattice, r: float, seed: np.ndarray):
     12 digits and their coordinates rounded to 9, sorted by (norms, coords).
     Equal-norm ties thus break on coordinates alone.
     """
-    Z = _ball(lattice, r, seed)
+    Z = _ball(frame, r)
     V = Z @ lattice.basis.T
     big = np.abs(V) > 1e-12
     lead = V[np.arange(len(V)), np.argmax(big, axis=1)]
@@ -444,13 +453,16 @@ def special_basis(lattice: Lattice) -> SpecialBasis:
     coordinate tie-break between equal-norm bases.  The LLL basis is
     angle-bounded, so the ball of its longest vector holds the answer.
     """
+    return _special_basis(lattice)[0]
+
+
+def _special_basis(lattice: Lattice) -> tuple[SpecialBasis, _Frame]:
+    """``special_basis`` and the enumeration frame it built."""
     n = lattice.n
     bound = math.sin(theta_n(n))
-    seed = _sorted_seed(lattice.basis)
-    if _min_sine(seed) < bound - ANGLE_SLACK:
-        raise LatticeEnumerationError("LLL basis is not angle-bounded")
-    radius = float(np.linalg.norm(seed[:, -1]))
-    Z, V, norms, coords = _candidates(lattice, radius * (1 + 1e-12), seed)
+    frame = _frame(lattice, bound)
+    radius = float(np.linalg.norm(frame.seed[:, -1]))
+    Z, V, norms, coords = _candidates(lattice, radius * (1 + 1e-12), frame)
     combo = _search_bases(Z, V, norms, coords, angle_bound=bound, start=_spanning_index(V))
     if combo is None:
         raise LatticeEnumerationError("no angle-bounded basis within the LLL radius")
@@ -461,13 +473,13 @@ def special_basis(lattice: Lattice) -> SpecialBasis:
         R0=float(np.linalg.norm(vectors[0])),
         theta=theta_n(n),
         beta=beta_n(n),
-    )
+    ), frame
 
 
 # -- covering radius ------------------------------------------------------
 
 
-def _relevant_vectors(lattice: Lattice, seed: np.ndarray) -> np.ndarray:
+def _relevant_vectors(lattice: Lattice, frame: _Frame) -> np.ndarray:
     """The Voronoi-relevant vectors of the lattice L, both signs, as rows.
 
     v is relevant iff +-v are the only shortest vectors of v + 2L (Voronoi;
@@ -477,13 +489,13 @@ def _relevant_vectors(lattice: Lattice, seed: np.ndarray) -> np.ndarray:
     Its shortest member w is kept when (v - w).(v + w) > TIE_TOL |v - w| |v + w|
     for every other member v, both factors taken from integer coefficients.
     """
-    n, B = lattice.n, lattice.basis
-    U = np.rint(np.linalg.solve(B, seed)).astype(np.int64)
+    n, B, (seed, U, _) = lattice.n, lattice.basis, frame
     reps = np.array(list(product((-1, 0, 1), repeat=n)))
+    parity, lengths = reps % 2, np.linalg.norm(reps @ seed.T, axis=1)
     relevant = []
     for c in np.array(list(product((0, 1), repeat=n)))[1:]:  # the nonzero classes
-        r = np.linalg.norm(reps[(reps % 2 == c).all(axis=1)] @ seed.T, axis=1).min()
-        K = 2 * _ball(lattice, r / 2 * (1 + 1e-9), seed, -(seed @ c) / 2) + U @ c
+        r = lengths[(parity == c).all(axis=1)].min()
+        K = 2 * _ball(frame, r / 2 * (1 + 1e-9), -c / 2) + U @ c
         K0 = K[np.argmin(np.linalg.norm(K @ B.T, axis=1))]
         others = K[~((K == K0).all(axis=1) | (K == -K0).all(axis=1))]
         minus, plus = (others - K0) @ B.T, (others + K0) @ B.T
@@ -507,10 +519,13 @@ def covering_radius(lattice: Lattice, eps: float) -> tuple[float, float]:
     cell.  Raises LatticeEnumerationError if hi - lo > ``eps``, or past
     ``VERTEX_CAP`` n-subsets (C(30, 4) for n = 4, C(62, 5) in 5-D).
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
-    seed = _sorted_seed(lattice.basis)
-    P = _relevant_vectors(lattice, seed)
+    return _covering_radius(lattice, eps, _frame(lattice))
+
+
+def _covering_radius(lattice: Lattice, eps: float, frame: _Frame) -> tuple[float, float]:
+    P = _relevant_vectors(lattice, frame)
     sq = np.sum(P * P, axis=1)
     if math.comb(len(P), lattice.n) > VERTEX_CAP:
         raise LatticeEnumerationError(f"covering-radius vertex cap exceeded: {len(P)} relevant vectors")
@@ -520,7 +535,7 @@ def covering_radius(lattice: Lattice, eps: float) -> tuple[float, float]:
     X = X[(2 * X @ P.T - sq <= 1e-9 * sq).all(axis=1)]
     radii = np.linalg.norm(X, axis=1)
     far, hi = X[np.argmax(radii)], float(radii.max())
-    Z = _ball(lattice, hi * (1 + 1e-9), seed, far)
+    Z = _ball(frame, hi * (1 + 1e-9), np.linalg.solve(frame.seed, far))
     lo = float(np.linalg.norm(far - Z @ lattice.basis.T, axis=1).min())
     if hi - lo > eps:
         raise LatticeEnumerationError(f"covering-radius enclosure [{lo}, {hi}] is wider than {eps}")
@@ -540,10 +555,10 @@ class DiameterReport:
 
 def check_diameter_bound(lattice: Lattice) -> DiameterReport:
     """Verify diam(R^n / L) >= beta_n |u1|; the diameter is the covering radius."""
-    sb = special_basis(lattice)
+    sb, frame = _special_basis(lattice)
     bound = sb.beta * sb.norms[0]
     trivial_upper = 0.5 * sum(sb.norms)
-    lo, hi = covering_radius(lattice, 0.05 * sb.norms[0])
+    lo, hi = _covering_radius(lattice, 0.05 * sb.norms[0], frame)
     return DiameterReport(
         diam_lo=lo,
         diam_hi=hi,

@@ -327,7 +327,7 @@ def test_covering_radius_against_the_2d_circumradius():
         checked += 1
 
 
-@pytest.mark.parametrize("t", [1e-2, 3e-3])
+@pytest.mark.parametrize("t", [1e-2, 3e-3, 1e-3, 3e-4])
 def test_covering_radius_of_a_thin_box_in_a_sheared_basis(t):
     # the box (1, t, t): its relevant vectors are the three sides, and every
     # face-diagonal class has four shortest members
@@ -360,6 +360,133 @@ def test_diameter_bound_at_a_collapse_scale():
     rep = check_diameter_bound(Lattice.from_rows([[1, 0], [0.5, h]]))
     assert rep.holds
     assert rep.diam_lo == pytest.approx(math.sqrt((0.25 - h * h) ** 2 + h * h), rel=1e-12)
+
+
+def test_diameter_bound_of_the_hexagonal_lattice_at_1e_5():
+    # one centred ball per class of L / 2L stays below ENUM_CAP at this scale,
+    # where a single ball at the largest class radius does not
+    h = math.sqrt(3) / 2 * 1e-5
+    rep = check_diameter_bound(Lattice.from_rows([[1, 0], [0.5, h]]))
+    assert rep.holds
+    assert rep.diam_lo == pytest.approx(math.sqrt((0.25 - h * h) ** 2 + h * h), rel=1e-12)
+
+
+@pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0])
+def test_covering_radius_rejects_an_eps_that_is_not_positive(eps):
+    with pytest.raises(ValueError, match="eps must be positive"):
+        covering_radius(HEX, eps)
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -1.0])
+def test_short_vectors_rejects_a_radius_that_is_not_finite_and_nonnegative(r):
+    with pytest.raises(ValueError, match="radius must be"):
+        short_vectors(Lattice(np.eye(2)), r)
+
+
+def test_short_vectors_past_the_enumeration_cap_is_reported():
+    # r * r overflows at 1e200; the coordinate interval is reported as the cap
+    with pytest.raises(LatticeEnumerationError, match="enumeration cap"):
+        short_vectors(Lattice(np.eye(2)), 1e200)
+
+
+@pytest.mark.parametrize("rows", [[[2, 1], [1, 3]], [[1, 0, 0], [1, 2, 0], [0, 1, 3]]], ids=["2d", "3d"])
+def test_check_diameter_bound_reduces_once_and_factors_once(monkeypatch, rows):
+    # one enumeration frame serves the special basis and all 2^n covering balls
+    calls = {"lll": 0, "cholesky": 0}
+    lll, cholesky = lattices.lll_reduce, np.linalg.cholesky
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(lattices, "lll_reduce", counted("lll", lll))
+    monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", cholesky))
+    assert check_diameter_bound(Lattice.from_rows(rows)).holds
+    assert calls == {"lll": 1, "cholesky": 1}
+
+
+def _reference_ball(lattice, r, seed, centre=None):
+    """The enumeration kernel that the shared frame and the float kernel replaced.
+
+    It solves for U, checks det U and factors the Gram matrix on every call,
+    takes its centre in Cartesian coordinates and keeps a numpy prefix per
+    node, with one tiled block per innermost interval.
+    """
+    n = lattice.n
+    U = np.rint(np.linalg.solve(lattice.basis, seed)).astype(np.int64)
+    assert abs(round(np.linalg.det(U))) == 1
+    R = np.linalg.cholesky(seed.T @ seed).T
+    half = centre is None
+    start = np.zeros(n) if half else -R @ np.linalg.solve(seed, centre)
+    y = np.zeros(n, dtype=np.int64)
+    chunks = []
+
+    def recurse(k, partial, budget, leading):
+        rkk = R[k, k]
+        center = -partial[k] / rkk
+        span = math.sqrt(max(budget, 0.0)) / abs(rkk)
+        lo = math.ceil(center - span - 1e-12)
+        hi = math.floor(center + span + 1e-12)
+        if leading:
+            lo = max(lo, 1 if k == 0 else 0)
+        rem = lambda zk: budget - (partial[k] + rkk * zk) ** 2
+        if k == 0:
+            while lo <= hi and rem(lo) < -1e-12:
+                lo += 1
+            while hi >= lo and rem(hi) < -1e-12:
+                hi -= 1
+            if lo <= hi:
+                block = np.tile(y, (hi - lo + 1, 1))
+                block[:, 0] = np.arange(lo, hi + 1)
+                chunks.append(block)
+            return
+        for zk in range(lo, hi + 1):
+            left = rem(zk)
+            if left < -1e-12:
+                continue
+            y[k] = zk
+            recurse(k - 1, partial + R[:, k] * zk, left, leading and zk == 0)
+        y[k] = 0
+
+    recurse(n - 1, start, r * r * (1 + 1e-12), half)
+    Y = np.concatenate(chunks) if chunks else np.zeros((0, n), dtype=np.int64)
+    return Y @ U.T
+
+
+def test_ball_kernel_matches_the_per_call_reference():
+    # the half ball, every class-centred ball and a random centre give the same
+    # coefficient rows in the same order, on integer and perturbed bases with
+    # one row scaled by 10^-k
+    rng = random.Random(23)
+    g = np.random.default_rng(23)
+    cases = 0
+    for n, perturbed, k, _ in itertools.product((2, 3, 4), (False, True), range(4), range(3)):
+        while True:
+            rows = np.array([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], dtype=float)
+            if abs(np.linalg.det(rows)) >= 0.5:
+                break
+        if perturbed:
+            rows += g.uniform(-0.3, 0.3, size=(n, n))
+        rows[rng.randrange(n)] *= 10.0**-k
+        L = Lattice.from_rows(rows)
+        frame = lattices._frame(L)
+        seed = frame.seed
+        r = float(np.linalg.norm(seed[:, -1]))
+        got = lattices._ball(frame, r)
+        assert np.array_equal(got, _reference_ball(L, r, seed)) and got.dtype == np.int64
+        for c in itertools.product((0, 1), repeat=n):
+            c = np.array(c)
+            expected = _reference_ball(L, r / 2 * (1 + 1e-9), seed, -(seed @ c) / 2)
+            assert np.array_equal(lattices._ball(frame, r / 2 * (1 + 1e-9), -c / 2), expected)
+        w = g.uniform(-2, 2, size=n)
+        centre = seed @ w
+        expected = _reference_ball(L, r, seed, centre)
+        assert np.array_equal(lattices._ball(frame, r, np.linalg.solve(seed, centre)), expected)
+        cases += 1
+    assert cases == 72
 
 
 def test_special_basis_properties_random():
