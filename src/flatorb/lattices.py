@@ -27,10 +27,11 @@ coordinates, so ties between equal norms never depend on the input basis.
 Independence is one Gram-Schmidt residual step over a whole candidate pool.
 
 The covering radius of L (the diameter of R^n / L) is the largest norm of
-a Voronoi vertex; the same enumeration, centred, finds the cell's facets
-with one small ball per class of L / 2L (one ball at the largest class
-radius passes ENUM_CAP at collapse scales), and that vertex's lattice
-distance.
+a Voronoi vertex; the same enumeration, centred, finds the cell's facets in
+one call with one small ball per class of L / 2L, each with its own radius
+and its own ENUM_CAP count (one ball at the largest class radius passes
+ENUM_CAP at collapse scales), tests all classes at once, and then finds
+that vertex's lattice distance.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 from typing import Callable, Sequence
 
@@ -131,7 +133,7 @@ class SpecialBasis:
     theta: float
     beta: float
 
-    @property
+    @cached_property
     def norms(self) -> tuple[float, ...]:
         return tuple(float(np.linalg.norm(v)) for v in self.vectors)
 
@@ -154,25 +156,25 @@ def _frame(lattice: Lattice, angle_bound: float | None = None) -> _Frame:
     return _Frame(seed, U, np.linalg.cholesky(seed.T @ seed).T)
 
 
-def _ball(frame: _Frame, r: float, centre: np.ndarray | None = None) -> np.ndarray:
+def _ball(frame: _Frame, queries: Sequence[tuple[float, np.ndarray | None]]) -> tuple[np.ndarray, np.ndarray]:
     """Coefficients, in the input basis, of the lattice vectors v with |v - S centre| <= r.
 
-    S is the frame's seed and ``centre`` is in its coordinates.  Without it:
-    the nonzero vectors of the r-ball, one row per +-pair, listed by the
-    member whose last nonzero seed coordinate is positive.  Fincke-Pohst
-    with bounds from the frame's Cholesky factor: the outer coordinates
-    recurse on Python floats; the innermost one is a whole integer interval,
-    kept as a run (lo, count, prefix) and expanded once by ``np.repeat``.
-    ``ENUM_CAP`` bounds the vectors, both signs counted, before each run is
-    kept; an interval wider than the cap (in an LLL seed it holds more
-    vectors) is reported before it is walked.
+    One call answers a list of (r, centre) queries and returns the stacked
+    coefficient rows, query by query, with the query index of each row.  S
+    is the frame's seed and ``centre`` is in its coordinates.  A centre of
+    None asks for the nonzero vectors of the r-ball, one row per +-pair,
+    listed by the member whose last nonzero seed coordinate is positive.
+    Fincke-Pohst with bounds from the frame's Cholesky factor: the outer
+    coordinates recurse on Python floats; the innermost one is a whole
+    integer interval, kept as a run (query, lo, count, prefix), and all
+    runs are expanded once by ``np.repeat``.  ``ENUM_CAP`` bounds each
+    query's vectors, both signs counted, before each run is kept; an
+    interval wider than the cap (in an LLL seed it holds more vectors) is
+    reported before it is walked.
     """
     n = len(frame.R)
     cols = frame.R.T.tolist()  # cols[k] is column k of R
-    half = centre is None
-    start = [0.0] * n if half else (-frame.R @ centre).tolist()
     runs: list[list[int]] = []
-    count = 0
 
     def recurse(k: int, partial: list[float], budget: float, prefix: tuple[int, ...]):
         nonlocal count
@@ -194,7 +196,7 @@ def _ball(frame: _Frame, r: float, centre: np.ndarray | None = None) -> np.ndarr
             count += (2 if half else 1) * (hi - lo + 1)
             if count > ENUM_CAP:
                 raise LatticeEnumerationError("short-vector enumeration cap exceeded; radius too large")
-            runs.append([lo, hi - lo + 1, *prefix])
+            runs.append([q, lo, hi - lo + 1, *prefix])
             return
         for zk in range(lo, hi + 1):
             left = budget - (pk + rkk * zk) ** 2
@@ -202,12 +204,14 @@ def _ball(frame: _Frame, r: float, centre: np.ndarray | None = None) -> np.ndarr
                 continue
             recurse(k - 1, [p + c * zk for p, c in zip(partial, cols[k])], left, (zk, *prefix))
 
-    recurse(n - 1, start, r * r * (1 + 1e-12), ())
-    runs_ = np.array(runs, dtype=np.int64).reshape(-1, n + 1)
-    lo, counts = runs_[:, 0], runs_[:, 1]
-    Y = np.repeat(runs_[:, 1:], counts, axis=0)  # column 0, the counts, becomes lo, ..., hi
+    for q, (r, centre) in enumerate(queries):  # recurse reads q, half and count
+        half, count = centre is None, 0
+        recurse(n - 1, [0.0] * n if half else (-frame.R @ centre).tolist(), r * r * (1 + 1e-12), ())
+    runs_ = np.array(runs, dtype=np.int64).reshape(-1, n + 2)
+    lo, counts = runs_[:, 1], runs_[:, 2]
+    Y = np.repeat(runs_[:, 2:], counts, axis=0)  # column 0, the counts, becomes lo, ..., hi
     Y[:, 0] = np.arange(len(Y)) + np.repeat(lo - np.cumsum(counts) + counts, counts)
-    return Y @ frame.U.T
+    return Y @ frame.U.T, np.repeat(runs_[:, 0], counts)
 
 
 def short_vectors(lattice: Lattice, r: float) -> list[tuple[tuple[int, ...], np.ndarray]]:
@@ -218,7 +222,7 @@ def short_vectors(lattice: Lattice, r: float) -> list[tuple[tuple[int, ...], np.
     """
     if not 0 <= r < math.inf:
         raise ValueError("radius must be finite and nonnegative")
-    half = _ball(_frame(lattice), r)
+    half, _ = _ball(_frame(lattice), [(r, None)])
     Z = np.concatenate([half, -half])
     V = Z @ lattice.basis.T
     order = np.lexsort((*Z.T[::-1], np.linalg.norm(V, axis=1)))
@@ -239,21 +243,21 @@ def _min_sine(cols: np.ndarray) -> float:
 def _candidates(lattice: Lattice, r: float, frame: _Frame):
     """The half set of the closed r-ball as arrays in one tie-stable order.
 
-    Returns (Z, V, norms, coords): input-basis coefficient rows, vectors
-    whose first coordinate beyond 1e-12 is positive, their norms rounded to
-    12 digits and their coordinates rounded to 9, sorted by (norms, coords).
-    Equal-norm ties thus break on coordinates alone.
+    Returns (Z, V, lengths, coords): input-basis coefficient rows, vectors
+    whose first coordinate beyond 1e-12 is positive, their norms and their
+    coordinates rounded to 9, sorted by (norms rounded to 12 digits,
+    coords).  Equal-norm ties thus break on coordinates alone.
     """
-    Z = _ball(frame, r)
+    Z, _ = _ball(frame, [(r, None)])
     V = Z @ lattice.basis.T
     big = np.abs(V) > 1e-12
     lead = V[np.arange(len(V)), np.argmax(big, axis=1)]
     sign = np.where(big.any(axis=1) & (lead < 0), -1, 1)
     Z, V = Z * sign[:, None], V * sign[:, None]
-    norms = np.round(np.linalg.norm(V, axis=1), 12)
+    lengths = np.linalg.norm(V, axis=1)
     coords = np.round(V, 9)
-    order = np.lexsort((*coords.T[::-1], norms))
-    return Z[order], V[order], norms[order], coords[order]
+    order = np.lexsort((*coords.T[::-1], np.round(lengths, 12)))
+    return Z[order], V[order], lengths[order], coords[order]
 
 
 def _independent(V: np.ndarray, lengths: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -282,7 +286,7 @@ def _basis_ok(Z: np.ndarray, cols: np.ndarray, angle_bound: float) -> bool:
     return _min_sine(cols) >= angle_bound - ANGLE_SLACK
 
 
-def _search_bases(Z, V, norms, coords, *, angle_bound, start):
+def _search_bases(Z, V, lengths, coords, *, angle_bound, start):
     """Pruned DFS for the lexicographically least angle-bounded basis.
 
     The candidates (``_candidates``) ascend by (norm, coords); a basis is
@@ -297,8 +301,7 @@ def _search_bases(Z, V, norms, coords, *, angle_bound, start):
     the winning candidate indices (u_1 first) or None.
     """
     n = V.shape[1]
-    lengths = np.linalg.norm(V, axis=1)
-    rounded = norms.tolist()
+    rounded = np.round(lengths, 12).tolist()
     best_key = None
     best_combo = None
     nodes = 0
@@ -334,39 +337,43 @@ def lll_reduce(basis: np.ndarray) -> np.ndarray:
 
     A ``LLL_DELTA`` = 3/4 reduced basis has orthogonality defect at most
     2^(n(n-1)/4), hence satisfies both the determinant inequality and the
-    angle bound used throughout this module.
+    angle bound used throughout this module.  A size reduction of column k
+    leaves the Gram-Schmidt rows before k current, a swap those before
+    k - 1, and each stale row is recomputed when the loop next reads it,
+    with the same dot products as a full recomputation, so the basis does
+    not depend on how much is recomputed.
     """
     B = np.array(basis, dtype=float)
     n = B.shape[1]
+    Bs, mu, sq = np.zeros_like(B), np.zeros((n, n)), np.zeros(n)  # sq[j] = |b*_j|^2
 
-    def gso(B):
-        Bs = np.zeros_like(B)
-        mu = np.zeros((n, n))
-        for i in range(n):
+    def gso(start: int, stop: int):
+        """Gram-Schmidt rows start, ..., stop - 1; the rows before start are current."""
+        for i in range(start, stop):
             Bs[:, i] = B[:, i]
             for j in range(i):
-                mu[i, j] = (B[:, i] @ Bs[:, j]) / (Bs[:, j] @ Bs[:, j])
+                mu[i, j] = (B[:, i] @ Bs[:, j]) / sq[j]
                 Bs[:, i] -= mu[i, j] * Bs[:, j]
-        return Bs, mu
+            sq[i] = Bs[:, i] @ Bs[:, i]
 
-    Bs, mu = gso(B)
     k = 1
+    current = 0  # rows before this are current
     steps = 0
     while k < n:
         steps += 1
         if steps > 10_000:
             raise LatticeEnumerationError("LLL did not converge")
+        gso(current, k + 1)
         for j in range(k - 1, -1, -1):
             q = round(mu[k, j])
             if q:
                 B[:, k] -= q * B[:, j]
-                Bs, mu = gso(B)
-        if Bs[:, k] @ Bs[:, k] >= (LLL_DELTA - mu[k, k - 1] ** 2) * (Bs[:, k - 1] @ Bs[:, k - 1]):
-            k += 1
+                gso(k, k + 1)
+        if sq[k] >= (LLL_DELTA - mu[k, k - 1] ** 2) * sq[k - 1]:
+            current, k = k + 1, k + 1
         else:
             B[:, [k - 1, k]] = B[:, [k, k - 1]]
-            Bs, mu = gso(B)
-            k = max(k - 1, 1)
+            current, k = k - 1, max(k - 1, 1)
     return B
 
 
@@ -425,14 +432,13 @@ def rational_span(X) -> list[ra.Vec]:
     return R[: len(pivots)]
 
 
-def _spanning_index(V: np.ndarray) -> int:
+def _spanning_index(V: np.ndarray, lengths: np.ndarray) -> int:
     """Index of the candidate that first brings the span to dimension n.
 
     No basis can use only earlier candidates, so this is where the scan
     of u_1 starts; its norm is the successive minimum lambda_n.  Each step
     takes the first later candidate off the span so far.
     """
-    lengths = np.linalg.norm(V, axis=1)
     Q = np.zeros((V.shape[1], 0))
     idx = -1
     for _ in range(V.shape[1]):
@@ -462,8 +468,8 @@ def _special_basis(lattice: Lattice) -> tuple[SpecialBasis, _Frame]:
     bound = math.sin(theta_n(n))
     frame = _frame(lattice, bound)
     radius = float(np.linalg.norm(frame.seed[:, -1]))
-    Z, V, norms, coords = _candidates(lattice, radius * (1 + 1e-12), frame)
-    combo = _search_bases(Z, V, norms, coords, angle_bound=bound, start=_spanning_index(V))
+    Z, V, lengths, coords = _candidates(lattice, radius * (1 + 1e-12), frame)
+    combo = _search_bases(Z, V, lengths, coords, angle_bound=bound, start=_spanning_index(V, lengths))
     if combo is None:
         raise LatticeEnumerationError("no angle-bounded basis within the LLL radius")
     vectors = tuple(lattice.basis @ Z[i] for i in combo)  # each exactly B z for its coefficients z
@@ -486,22 +492,28 @@ def _relevant_vectors(lattice: Lattice, frame: _Frame) -> np.ndarray:
     Conway-Sloane, SPLAG ch. 2 and 21).  Class S c + 2L, c in {0, 1}^n in
     the seed basis S, is 2y + S c for the y in L with |y + S c / 2| <= r / 2,
     r the norm of its shortest member with seed coordinates in {-1, 0, 1}.
-    Its shortest member w is kept when (v - w).(v + w) > TIE_TOL |v - w| |v + w|
-    for every other member v, both factors taken from integer coefficients.
+    One pass over the 3^n such members gives every r, and one ``_ball`` call
+    lists all 2^n - 1 nonzero classes, each centred with its own radius.  A
+    class's shortest member w (the first listed, on a tie) is kept when
+    (v - w).(v + w) > TIE_TOL |v - w| |v + w| for every other member v, both
+    factors taken from integer coefficients; that test runs on all classes
+    at once.
     """
     n, B, (seed, U, _) = lattice.n, lattice.basis, frame
     reps = np.array(list(product((-1, 0, 1), repeat=n)))
-    parity, lengths = reps % 2, np.linalg.norm(reps @ seed.T, axis=1)
-    relevant = []
-    for c in np.array(list(product((0, 1), repeat=n)))[1:]:  # the nonzero classes
-        r = lengths[(parity == c).all(axis=1)].min()
-        K = 2 * _ball(frame, r / 2 * (1 + 1e-9), -c / 2) + U @ c
-        K0 = K[np.argmin(np.linalg.norm(K @ B.T, axis=1))]
-        others = K[~((K == K0).all(axis=1) | (K == -K0).all(axis=1))]
-        minus, plus = (others - K0) @ B.T, (others + K0) @ B.T
-        gap = np.sum(minus * plus, axis=1)  # |v|^2 - |w|^2
-        if (gap > TIE_TOL * np.linalg.norm(minus, axis=1) * np.linalg.norm(plus, axis=1)).all():
-            relevant.append(B @ K0)
+    radii = np.full(2**n, np.inf)  # by class code, first coordinate most significant
+    np.minimum.at(radii, reps % 2 @ (1 << np.arange(n)[::-1]), np.linalg.norm(reps @ seed.T, axis=1))
+    C = np.array(list(product((0, 1), repeat=n)))[1:]  # the nonzero classes
+    K, cls = _ball(frame, [(r / 2 * (1 + 1e-9), -c / 2) for r, c in zip(radii[1:], C)])
+    K = 2 * K + (C @ U.T)[cls]
+    order = np.lexsort((np.linalg.norm(K @ B.T, axis=1), cls))  # stable: first listed on a tie
+    shortest = order[np.searchsorted(cls, np.arange(len(C)))]  # cls ascends, query by query
+    K0 = K[shortest][cls]
+    others = ~((K == K0).all(axis=1) | (K == -K0).all(axis=1))
+    minus, plus = (K - K0)[others] @ B.T, (K + K0)[others] @ B.T
+    gap = np.sum(minus * plus, axis=1)  # |v|^2 - |w|^2
+    tied = ~(gap > TIE_TOL * np.linalg.norm(minus, axis=1) * np.linalg.norm(plus, axis=1))
+    relevant = [B @ K[i] for i in np.delete(shortest, cls[others][tied])]
     if np.linalg.matrix_rank(np.array(relevant)) < n:
         raise LatticeEnumerationError("the relevant vectors found do not span the space")
     return np.concatenate([relevant, np.negative(relevant)])
@@ -535,7 +547,7 @@ def _covering_radius(lattice: Lattice, eps: float, frame: _Frame) -> tuple[float
     X = X[(2 * X @ P.T - sq <= 1e-9 * sq).all(axis=1)]
     radii = np.linalg.norm(X, axis=1)
     far, hi = X[np.argmax(radii)], float(radii.max())
-    Z = _ball(frame, hi * (1 + 1e-9), np.linalg.solve(frame.seed, far))
+    Z, _ = _ball(frame, [(hi * (1 + 1e-9), np.linalg.solve(frame.seed, far))])
     lo = float(np.linalg.norm(far - Z @ lattice.basis.T, axis=1).min())
     if hi - lo > eps:
         raise LatticeEnumerationError(f"covering-radius enclosure [{lo}, {hi}] is wider than {eps}")

@@ -391,9 +391,11 @@ def test_short_vectors_past_the_enumeration_cap_is_reported():
 
 @pytest.mark.parametrize("rows", [[[2, 1], [1, 3]], [[1, 0, 0], [1, 2, 0], [0, 1, 3]]], ids=["2d", "3d"])
 def test_check_diameter_bound_reduces_once_and_factors_once(monkeypatch, rows):
-    # one enumeration frame serves the special basis and all 2^n covering balls
-    calls = {"lll": 0, "cholesky": 0}
-    lll, cholesky = lattices.lll_reduce, np.linalg.cholesky
+    # one enumeration frame serves the special basis and all 2^n covering
+    # balls, and three enumeration calls (the special-basis ball, every class
+    # of L / 2L at once and the vertex ball) read it
+    calls = {"lll": 0, "cholesky": 0, "ball": 0}
+    lll, cholesky, ball = lattices.lll_reduce, np.linalg.cholesky, lattices._ball
 
     def counted(name, fn):
         def wrapper(*args):
@@ -404,8 +406,9 @@ def test_check_diameter_bound_reduces_once_and_factors_once(monkeypatch, rows):
 
     monkeypatch.setattr(lattices, "lll_reduce", counted("lll", lll))
     monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", cholesky))
+    monkeypatch.setattr(lattices, "_ball", counted("ball", ball))
     assert check_diameter_bound(Lattice.from_rows(rows)).holds
-    assert calls == {"lll": 1, "cholesky": 1}
+    assert calls == {"lll": 1, "cholesky": 1, "ball": 3}
 
 
 def _reference_ball(lattice, r, seed, centre=None):
@@ -459,7 +462,7 @@ def _reference_ball(lattice, r, seed, centre=None):
 def test_ball_kernel_matches_the_per_call_reference():
     # the half ball, every class-centred ball and a random centre give the same
     # coefficient rows in the same order, on integer and perturbed bases with
-    # one row scaled by 10^-k
+    # one row scaled by 10^-k; the centred balls are asked for in one call
     rng = random.Random(23)
     g = np.random.default_rng(23)
     cases = 0
@@ -475,18 +478,148 @@ def test_ball_kernel_matches_the_per_call_reference():
         frame = lattices._frame(L)
         seed = frame.seed
         r = float(np.linalg.norm(seed[:, -1]))
-        got = lattices._ball(frame, r)
+        got, which = lattices._ball(frame, [(r, None)])
         assert np.array_equal(got, _reference_ball(L, r, seed)) and got.dtype == np.int64
-        for c in itertools.product((0, 1), repeat=n):
-            c = np.array(c)
-            expected = _reference_ball(L, r / 2 * (1 + 1e-9), seed, -(seed @ c) / 2)
-            assert np.array_equal(lattices._ball(frame, r / 2 * (1 + 1e-9), -c / 2), expected)
-        w = g.uniform(-2, 2, size=n)
-        centre = seed @ w
-        expected = _reference_ball(L, r, seed, centre)
-        assert np.array_equal(lattices._ball(frame, r, np.linalg.solve(seed, centre)), expected)
+        assert not which.any()
+        # one call for every class-centred ball and a random centre; each
+        # query's rows come out in its own block
+        classes = np.array(list(itertools.product((0, 1), repeat=n)))
+        centre = seed @ g.uniform(-2, 2, size=n)
+        queries = [(r / 2 * (1 + 1e-9), -c / 2) for c in classes] + [(r, np.linalg.solve(seed, centre))]
+        expected = [_reference_ball(L, r / 2 * (1 + 1e-9), seed, -(seed @ c) / 2) for c in classes]
+        expected.append(_reference_ball(L, r, seed, centre))
+        got, which = lattices._ball(frame, queries)
+        assert np.array_equal(got, np.concatenate(expected))
+        assert np.array_equal(which, np.repeat(np.arange(len(queries)), [len(e) for e in expected]))
         cases += 1
     assert cases == 72
+
+
+def _reference_relevant(lattice, frame):
+    """The per-class relevant-vector search that the one-pass version replaced.
+
+    One ``_ball`` call per class of L / 2L, its radius read off a mask of the
+    {-1, 0, 1} seed combinations, and its shortest member and tie test taken
+    on that class's rows alone.
+    """
+    n, B, (seed, U, _) = lattice.n, lattice.basis, frame
+    reps = np.array(list(itertools.product((-1, 0, 1), repeat=n)))
+    parity, lengths = reps % 2, np.linalg.norm(reps @ seed.T, axis=1)
+    relevant = []
+    for c in np.array(list(itertools.product((0, 1), repeat=n)))[1:]:
+        r = lengths[(parity == c).all(axis=1)].min()
+        K = 2 * lattices._ball(frame, [(r / 2 * (1 + 1e-9), -c / 2)])[0] + U @ c
+        K0 = K[np.argmin(np.linalg.norm(K @ B.T, axis=1))]
+        others = K[~((K == K0).all(axis=1) | (K == -K0).all(axis=1))]
+        minus, plus = (others - K0) @ B.T, (others + K0) @ B.T
+        gap = np.sum(minus * plus, axis=1)
+        if (gap > lattices.TIE_TOL * np.linalg.norm(minus, axis=1) * np.linalg.norm(plus, axis=1)).all():
+            relevant.append(B @ K0)
+    assert np.linalg.matrix_rank(np.array(relevant)) == n
+    return np.concatenate([relevant, np.negative(relevant)])
+
+
+def _box(t):
+    return [[1, 0, 0], [1, t, 0], [0, t, t]]
+
+
+# lattices whose classes of L / 2L tie: several shortest members, or a +-pair
+# listed with its negative first
+TIE_ROWS = {
+    "Z2": np.eye(2),
+    "Z3": np.eye(3),
+    "Z4": np.eye(4),
+    "rectangle": [[1, 0], [0, 2]],
+    "box": [[1, 0, 0], [0, 2, 0], [0, 0, 3]],
+    "hexagonal": [[1.0, 0.0], [0.5, math.sqrt(3) / 2]],
+    "fcc": [[0.5, 0.5, 0.0], [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]],
+    "bcc": [[0.5, 0.5, 0.5], [0.5, -0.5, 0.5], [0.5, 0.5, -0.5]],
+    "D4": D4_ROWS,
+    "box-1e-2": _box(1e-2),
+    "box-1e-3": _box(1e-3),
+}
+
+
+def test_relevant_vectors_match_the_per_class_reference():
+    # one stacked pass over L / 2L gives the same rows, in the same order and
+    # to the last bit, as one ball and one test per class: on the tie-heavy
+    # lattices as given and in a seeded basis, and on seeded integer bases,
+    # exact or perturbed by 1e-7, with one row scaled by 10^-k
+    rng = random.Random(29)
+    g = np.random.default_rng(29)
+    inputs = []
+    for rows in TIE_ROWS.values():
+        B = np.asarray(rows, dtype=float).T
+        inputs += [B, B @ _unimodular(rng, len(B))]
+    for n, perturbed, k, _ in itertools.product((2, 3, 4), (False, True), range(4), range(3)):
+        while True:
+            rows = np.array([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)], dtype=float)
+            if abs(np.linalg.det(rows)) >= 0.5:
+                break
+        if perturbed:
+            rows += g.uniform(-1e-7, 1e-7, size=(n, n))
+        rows[rng.randrange(n)] *= 10.0**-k
+        inputs.append(rows.T)
+    for B in inputs:
+        L = Lattice(B)
+        frame = lattices._frame(L)
+        got, expected = lattices._relevant_vectors(L, frame), _reference_relevant(L, frame)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), B.tolist()
+
+
+def _reference_lll(basis):
+    """The LLL that recomputed the whole Gram-Schmidt basis after every step."""
+    B = np.array(basis, dtype=float)
+    n = B.shape[1]
+
+    def gso(B):
+        Bs = np.zeros_like(B)
+        mu = np.zeros((n, n))
+        for i in range(n):
+            Bs[:, i] = B[:, i]
+            for j in range(i):
+                mu[i, j] = (B[:, i] @ Bs[:, j]) / (Bs[:, j] @ Bs[:, j])
+                Bs[:, i] -= mu[i, j] * Bs[:, j]
+        return Bs, mu
+
+    Bs, mu = gso(B)
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k, j])
+            if q:
+                B[:, k] -= q * B[:, j]
+                Bs, mu = gso(B)
+        if Bs[:, k] @ Bs[:, k] >= (lattices.LLL_DELTA - mu[k, k - 1] ** 2) * (Bs[:, k - 1] @ Bs[:, k - 1]):
+            k += 1
+        else:
+            B[:, [k - 1, k]] = B[:, [k, k - 1]]
+            Bs, mu = gso(B)
+            k = max(k - 1, 1)
+    return B
+
+
+def test_lll_matches_the_full_recomputation():
+    # the in-place Gram-Schmidt update gives the same bases to the last bit:
+    # seeded 2-6-D integer bases with one column scaled by 10^-k, and the
+    # relation matrices [I | C y] of Gaussian and known-span vectors
+    rng = np.random.default_rng(31)
+    bases = []
+    for n, k, _ in itertools.product(range(2, 7), range(4), range(5)):
+        B = np.zeros((n, n))
+        while abs(np.linalg.det(B)) < 0.5:
+            B = rng.integers(-9, 10, size=(n, n)).astype(float)
+        B[:, rng.integers(n)] *= 10.0**-k
+        bases.append(B)
+    for n, _ in itertools.product(range(2, 7), range(20)):
+        for x in (rng.standard_normal(n), _blocks_input(rng, n)[0]):
+            y = x / np.abs(x).max()
+            y = y / np.linalg.norm(y)
+            bases += [np.vstack([np.eye(n), scale * y]) for scale in lattices.RELATION_SCALES]
+    assert len(bases) == 500
+    for B in bases:
+        got, expected = lll_reduce(B), _reference_lll(B)
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), B.tolist()
 
 
 def test_special_basis_properties_random():
@@ -870,10 +1003,10 @@ def _oracle_search(V, Z, norms, coords, bound):
 
 def _search_arrays(vectors):
     """Candidate arrays of Z^4 vectors in the search's order: by norm rounded
-    to 12 digits, then coordinates."""
+    to 12 digits, then coordinates.  The norms are returned unrounded."""
     Z = np.array(sorted(vectors, key=lambda z: (round(math.hypot(*z), 12), z)), dtype=np.int64)
     V = Z.astype(float)
-    return Z, V, np.round(np.linalg.norm(V, axis=1), 12), np.round(V, 9)
+    return Z, V, np.linalg.norm(V, axis=1), np.round(V, 9)
 
 
 # Lists of Z^4 vectors on which a check of the search binds.  On whole balls
@@ -897,15 +1030,15 @@ def test_search_bases_against_oracle_4d():
         lists[f"random-{k}"] = rng.sample(short, 7)
     found = {}
     for name, vectors in lists.items():
-        Z, V, norms, coords = _search_arrays(vectors)
-        expected = _oracle_search(V, Z, norms, coords, bound)
+        Z, V, lengths, coords = _search_arrays(vectors)
+        expected = _oracle_search(V, Z, np.round(lengths, 12), coords, bound)
         found[name] = expected
         try:
-            start = lattices._spanning_index(V)
+            start = lattices._spanning_index(V, lengths)
         except LatticeEnumerationError:
             assert expected is None, name
             continue
-        assert lattices._search_bases(Z, V, norms, coords, angle_bound=bound, start=start) == expected, name
+        assert lattices._search_bases(Z, V, lengths, coords, angle_bound=bound, start=start) == expected, name
     # each check binds on its list: without it the search would return the
     # index-2 set, or the set below the angle bound
     assert found["unimodular"] is not None and found["angle"] is None
