@@ -24,7 +24,9 @@ on Python floats.  Each public call reduces once: one frame of that basis
 serves all its balls.  The candidates are arrays (coefficients, vectors,
 norms, coordinates) in one order, by norm rounded to 12 digits and then by
 coordinates, so ties between equal norms never depend on the input basis.
-Independence is one Gram-Schmidt residual step over a whole candidate pool.
+The search decides in integers which candidates can complete a basis:
+each prefix of coefficient rows carries an integer basis K of its kernel,
+and a row z extends it exactly when z K is a primitive vector.
 
 The covering radius of L (the diameter of R^n / L) is the largest norm of
 a Voronoi vertex; the same enumeration, centred, finds the cell's facets in
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
@@ -53,7 +55,6 @@ ENUM_CAP = 1_000_000
 COMBO_CAP = 2_000_000
 VERTEX_CAP = 100_000
 ANGLE_SLACK = 1e-9
-INDEPENDENCE_TOL = 1e-6
 RELATION_SCALES = (2.0**30, 2.0**24)
 RELATION_TOL = 1e-14
 FRACTION_DEN = 10**6
@@ -145,14 +146,12 @@ _Frame = namedtuple("_Frame", "seed U R")  # LLL basis by norm, basis @ U = seed
 
 
 def _frame(lattice: Lattice, angle_bound: float | None = None) -> _Frame:
-    """The frame every ball of one public call reads; ``angle_bound`` is checked before U."""
-    seed = lll_reduce(lattice.basis)
-    seed = seed[:, np.argsort(np.linalg.norm(seed, axis=0), kind="stable")]
+    """The frame every ball of one public call reads; U comes from LLL, ``angle_bound`` checks the seed."""
+    seed, U = lll_reduce(lattice.basis)
+    order = np.argsort(np.linalg.norm(seed, axis=0), kind="stable")
+    seed, U = seed[:, order], U[:, order]
     if angle_bound is not None and _min_sine(seed) < angle_bound - ANGLE_SLACK:
         raise LatticeEnumerationError("LLL basis is not angle-bounded")
-    U = np.rint(np.linalg.solve(lattice.basis, seed)).astype(np.int64)
-    if abs(round(np.linalg.det(U))) != 1:
-        raise LatticeEnumerationError("reduced basis does not span the input lattice")
     return _Frame(seed, U, np.linalg.cholesky(seed.T @ seed).T)
 
 
@@ -260,30 +259,19 @@ def _candidates(lattice: Lattice, r: float, frame: _Frame):
     return Z[order], V[order], lengths[order], coords[order]
 
 
-def _independent(V: np.ndarray, lengths: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Indices of the rows of V off the span of the orthonormal columns Q.
+def _primitive(Z: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """Indices of the rows z of Z that keep a primitive prefix P primitive.
 
-    One Gram-Schmidt residual step for all rows.  A row counts as dependent
-    when its residual is below ``INDEPENDENCE_TOL`` of its length; an
-    angle-bounded basis never needs such a row, since the angle bound asks
-    for far more.
+    P (k rows extending to a basis of Z^n) maps Z^n onto Z^k, with kernel
+    basis K; P and z map onto Z^(k+1) iff z K has gcd 1 (z K = 0 in P's span).
     """
-    resid = V - (V @ Q) @ Q.T
-    return np.flatnonzero(np.linalg.norm(resid, axis=1) > INDEPENDENCE_TOL * lengths)
+    return np.flatnonzero(np.gcd.reduce(Z @ K, axis=1) == 1)
 
 
-def _extend(Q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Q with v's normalized residual appended (Gram-Schmidt, applied twice)."""
-    for _ in range(2):
-        v = v - Q @ (Q.T @ v)
-    return np.column_stack([Q, v / np.linalg.norm(v)])
-
-
-def _basis_ok(Z: np.ndarray, cols: np.ndarray, angle_bound: float) -> bool:
-    """Coefficient rows Z unimodular and the columns ``cols`` angle-bounded."""
-    if abs(round(np.linalg.det(Z))) != 1:
-        return False
-    return _min_sine(cols) >= angle_bound - ANGLE_SLACK
+def _kernel_step(K: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """K updated for the row z: T (z K)^T = (g, 0, ..., 0), so T's later rows span z K's kernel."""
+    T = ra.hnf([[int(c)] for c in z @ K])[1]
+    return K @ np.array(T, dtype=np.int64)[1:].T
 
 
 def _search_bases(Z, V, lengths, coords, *, angle_bound, start):
@@ -291,14 +279,16 @@ def _search_bases(Z, V, lengths, coords, *, angle_bound, start):
 
     The candidates (``_candidates``) ascend by (norm, coords); a basis is
     built in canonical order u_1, ..., u_n with strictly decreasing
-    candidate indices, i.e. non-increasing (norm, coords).  u_1 scans upward
-    from index ``start`` and every deeper pool holds the earlier candidates
-    independent of the prefix, ascending, so each depth stops at the first
-    prefix whose norms exceed the best key's.  The key starts with |u_1|,
-    hence the first u_1 norm that completes a basis is R0 and the scan ends
-    past it.  ``COMBO_CAP`` bounds the independent prefixes this search
-    visits, and it is the only search per ``special_basis`` call.  Returns
-    the winning candidate indices (u_1 first) or None.
+    candidate indices, i.e. non-increasing (norm, coords).  Every pool holds
+    only the candidates that keep the prefix primitive (``_primitive``), so
+    a full n-tuple is a basis of Z^n and only its angle bound is tested.
+    u_1 scans upward from index ``start`` and every deeper pool holds earlier
+    candidates, ascending, so each depth stops at the first prefix whose
+    norms exceed the best key's.  The key starts with |u_1|, hence the first
+    u_1 norm that completes a basis is R0 and the scan ends past it.
+    ``COMBO_CAP`` bounds the primitive prefixes this search visits, and it
+    is the only search per ``special_basis`` call.  Returns the winning
+    candidate indices (u_1 first) or None.
     """
     n = V.shape[1]
     rounded = np.round(lengths, 12).tolist()
@@ -306,7 +296,7 @@ def _search_bases(Z, V, lengths, coords, *, angle_bound, start):
     best_combo = None
     nodes = 0
 
-    def dfs(pool, combo, Q):
+    def dfs(pool, combo, K):
         nonlocal best_key, best_combo, nodes
         depth = len(combo)
         for idx in pool:
@@ -319,20 +309,21 @@ def _search_bases(Z, V, lengths, coords, *, angle_bound, start):
                     break  # the pool ascends in norm: no later candidate can help
             combo.append(idx)
             if depth + 1 < n:
-                Qi = _extend(Q, V[idx])
-                dfs(_independent(V[:idx], lengths[:idx], Qi).tolist(), combo, Qi)
-            elif _basis_ok(Z[combo], V[combo].T, angle_bound):
+                Ki = _kernel_step(K, Z[idx])
+                dfs(_primitive(Z[:idx], Ki).tolist(), combo, Ki)
+            elif _min_sine(V[combo].T) >= angle_bound - ANGLE_SLACK:
                 key = (tuple(rounded[i] for i in combo), tuple(coords[combo].ravel().tolist()))
                 if best_key is None or key < best_key:
                     best_key = key
                     best_combo = list(combo)
             combo.pop()
 
-    dfs(range(start, len(V)), [], np.zeros((n, 0)))
+    K = np.eye(n, dtype=np.int64)
+    dfs((start + _primitive(Z[start:], K)).tolist(), [], K)
     return best_combo
 
 
-def lll_reduce(basis: np.ndarray) -> np.ndarray:
+def lll_reduce(basis: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Classic LLL reduction on column vectors (floats, desk scale).
 
     A ``LLL_DELTA`` = 3/4 reduced basis has orthogonality defect at most
@@ -341,10 +332,13 @@ def lll_reduce(basis: np.ndarray) -> np.ndarray:
     leaves the Gram-Schmidt rows before k current, a swap those before
     k - 1, and each stale row is recomputed when the loop next reads it,
     with the same dot products as a full recomputation, so the basis does
-    not depend on how much is recomputed.
+    not depend on how much is recomputed.  Returns B and U, the same column
+    operations applied to the identity in Python ints (basis @ U = B up to
+    rounding), as int64; LatticeEnumerationError if U does not fit.
     """
     B = np.array(basis, dtype=float)
     n = B.shape[1]
+    U = [[int(i == j) for i in range(n)] for j in range(n)]  # the columns, in Python ints
     Bs, mu, sq = np.zeros_like(B), np.zeros((n, n)), np.zeros(n)  # sq[j] = |b*_j|^2
 
     def gso(start: int, stop: int):
@@ -368,19 +362,23 @@ def lll_reduce(basis: np.ndarray) -> np.ndarray:
             q = round(mu[k, j])
             if q:
                 B[:, k] -= q * B[:, j]
+                U[k] = [a - q * b for a, b in zip(U[k], U[j])]
                 gso(k, k + 1)
         if sq[k] >= (LLL_DELTA - mu[k, k - 1] ** 2) * sq[k - 1]:
             current, k = k + 1, k + 1
         else:
             B[:, [k - 1, k]] = B[:, [k, k - 1]]
+            U[k - 1], U[k] = U[k], U[k - 1]
             current, k = k - 1, max(k - 1, 1)
-    return B
+    if max(abs(c) for col in U for c in col) >= 2**63:
+        raise LatticeEnumerationError("LLL transform exceeds 64-bit integers")
+    return B, np.array(U, dtype=np.int64).T
 
 
 def _relations_at(y: np.ndarray, scale: float) -> list[list[int]]:
     """LLL rows a of [I | scale y] that pass |a . y| <= RELATION_TOL |a|, for a unit vector y."""
     n = len(y)
-    B = lll_reduce(np.vstack([np.eye(n), scale * y]))
+    B = lll_reduce(np.vstack([np.eye(n), scale * y]))[0]
     return [[int(c) for c in a] for a in np.rint(B[:n].T) if abs(a @ y) <= RELATION_TOL * np.linalg.norm(a)]
 
 
@@ -432,21 +430,21 @@ def rational_span(X) -> list[ra.Vec]:
     return R[: len(pivots)]
 
 
-def _spanning_index(V: np.ndarray, lengths: np.ndarray) -> int:
-    """Index of the candidate that first brings the span to dimension n.
+def _spanning_index(Z: np.ndarray) -> int:
+    """Index of the candidate row that first brings the span to dimension n.
 
     No basis can use only earlier candidates, so this is where the scan
     of u_1 starts; its norm is the successive minimum lambda_n.  Each step
-    takes the first later candidate off the span so far.
+    takes the first later row z off the span so far, the first with z K != 0.
     """
-    Q = np.zeros((V.shape[1], 0))
+    K = np.eye(Z.shape[1], dtype=np.int64)
     idx = -1
-    for _ in range(V.shape[1]):
-        later = _independent(V[idx + 1 :], lengths[idx + 1 :], Q)
+    for _ in range(Z.shape[1]):
+        later = np.flatnonzero((Z[idx + 1 :] @ K).any(axis=1))
         if len(later) == 0:
             raise LatticeEnumerationError("candidate list does not span the lattice")
         idx += 1 + int(later[0])
-        Q = _extend(Q, V[idx])
+        K = _kernel_step(K, Z[idx])
     return idx
 
 
@@ -469,7 +467,7 @@ def _special_basis(lattice: Lattice) -> tuple[SpecialBasis, _Frame]:
     frame = _frame(lattice, bound)
     radius = float(np.linalg.norm(frame.seed[:, -1]))
     Z, V, lengths, coords = _candidates(lattice, radius * (1 + 1e-12), frame)
-    combo = _search_bases(Z, V, lengths, coords, angle_bound=bound, start=_spanning_index(V, lengths))
+    combo = _search_bases(Z, V, lengths, coords, angle_bound=bound, start=_spanning_index(Z))
     if combo is None:
         raise LatticeEnumerationError("no angle-bounded basis within the LLL radius")
     vectors = tuple(lattice.basis @ Z[i] for i in combo)  # each exactly B z for its coefficients z
@@ -590,7 +588,6 @@ class TorusLimit:
     limit_dim: int
     limit_basis: np.ndarray  # n x m columns spanning the limit lattice
     vanishing_directions: np.ndarray  # n x (n - m) unit columns
-    norms_history: tuple[tuple[float, ...], ...] = field(default=())
 
     @property
     def circumferences(self) -> tuple[float, ...]:
@@ -652,12 +649,7 @@ def sequence_limit(
         nv = np.linalg.norm(v)
         vdirs.append(v / nv if nv > 0 else v)
     vmat = np.column_stack(vdirs) if vdirs else np.zeros((n, 0))
-    return TorusLimit(
-        limit_dim=m,
-        limit_basis=limit,
-        vanishing_directions=vmat,
-        norms_history=tuple(tuple(float(x) for x in row) for row in norms),
-    )
+    return TorusLimit(limit_dim=m, limit_basis=limit, vanishing_directions=vmat)
 
 
 def _directions(lattice: Lattice, directions) -> np.ndarray:

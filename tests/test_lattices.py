@@ -205,7 +205,7 @@ def test_special_basis_against_oracle_random_3d():
 
 def test_special_basis_rejects_a_seed_that_is_not_angle_bounded(monkeypatch):
     # a 2-D basis at angle ~6 degrees is far below theta_2 = 45 degrees
-    monkeypatch.setattr(lattices, "lll_reduce", lambda B: np.array([[1.0, 0.9], [0.0, 0.1]]))
+    monkeypatch.setattr(lattices, "lll_reduce", lambda B: (np.array([[1.0, 0.9], [0.0, 0.1]]), np.eye(2, dtype=np.int64)))
     with pytest.raises(LatticeEnumerationError, match="not angle-bounded"):
         special_basis(Lattice(np.eye(2)))
 
@@ -618,7 +618,7 @@ def test_lll_matches_the_full_recomputation():
             bases += [np.vstack([np.eye(n), scale * y]) for scale in lattices.RELATION_SCALES]
     assert len(bases) == 500
     for B in bases:
-        got, expected = lll_reduce(B), _reference_lll(B)
+        got, expected = lll_reduce(B)[0], _reference_lll(B)
         assert got.shape == expected.shape and got.tobytes() == expected.tobytes(), B.tolist()
 
 
@@ -645,7 +645,7 @@ def test_special_basis_properties_random():
         assert all(a >= b - 1e-12 for a, b in zip(sb.norms, sb.norms[1:]))
         assert sb.norms[0] == sb.R0
         # the LLL seed meets the determinant inequality the search relies on
-        B = lll_reduce(L.basis)
+        B = lll_reduce(L.basis)[0]
         det = abs(np.linalg.det(B))
         prod = np.prod(np.linalg.norm(B, axis=0))
         assert det / prod >= 2 ** (-n * (n - 1) / 4.0) - 1e-12
@@ -868,8 +868,28 @@ def test_special_basis_of_an_ill_conditioned_input_basis():
     assert abs(round(np.linalg.det(sb.coefficients))) == 1
     assert np.allclose(L.basis @ sb.coefficients, sb.matrix(), rtol=0, atol=1e-12)
     assert lattices._min_sine(sb.matrix()) >= math.sin(sb.theta) - 1e-9
-    reference = special_basis(Lattice(lll_reduce(L.basis)))
+    reference = special_basis(Lattice(lll_reduce(L.basis)[0]))
     assert sb.norms == pytest.approx(reference.norms, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "B",
+    [
+        np.array([[156, -5400, 41], [77, 163, 1], [33635, 2366, 905]]).T,
+        [[129, -16, 4947, 304], [-8, 1, -306, -19], [-17, 0, -866, 0], [1400, 25, 0, -474]],
+        [[1, 24, 0, -150], [0, 1, 0, -11], [0, -40, 1519, 394], [0, -59, 60727, -1190]],
+    ],
+    ids=["3d", "4d-span", "4d-norms"],
+)
+def test_special_basis_of_a_skewed_basis_of_zn(B):
+    # bases of Z^n made by column operations with multipliers up to 60: a
+    # float solve for the LLL basis's coefficients is off by more than 1/2 on
+    # them, so only LLL's own integer transform gives the right ones
+    L = Lattice(np.array(B, dtype=float))
+    sb = special_basis(L)
+    assert sb.norms == (1.0,) * L.n
+    assert abs(ra.det(sb.coefficients.tolist())) == 1
+    assert np.array_equal(L.basis @ sb.coefficients, sb.matrix())
 
 
 def _rotation(g, n):
@@ -927,10 +947,33 @@ def test_special_basis_at_collapse_scales(basis, t, k):
     assert abs(round(np.linalg.det(sb.coefficients))) == 1
 
 
+def test_lll_transform_past_64_bits_is_reported():
+    # reducing (1, 1) by (1e-19, 0) takes the multiplier 10^19 > 2^63
+    with pytest.raises(LatticeEnumerationError, match="64-bit"):
+        special_basis(Lattice.from_rows([[1e-19, 0.0], [1.0, 1.0]]))
+
+
 def test_special_basis_past_the_enumeration_cap_is_reported():
     # the LLL ball of diag(1, 1e-6) holds about 2e6 vectors, past ENUM_CAP
     with pytest.raises(LatticeEnumerationError, match="enumeration cap"):
         special_basis(Lattice(np.diag([1.0, 1e-6])))
+
+
+# a 4-D lattice with one short direction (LLL norms 0.0036, 1.52, 2.24, 2.95)
+SHORT_DIRECTION_4D = [[-2, 1, -2, 3], [0, -3, 3, -1], [0.002, 0, 0, -0.003], [2, 2, -2, 3]]
+
+
+def test_special_basis_with_one_short_direction_4d(monkeypatch):
+    # the R0-ball holds hundreds of multiples and near-multiples of the short
+    # vector; only prefixes that extend to a basis of Z^4 are expanded, so the
+    # search stays well inside a cap of 10^4 prefixes
+    monkeypatch.setattr(lattices, "COMBO_CAP", 10_000)
+    L = Lattice.from_rows(SHORT_DIRECTION_4D)
+    sb = special_basis(L)
+    seed = sorted(np.linalg.norm(lll_reduce(L.basis)[0], axis=0).tolist(), reverse=True)
+    assert sb.R0 == seed[0]
+    assert sb.norms == pytest.approx(seed, rel=1e-12)
+    assert sb.norms == pytest.approx((2.9483, 2.2361, 1.5191, 0.0036), abs=1e-4)
 
 
 def _oracle_minima_4d(B):
@@ -970,9 +1013,18 @@ def test_special_basis_against_oracle_4d():
         B = np.array([[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)], dtype=float)
         if abs(np.linalg.det(B)) > 0.5:
             bases.append(B)
+    # collapse scales: one short direction puts hundreds of its multiples
+    # and near-multiples into the R0-ball
+    bases.append(np.array(SHORT_DIRECTION_4D).T)
+    while len(bases) < 19:
+        B = np.array([[rng.randint(-2, 2) for _ in range(4)] for _ in range(4)], dtype=float)
+        if abs(np.linalg.det(B)) > 0.5:
+            B[:, rng.randrange(4)] *= 1e-3
+            bases.append(B)
     for B in bases:
         sb = special_basis(Lattice(B))
-        assert sb.norms == pytest.approx(_oracle_minima_4d(B), abs=1e-9)
+        # the oracle's search box is only small in a reduced basis
+        assert sb.norms == pytest.approx(_oracle_minima_4d(lll_reduce(B)[0]), abs=1e-9)
         assert abs(round(np.linalg.det(sb.coefficients))) == 1
         assert lattices._min_sine(sb.matrix()) >= 0.5 - 1e-9
 
@@ -1034,7 +1086,7 @@ def test_search_bases_against_oracle_4d():
         expected = _oracle_search(V, Z, np.round(lengths, 12), coords, bound)
         found[name] = expected
         try:
-            start = lattices._spanning_index(V, lengths)
+            start = lattices._spanning_index(Z)
         except LatticeEnumerationError:
             assert expected is None, name
             continue
