@@ -333,11 +333,12 @@ def product_resolution(
             raise NoIsomorphismError("supplied pairing is not a bijection")
 
     n, m = orb.n, mfd.n
+    v_o, v_m = hol_o.translations, hol_m.translations
     gens = []
     for A in hol_o.elements:
         B = pairing[A]
         block = [list(row) + [0] * m for row in A] + [[0] * n + list(row) for row in B]
-        gens.append((block, hol_o.translations[A] + hol_m.translations[B]))
+        gens.append((block, v_o[A] + v_m[B]))
     lam = ra.frac(scale)
     gram = [list(row) + [0] * m for row in orb.gram]
     gram += [[0] * n + [lam * x for x in row] for row in mfd.gram]

@@ -5,9 +5,9 @@ translation lattice Z^n, together with a rational Gram form G encoding the
 flat metric, which is read once as the integer form d G, d the lcm of its
 denominators.  ``normalize`` absorbs any hidden pure translations the
 generators produce, refines the lattice so translations are exactly Z^n,
-and rewrites everything in the new basis.  All group arithmetic is exact:
-linear parts compose in Python integers, and the normalized group keeps
-the holonomy its last coset closure built.
+and rewrites everything in the new basis.  All group arithmetic is exact
+and runs in Python integers, and the normalized group keeps the holonomy
+its last coset closure built.
 
 One closure finds every hidden translation (Schreier's lemma): with a
 coset representative r_A for each linear part A, the translation
@@ -23,7 +23,11 @@ Conventions:
     (A, v) * (B, w) = (A B, A w + v), inverse (A^-1, -A^-1 v);
   * linear parts are integer matrices in lattice coordinates; a matrix A
     is an isometry of the metric iff A^T G A = G;
-  * coset representatives v_A are reduced into the half-open box [0,1)^n.
+  * the closure, the cocycle check and the fixed-point test carry a
+    translation v as a = N v mod N, N the lcm of the generators' translation
+    denominators, so coset translations v_A = a_A / N lie in [0,1)^n; only
+    ``AffineElement.translation``, JSON and ``HolonomyData.translations``
+    hold ``Fraction``s.  Integer products use sum(map(mul, row, col)).
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from pathlib import Path
 
 from . import rational as ra
@@ -65,6 +70,7 @@ class OutOfRangeError(FlatOrbError):
 
 
 IntMat = tuple[tuple[int, ...], ...]
+IntVec = tuple[int, ...]
 FracVec = tuple[Fraction, ...]
 
 
@@ -75,10 +81,6 @@ def _freeze_int_mat(M) -> IntMat:
     return tuple(map(tuple, Mi))
 
 
-def _freeze_vec(v) -> FracVec:
-    return tuple(ra.frac(x) for x in v)
-
-
 def _int_identity(n: int) -> IntMat:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
@@ -86,7 +88,7 @@ def _int_identity(n: int) -> IntMat:
 def _int_mul(A: IntMat, B: IntMat) -> IntMat:
     """Product of two integer matrices, kept in Python integers."""
     cols = tuple(zip(*B))
-    return tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in A)
+    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in A)
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ class AffineElement:
 
     @staticmethod
     def of(linear, translation) -> "AffineElement":
-        return AffineElement(_freeze_int_mat(linear), _freeze_vec(translation))
+        return AffineElement(_freeze_int_mat(linear), tuple(map(ra.frac, translation)))
 
     @staticmethod
     def identity(n: int) -> "AffineElement":
@@ -111,11 +113,7 @@ class AffineElement:
     def __mul__(self, other: "AffineElement") -> "AffineElement":
         if self.dim != other.dim:
             raise ValueError("dimension mismatch in composition")
-        w = other.translation
-        v = tuple(
-            sum((a * x for a, x in zip(row, w) if a), t)
-            for row, t in zip(self.linear, self.translation)
-        )
+        v = tuple(sum(map(mul, row, other.translation), t) for row, t in zip(self.linear, self.translation))
         return AffineElement(_int_mul(self.linear, other.linear), v)
 
     def inverse(self) -> "AffineElement":
@@ -127,46 +125,41 @@ class AffineElement:
         return ra.vec_add(ra.mat_vec(self.linear, ra.vec(point)), list(self.translation))
 
 
-def _frac_part(v: FracVec) -> FracVec:
-    return tuple(x - math.floor(x) for x in v)
-
-
 @dataclass(frozen=True)
 class HolonomyData:
-    """The finite point group together with coset translations v_A reduced into [0,1)^n."""
+    """The finite point group and its coset translations v_A = a_A / N, a_A in [0, N)^n."""
 
     n: int
     elements: tuple[IntMat, ...]
-    translations: dict[IntMat, FracVec] = field(compare=False)
+    numerators: dict[IntMat, IntVec] = field(compare=False)
+    denominator: int = field(compare=False)
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def items(self):
-        return [(A, self.translations[A]) for A in self.elements]
+    @property
+    def translations(self) -> dict[IntMat, FracVec]:  # built on each call
+        N = self.denominator
+        return {A: tuple(Fraction(x, N) for x in self.numerators[A]) for A in self.elements}
 
     def cocycle_defects(self) -> list[tuple[IntMat, IntMat]]:
         """Pairs violating v_{AB} = A v_B + v_A (mod Z^n); empty when valid."""
-        bad = []
-        for A, vA in self.items():
-            for B, vB in self.items():
-                AB = AffineElement(A, vA) * AffineElement(B, vB)
-                if self.translations[AB.linear] != _frac_part(AB.translation):
-                    bad.append((A, B))
-        return bad
+        N, a = self.denominator, self.numerators
+        compose = lambda A, B: tuple((sum(map(mul, row, a[B])) + t) % N for row, t in zip(A, a[A]))
+        return [(A, B) for A in self.elements for B in self.elements if a[_int_mul(A, B)] != compose(A, B)]
 
 
-def _coset_closure(
-    n: int, generators: tuple[AffineElement, ...]
-) -> tuple[dict[IntMat, FracVec], list[FracVec]]:
-    """Close the generator cosets modulo Z^n.
+def _coset_closure(n: int, generators: tuple[AffineElement, ...]) -> tuple[dict[IntMat, IntVec], list[IntVec], int]:
+    """Close the generator cosets modulo Z^n, on numerators over N.
 
-    Returns ``(table, translations)``: ``table`` maps each linear part A to
-    a coset translation r_A reduced into [0,1)^n, and ``translations``
-    lists every distinct nonzero r_A g r_{Ag}^-1 mod Z^n met on the way,
-    the pure translations by which two cosets with one linear part differ.
-    Every pair (A, g) is visited once, so by Schreier's lemma Z^n and
+    Returns ``(table, translations, N)``, N the lcm of the generators'
+    translation denominators, with (A, a) (B, b) = (A B, A b + a mod N):
+    ``table`` maps each linear part A to the numerator of a coset
+    translation r_A, and ``translations`` lists the numerators of every
+    distinct nonzero r_A g r_{Ag}^-1 mod Z^n met on the way, the pure
+    translations by which two cosets with one linear part differ.  Every
+    pair (A, g) is visited once, so by Schreier's lemma Z^n and
     ``translations`` generate the whole translation subgroup; when
     ``translations`` is empty, Z^n is the translation lattice and
     ``table`` is the holonomy.
@@ -176,45 +169,46 @@ def _coset_closure(
     finite order k, g^-1 = g^(k-1), and g^k arrives as a pure translation
     that is checked against the identity coset like any other.
     """
-    table: dict[IntMat, FracVec] = {_int_identity(n): (Fraction(0),) * n}
-    translations: dict[FracVec, None] = {}
-    queue = list(generators)
+    T, N = ra.clear_denominators([g.translation for g in generators])
+    gens = [(g.linear, tuple(x % N for x in t)) for g, t in zip(generators, T)]
+    table: dict[IntMat, IntVec] = {_int_identity(n): (0,) * n}
+    translations: dict[IntVec, None] = {}
+    queue = list(gens)
     while queue:
-        g = queue.pop()
-        v = _frac_part(g.translation)
-        seen = table.get(g.linear)
+        A, a = queue.pop()
+        seen = table.get(A)
         if seen is not None:
-            if seen != v:
-                translations[_frac_part(tuple(a - b for a, b in zip(v, seen)))] = None
+            if seen != a:
+                translations[tuple((x - y) % N for x, y in zip(a, seen))] = None
             continue
-        table[g.linear] = v
+        table[A] = a
         if len(table) > POINT_GROUP_CAP:
             raise CapExceededError(f"point group has more than {POINT_GROUP_CAP} elements")
-        coset = AffineElement(g.linear, v)
-        queue.extend(coset * h for h in generators)
-    return table, list(translations)
+        queue.extend((_int_mul(A, B), tuple((sum(map(mul, row, b)) + t) % N for row, t in zip(A, a))) for B, b in gens)
+    return table, list(translations), N
 
 
-def _fixed_point(A: IntMat, v) -> tuple[FracVec, FracVec] | None:
-    """A translate (A, w) of (A, v) by Z^n and a point it fixes, or None.
+def _fixed_point(A: IntMat, a: IntVec, N: int) -> tuple[FracVec, FracVec] | None:
+    """A translate (A, w) of (A, a / N) by Z^n and a point it fixes, or None.
 
-    Some translate fixes a point iff v lies in im(I - A) + Z^n, that is iff
-    U v is integral on the zero rows of the Hermite form H = U (I - A).
-    Back-substitution on the other rows of H x = U v, with the non-pivot
-    entries of x set to 0, then gives the point x, and w = (I - A) x.
+    Some translate fixes a point iff a / N lies in im(I - A) + Z^n, that is
+    iff U a = 0 (mod N) on the zero rows of the Hermite form H = U (I - A).
+    Only then does back-substitution on the other rows of H x = U a / N,
+    with the non-pivot entries of x set to 0, give the point x and the
+    witness w = (I - A) x.
     """
-    n = len(v)
+    n = len(a)
     ImA = [[int(i == j) - A[i][j] for j in range(n)] for i in range(n)]
     H, U = ra.hnf(ImA)
     r = sum(1 for h in H if any(h))
-    y = [sum(u * t for u, t in zip(row, v)) for row in U]
-    if any(c.denominator != 1 for c in y[r:]):
+    y = [sum(map(mul, row, a)) for row in U]
+    if any(c % N for c in y[r:]):
         return None
     x = [Fraction(0)] * n
     for i in reversed(range(r)):
         c = next(j for j, h in enumerate(H[i]) if h)
-        x[c] = Fraction(y[i] - sum(h * t for h, t in zip(H[i], x)), H[i][c])  # x[c] is still 0
-    return tuple(sum(a * t for a, t in zip(row, x)) for row in ImA), tuple(x)
+        x[c] = (Fraction(y[i], N) - sum(map(mul, H[i], x))) / H[i][c]  # x[c] is still 0
+    return tuple(sum(map(mul, row, x)) for row in ImA), tuple(x)
 
 
 @dataclass(frozen=True)
@@ -287,14 +281,15 @@ class CrystalGroup:
         """Absorb hidden pure translations and rescale the lattice to Z^n.
 
         One closure lists the translations r_A g r_{Ag}^-1 that generate
-        the translation lattice T together with Z^n.  If there are any, T
-        has the Hermite basis B = H^T / d, H the Hermite form of d Z^n and
-        d times the translations.  B^-1 is an integer matrix since Z^n lies
-        in T: with U the Hermite transform, the input rows d I equal
-        (U^-1)[:n,:n] H, so that block is d H^-1 = (B^-1)^T.  Each linear
-        part is rewritten as B^-1 A B = (B^-1 A H^T) / d, integral since T
-        is normal, and the Gram form as B^T G B = H Gi H^T / (d_G d^2) with
-        Gi = d_G G.  The closure of the rewritten generators is the holonomy.
+        the translation lattice T together with Z^n, as numerators over its
+        denominator d.  If there are any, T has the Hermite basis B = H^T / d,
+        H the Hermite form of d Z^n and those numerators.  B^-1 is an integer
+        matrix since Z^n lies in T: with U the Hermite transform, the input
+        rows d I equal (U^-1)[:n,:n] H, so that block is d H^-1 = (B^-1)^T.
+        Each linear part is rewritten as B^-1 A B = (B^-1 A H^T) / d,
+        integral since T is normal, and the Gram form as B^T G B =
+        H Gi H^T / (d_G d^2) with Gi = d_G G.  The closure of the rewritten
+        generators, with its own denominator, is the holonomy.
 
         When the lattice is refined, the result's ``Binv`` holds the integer
         B^-1, which maps old lattice coordinates to new ones; on an
@@ -304,13 +299,12 @@ class CrystalGroup:
             return self
         self.validate()
         n, Binv = self.n, None
-        table, translations = _coset_closure(n, self.generators)
+        table, translations, d = _coset_closure(n, self.generators)
         if not translations:
-            gens = [AffineElement(g.linear, _frac_part(g.translation)) for g in self.generators]
+            gens = [AffineElement(g.linear, tuple(x % 1 for x in g.translation)) for g in self.generators]
             gram = self.gram
         else:
-            T, d = ra.clear_denominators(translations)
-            H, U = ra.hnf([[d * int(i == j) for j in range(n)] for i in range(n)] + T)
+            H, U = ra.hnf([[d * int(i == j) for j in range(n)] for i in range(n)] + translations)
             Ht = tuple(zip(*H[:n]))  # d B
             Binv = tuple(zip(*(row[:n] for row in ra.unimodular_inverse(U)[:n])))
             gens = []
@@ -318,17 +312,17 @@ class CrystalGroup:
                 M = _int_mul(_int_mul(Binv, g.linear), Ht)
                 if any(x % d for row in M for x in row):
                     raise NotCrystallographicError("refined lattice is not invariant under a generator")
-                v = tuple(sum(b * x for b, x in zip(row, g.translation)) for row in Binv)
-                gens.append(AffineElement(tuple(tuple(x // d for x in row) for row in M), _frac_part(v)))
+                v = tuple(sum(map(mul, row, g.translation)) % 1 for row in Binv)
+                gens.append(AffineElement(tuple(tuple(x // d for x in row) for row in M), v))
             Gi, dg = self._gram_int
             gram = [[Fraction(x, dg * d**2) for x in row] for row in _int_mul(_int_mul(H[:n], Gi), Ht)]
-            table, translations = _coset_closure(n, tuple(gens))
+            table, translations, d = _coset_closure(n, tuple(gens))
             if translations:
                 raise NotCrystallographicError("refined lattice misses a translation of the group")
         # drop the identity and repeats, keeping the first of each
         gens = tuple(g for g in dict.fromkeys(gens) if g != AffineElement.identity(n))
         out = CrystalGroup(n=n, generators=gens, gram=gram, name=self.name)
-        out._holonomy = HolonomyData(n, tuple(sorted(table)), table)
+        out._holonomy = HolonomyData(n, tuple(sorted(table)), table, d)
         out.Binv = Binv
         return out
 
@@ -356,7 +350,7 @@ class CrystalGroup:
         for A in hol.elements:
             if A == _int_identity(self.n):
                 continue
-            found = _fixed_point(A, hol.translations[A])
+            found = _fixed_point(A, hol.numerators[A], hol.denominator)
             if found is not None:
                 w, x = found
                 return TorsionReport(False, AffineElement.of(A, w), x)
@@ -448,4 +442,4 @@ def dump_group(group: CrystalGroup, path: str | Path) -> None:
 
 def holonomy_signature(group: CrystalGroup) -> tuple:
     """Canonical (matrix, coset) signature used to compare normalized groups."""
-    return tuple(sorted(group.holonomy().items()))
+    return tuple(sorted(group.holonomy().translations.items()))

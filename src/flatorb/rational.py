@@ -1,27 +1,28 @@
 """Exact linear algebra over the rationals for small dense systems.
 
 Matrices are lists (or tuples) of rows and vectors are lists.  A rational
-matrix enters integer arithmetic in one place, ``clear_denominators``.
+matrix enters integer arithmetic in one place, ``clear_denominators``.  The
+two products, ``mat_mul`` and ``mat_vec`` (and ``groups._int_mul``, which is
+``mat_mul`` on tuples), take every entry as sum(map(mul, row, col)).
 Integer matrices stay in Python integers: products, ``char_poly``,
 ``adjugate``, ``matrix_order``, ``hnf`` and ``unimodular_inverse`` never
 leave them, and the last five reject a non-integral entry; the group layer,
 ``wallpaper`` and ``collapse`` eliminate through these alone.  Elimination
 over the rationals divides, so ``rref``, ``det`` and everything built on
-them (``rank``, ``kernel``, ``solve``, ``inverse``) read their input
-through ``mat`` and return ``Fraction`` entries, whether they were given
-ints or Fractions.  The library calls only two of them: ``rref``, for the
-reduced bases that ``collapse._span_basis``, ``reps._eigenspaces`` and
-``lattices.rational_span`` return, and ``kernel``, for the lattice bases
-of ``collapse._sublattice_basis``.  ``rank``, ``det``, ``inverse`` and
-``solve`` are references for the tests.  Sizes stay tiny (n <= 8 in
-practice), so the routines favour clarity and exactness over asymptotics.
-Integers are arbitrary precision by construction; overflow cannot occur.
+them (``rank``, ``kernel``, ``solve``, ``inverse``) return ``Fraction``
+entries, whether they were given ints or Fractions.  The library calls
+``rref`` for the reduced bases of ``collapse._span_basis``,
+``reps._eigenspaces`` and ``lattices.rational_span``, and ``kernel`` for
+those of ``collapse._sublattice_basis``; ``rank``, ``det``, ``inverse`` and
+``solve`` are references for the tests.  Sizes stay tiny (n <= 8), so the
+routines favour clarity and exactness over asymptotics.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 Vec = list[Fraction]
 Mat = list[list[Fraction]]
@@ -63,13 +64,13 @@ def mat_mul(A: Mat, B: Mat) -> Mat:
     if len(A[0]) != len(B):
         raise ValueError("dimension mismatch in matrix product")
     Bt = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in Bt] for row in A]
+    return [[sum(map(mul, row, col)) for col in Bt] for row in A]
 
 
 def mat_vec(A: Mat, v: Vec) -> Vec:
     if len(A[0]) != len(v):
         raise ValueError("dimension mismatch in matrix-vector product")
-    return [sum(a * x for a, x in zip(row, v)) for row in A]
+    return [sum(map(mul, row, v)) for row in A]
 
 
 def vec_add(u: Vec, v: Vec) -> Vec:

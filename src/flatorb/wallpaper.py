@@ -39,11 +39,9 @@ from . import rational as ra
 from .groups import (
     CrystalGroup,
     FlatOrbError,
-    HolonomyData,
     InvalidGroupError,
     OutOfRangeError,
     _fixed_point,
-    _frac_part,
 )
 
 
@@ -120,7 +118,8 @@ def _reflection_class_data(A, v) -> ReflectionClass:
     # the axis a, those of A - I on the -1 eigenline p
     columns = lambda s: ((A[0][j] + s * (j == 0), A[1][j] + s * (j == 1)) for j in (0, 1))
     a, p = (ra.primitive(next(c for c in columns(s) if any(c))) for s in (1, -1))
-    has_mirror = _fixed_point(A, v) is not None
+    (num,), N = ra.clear_denominators([v])
+    has_mirror = _fixed_point(A, num, N) is not None
     # Z a + Z p has index 1 (primitive lattice) or 2 (centred) in Z^2; a
     # centred lattice puts a glide axis halfway between two mirrors
     primitive = abs(a[0] * p[1] - a[1] * p[0]) == 1
@@ -139,32 +138,35 @@ def _rotation_centers(A, v) -> list[tuple[Fraction, Fraction]]:
     (A, v + l) fixes x = adj(I - A)(v + l) / d, d = det(I - A) = 2 - tr A, and
     (A, v + l + (I - A) m) fixes x + m.  (I - A) adj(I - A) = d I puts d Z^2
     inside (I - A) Z^2, so l in [0, d)^2 reaches every center (none for A = I).
+    With v = a / N, x is reduced as the integer adj(I - A)(a + N l) mod N d.
     """
     try:
         adj, d = ra.adjugate([[(i == j) - A[i][j] for j in (0, 1)] for i in (0, 1)])
     except ValueError:  # I - A is singular only for A = I
         return []
+    (a,), N = ra.clear_denominators([v])
     return sorted({
-        _frac_part([Fraction(x, d) for x in ra.mat_vec(adj, (v[0] + l1, v[1] + l2))])
+        tuple(Fraction(x % (N * d), N * d) for x in ra.mat_vec(adj, (a[0] + N * l1, a[1] + N * l2)))
         for l1 in range(d)
         for l2 in range(d)
     })
 
 
-def _plane_elements(group: CrystalGroup, verb: str) -> tuple[HolonomyData, list, list[ReflectionClass]]:
-    """The holonomy, its rotations as (A, order) and its reflection classes."""
+def _plane_elements(group: CrystalGroup, verb: str) -> tuple[dict, list, list[ReflectionClass]]:
+    """The coset translations v_A, the rotations as (A, order) and the reflection classes."""
     grp = group.normalize()
     if grp.n != 2:
         raise InvalidGroupError(f"{verb} expects a 2-dimensional group")
     hol = grp.holonomy()
+    translations = hol.translations
     rotations, reflections = [], []
     for A in hol.elements:
         if A[0][0] * A[1][1] - A[0][1] * A[1][0] == 1:
             # order k by the trace 2 cos(2 pi / k)
             rotations.append((A, {2: 1, 1: 6, 0: 4, -1: 3, -2: 2}[A[0][0] + A[1][1]]))
         else:
-            reflections.append(_reflection_class_data(A, hol.translations[A]))
-    return hol, rotations, reflections
+            reflections.append(_reflection_class_data(A, translations[A]))
+    return translations, rotations, reflections
 
 
 def classify2(group: CrystalGroup) -> OrbifoldLabel:
@@ -281,10 +283,10 @@ def _reflection_lines(rc: ReflectionClass) -> tuple[list, list]:
 
 def singular_locus(group: CrystalGroup) -> SingularLocus:
     """Rotation centers, mirror lines, and glide axes inside one cell."""
-    hol, rotations, refl_classes = _plane_elements(group, "singular_locus")
+    translations, rotations, refl_classes = _plane_elements(group, "singular_locus")
     best_order: dict[tuple, int] = {}
     for A, order in rotations:
-        for pt in _rotation_centers(A, hol.translations[A]):
+        for pt in _rotation_centers(A, translations[A]):
             if best_order.get(pt, 0) < order:
                 best_order[pt] = order
     mirrors, glides = [], []
@@ -304,20 +306,22 @@ def cone_point_classes(group: CrystalGroup) -> list[int]:
     """Orders of rotation centers, one per group orbit (not per cell).
 
     The group is the cosets (A, v_A) + Z^2, so the orbit of a center mod
-    Z^2 is its images under the coset representatives alone.
+    Z^2 is its images under the coset representatives alone, taken on
+    numerators over a common denominator D of the centers and the v_A.
     """
     grp = group.normalize()
-    locus = singular_locus(grp)
     hol = grp.holonomy()
-    centers = dict(locus.rotation_centers)
+    centers = dict(singular_locus(grp).rotation_centers)
+    N = hol.denominator
+    D = math.lcm(N, *(x.denominator for pt in centers for x in pt))
+    order_at = {tuple(int(x * D) for x in pt): k for pt, k in centers.items()}
     orders = []
-    remaining = set(centers)
+    remaining = set(order_at)
     while remaining:
-        pt = min(remaining)
-        orders.append(centers[pt])
-        for A in hol.elements:
-            img = ra.vec_add(ra.mat_vec(A, pt), hol.translations[A])
-            remaining.discard(_frac_part(img))
+        p = min(remaining)
+        orders.append(order_at[p])
+        for A, a in hol.numerators.items():
+            remaining.discard(tuple((x + t * (D // N)) % D for x, t in zip(ra.mat_vec(A, p), a)))
     return sorted(orders)
 
 

@@ -128,7 +128,7 @@ def test_one_closure_finds_every_hidden_translation(monkeypatch):
     # returns its image (0, 1/2), so one refinement reaches the lattice
     swap, half = ([[0, 1], [1, 0]], [0, 0]), ([[1, 0], [0, 1]], ["1/2", 0])
     grp = CrystalGroup.make(2, [swap, half])
-    _, translations = groups._coset_closure(2, grp.generators)
+    _, translations = _closure_as_fractions(2, grp.generators)
     assert sorted(translations) == [(0, Fraction(1, 2)), (Fraction(1, 2), 0)]
     calls = []
     closure = groups._coset_closure
@@ -144,15 +144,15 @@ def test_one_closure_finds_every_hidden_translation(monkeypatch):
     assert len(calls) == 2
 
 
-def _hidden_translation_presentation(grp, rng):
-    """grp over a provisional lattice k times its own, in a random basis.
+def _hidden_translation_presentation(grp, rng, ks=(2, 3, 4, 6)):
+    """grp over a provisional lattice k times its own, k in ks, in a random basis.
 
     The lattice's own vectors then have coordinates in Z^n / k; besides
     the rescaled generators the presentation lists 1-2 random pure
     translations t / k and a random subset of the e_i / k, all returned.
     """
     n = grp.n
-    k = rng.choice([2, 3, 4, 6])
+    k = rng.choice(ks)
     P = _random_unimodular(rng, n)
     Pinv = ra.inverse(P)
     gens = []
@@ -165,6 +165,61 @@ def _hidden_translation_presentation(grp, rng):
     rng.shuffle(gens)
     gram = ra.mat_mul(ra.transpose(P), ra.mat_mul(ra.mat(grp.gram), P))
     return CrystalGroup.make(n, gens, gram=[[x * k * k for x in row] for row in gram]), shifts
+
+
+def _fraction_coset_closure(n, generators):
+    """The closure on ``Fraction`` translations reduced into [0,1)^n: the reference.
+
+    It composes ``AffineElement``s and returns (table, translations) with
+    the coset translations r_A and the hidden translations as ``Fraction``
+    tuples, in the order the integer closure meets them.
+    """
+    frac_part = lambda v: tuple(x - math.floor(x) for x in v)
+    table = {groups._int_identity(n): (Fraction(0),) * n}
+    translations = {}
+    queue = list(generators)
+    while queue:
+        g = queue.pop()
+        v = frac_part(g.translation)
+        seen = table.get(g.linear)
+        if seen is not None:
+            if seen != v:
+                translations[frac_part(tuple(a - b for a, b in zip(v, seen)))] = None
+            continue
+        table[g.linear] = v
+        queue.extend(AffineElement(g.linear, v) * h for h in generators)
+    return table, list(translations)
+
+
+def _closure_as_fractions(n, generators):
+    """``groups._coset_closure`` with its numerators over N read as ``Fraction``s."""
+    table, translations, N = groups._coset_closure(n, generators)
+    as_fractions = lambda a: tuple(Fraction(x, N) for x in a)
+    return {A: as_fractions(a) for A, a in table.items()}, [as_fractions(t) for t in translations]
+
+
+def test_integer_closure_matches_the_fraction_closure():
+    # every catalog entry as stored and normalized, the presentations of
+    # test_normalize_absorbs_hidden_translations, and one more per entry
+    # over a lattice k times its own for k up to 12
+    rng = random.Random(26)
+    cases = []
+    for key in sorted(catalog_list()):
+        grp = catalog_get(key).group
+        cases += [groups.load_group(catalog.DATA_DIR / catalog._index()["entries"][key]["file"]), grp]
+        if grp.n <= 3:
+            key_rng = random.Random(key)
+            cases += [_hidden_translation_presentation(grp, key_rng)[0] for _ in range(2)]
+            cases.append(_hidden_translation_presentation(grp, rng, ks=range(2, 13))[0])
+    assert len(cases) == 2 * 49 + 3 * sum(1 for key in catalog_list() if catalog_get(key).group.n <= 3)
+    refined = 0
+    for grp in cases:
+        table, translations = _closure_as_fractions(grp.n, grp.generators)
+        want_table, want_translations = _fraction_coset_closure(grp.n, grp.generators)
+        assert table == want_table, grp.name
+        assert translations == want_translations, grp.name
+        refined += bool(translations)
+    assert refined > 9
 
 
 @pytest.mark.parametrize(
@@ -188,7 +243,7 @@ def test_normalize_absorbs_hidden_translations(key):
 def _refined_gram_reference(raw):
     """H G H^T / d^2 in Fractions: H the Hermite form of d Z^n and d times the hidden translations."""
     n = raw.n
-    _, translations = groups._coset_closure(n, raw.generators)
+    _, translations = _closure_as_fractions(n, raw.generators)
     d = math.lcm(*(x.denominator for t in translations for x in t))
     rows = [[d * int(i == j) for j in range(n)] for i in range(n)]
     H = ra.hnf(rows + [[int(d * x) for x in t] for t in translations])[0][:n]
@@ -299,10 +354,11 @@ def test_fixed_point_matches_the_quotient_map_and_solve():
     rng = random.Random(19)
     found_some = False
     for key in catalog_list():
-        for A, vA in catalog_get(key).group.holonomy().items():
+        for A, vA in catalog_get(key).group.holonomy().translations.items():
             seeded = [[Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 4, 6])) for _ in vA] for _ in range(3)]
             for v in [vA, *seeded]:
-                found = groups._fixed_point(A, v)
+                (a,), N = ra.clear_denominators([v])
+                found = groups._fixed_point(A, a, N)
                 assert found == _quotient_map_fixed_point(A, v), (key, A, v)
                 if found is not None:
                     w, x = found
@@ -385,9 +441,9 @@ def test_betti_character_sums_match_fixed_exterior_forms():
 
 def test_betti_rejects_a_sum_no_group_gives():
     grp = CrystalGroup.make(2, []).normalize()
-    zero = (Fraction(0), Fraction(0))
+    zero = (0, 0)
     not_a_group = (((1, 0), (0, 1)), ((-1, 0), (0, 1)), ((1, 0), (0, -1)))
-    grp._holonomy = HolonomyData(2, not_a_group, dict.fromkeys(not_a_group, zero))
+    grp._holonomy = HolonomyData(2, not_a_group, dict.fromkeys(not_a_group, zero), 1)
     with pytest.raises(FlatOrbError, match="not divisible"):
         grp.betti(1)
 
