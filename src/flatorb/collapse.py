@@ -51,6 +51,7 @@ from fractions import Fraction
 
 from . import rational as ra
 from .groups import (
+    AffineElement,
     CrystalGroup,
     FlatOrbError,
     holonomy_signature,
@@ -208,8 +209,9 @@ def collapse(group: CrystalGroup, subspace, *, closure: bool = True) -> Collapse
     # [H; 0] their Hermite form, the quotient lattice P Z^n has the Hermite
     # basis H^T / D; the first m columns of U^-1 are S H^-1, so they map x to
     # Hermite coordinates, and the first m rows of U form a right inverse R.
-    # (M, v) acts as (coord_map M R, coord_map v); the Gram form is R^T G P R.
-    Gi, q = grp._gram_int
+    # (M, v) acts as (coord_map M R, coord_map v); the Gram form is
+    # R^T G P R = U[:m] Gi DP R / (q D).
+    Gi, q = grp.gram_int
     WG, Wt = _int_mul(W, Gi), tuple(zip(*W))
     adj, D = ra.adjugate(_int_mul(WG, Wt))
     WaWG = _int_mul(_int_mul(Wt, adj), WG)
@@ -219,9 +221,12 @@ def collapse(group: CrystalGroup, subspace, *, closure: bool = True) -> Collapse
     _, U = ra.hnf([[DP[j][i] for j in free] for i in range(n)])
     coord_map = tuple(zip(*(row[:m] for row in ra.unimodular_inverse(U))))
     R = tuple(zip(*U[:m]))
-    gens = [(_int_mul(coord_map, _int_mul(g.linear, R)), ra.mat_vec(coord_map, g.translation)) for g in grp.generators]
-    Gq = [[Fraction(x, q * D) for x in row] for row in _int_mul(_int_mul(U[:m], Gi), _int_mul(DP, R))]
-    quotient = CrystalGroup.make(m, gens, gram=Gq, name=(grp.name or "group") + "/collapse").normalize()
+    gens = tuple(
+        AffineElement(_int_mul(coord_map, _int_mul(g.linear, R)), tuple(ra.mat_vec(coord_map, g.translation)))
+        for g in grp.generators
+    )
+    Gq = ra.lowest_terms(_int_mul(_int_mul(U[:m], Gi), _int_mul(DP, R)), q * D)
+    quotient = CrystalGroup(m, gens, Gq, (grp.name or "group") + "/collapse").normalize()
     label = classify_low_dim(quotient)
     log.append(f"quotient is {m}-dimensional with holonomy order {quotient.holonomy().order}")
     log.append(f"classified as {label.orbifold_name}")

@@ -2,12 +2,13 @@
 
 A group is stored as a set of affine generators over a provisional
 translation lattice Z^n, together with a rational Gram form G encoding the
-flat metric, which is read once as the integer form d G, d the lcm of its
-denominators.  ``normalize`` absorbs any hidden pure translations the
-generators produce, refines the lattice so translations are exactly Z^n,
-and rewrites everything in the new basis.  All group arithmetic is exact
-and runs in Python integers, and the normalized group keeps the holonomy
-its last coset closure built.
+flat metric, held as the integer form d G over its least denominator d,
+which ``CrystalGroup.make`` reads from outside input once and ``normalize``
+and ``collapse`` pass on in integers.  ``normalize`` absorbs any hidden
+pure translations the generators produce, refines the lattice so
+translations are exactly Z^n, and rewrites everything in the new basis.
+All group arithmetic is exact and runs in Python integers, and the
+normalized group keeps the holonomy its last coset closure built.
 
 One closure finds every hidden translation (Schreier's lemma): with a
 coset representative r_A for each linear part A, the translation
@@ -26,8 +27,9 @@ Conventions:
   * the closure, the cocycle check and the fixed-point test carry a
     translation v as a = N v mod N, N the lcm of the generators' translation
     denominators, so coset translations v_A = a_A / N lie in [0,1)^n; only
-    ``AffineElement.translation``, JSON and ``HolonomyData.translations``
-    hold ``Fraction``s.  Integer products use sum(map(mul, row, col)).
+    ``AffineElement.translation``, JSON and the properties built on read,
+    ``HolonomyData.translations`` and ``CrystalGroup.gram``, hold
+    ``Fraction``s.  Integer products use sum(map(mul, row, col)).
 """
 
 from __future__ import annotations
@@ -224,23 +226,23 @@ class CrystalGroup:
 
     n: int
     generators: tuple[AffineElement, ...]
-    gram: tuple[tuple[Fraction, ...], ...]
+    gram_int: tuple[IntMat, int]  # (Gi, d): G = Gi / d, d the least denominator
     name: str | None = None
 
     def __post_init__(self):
-        self.generators = tuple(
-            g if isinstance(g, AffineElement) else AffineElement.of(*g) for g in self.generators
-        )
-        self.gram = tuple(tuple(ra.frac(x) for x in row) for row in self.gram)
-        Gi, d = ra.clear_denominators(self.gram)
-        self._gram_int = tuple(map(tuple, Gi)), d  # Gi = d G, d the lcm of the denominators
         self._holonomy: HolonomyData | None = None  # set by normalize()
         self.Binv: IntMat | None = None  # set by normalize() when it refines the lattice
 
     @staticmethod
     def make(n, generators=(), gram=None, name=None) -> "CrystalGroup":
-        gram = ra.identity(n) if gram is None else gram
-        return CrystalGroup(n=n, generators=generators, gram=gram, name=name)
+        gens = tuple(g if isinstance(g, AffineElement) else AffineElement.of(*g) for g in generators)
+        Gi, d = ra.clear_denominators(ra.identity(n) if gram is None else gram)
+        return CrystalGroup(n, gens, (tuple(map(tuple, Gi)), d), name)
+
+    @property
+    def gram(self) -> tuple[FracVec, ...]:  # built on each read
+        Gi, d = self.gram_int
+        return tuple(tuple(Fraction(x, d) for x in row) for row in Gi)
 
     @property
     def normalized(self) -> bool:
@@ -252,16 +254,16 @@ class CrystalGroup:
     def validate(self) -> None:
         """Check the Gram form and that each generator is an isometry of it.
 
-        Every test runs in Python integers, on the form Gi of ``_gram_int``.
+        Every test runs in Python integers, on the form Gi of ``gram_int``.
         Gi must be symmetric and positive definite: its roots are real, so
         the coefficients of its characteristic polynomial must alternate
         strictly in sign.  Each generator's n x n integer linear part A must
         satisfy A^T Gi A = Gi, which forces det A = (-1)^n c_0(A) = +-1, so
         only a failing A is tested for that.
         """
-        if len(self.gram) != self.n or any(len(r) != self.n for r in self.gram):
+        Gi, _ = self.gram_int
+        if len(Gi) != self.n or any(len(r) != self.n for r in Gi):
             raise InvalidGroupError("gram form has the wrong shape")
-        Gi, _ = self._gram_int
         if Gi != tuple(zip(*Gi)):
             raise InvalidGroupError("gram form must be symmetric")
         if any(c * (-1) ** k <= 0 for k, c in enumerate(reversed(ra.char_poly(Gi)))):
@@ -288,8 +290,9 @@ class CrystalGroup:
         rows d I equal (U^-1)[:n,:n] H, so that block is d H^-1 = (B^-1)^T.
         Each linear part is rewritten as B^-1 A B = (B^-1 A H^T) / d,
         integral since T is normal, and the Gram form as B^T G B =
-        H Gi H^T / (d_G d^2) with Gi = d_G G.  The closure of the rewritten
-        generators, with its own denominator, is the holonomy.
+        H Gi H^T / (d_G d^2) with Gi = d_G G, in lowest terms; an unchanged
+        lattice keeps (Gi, d_G).  The closure of the rewritten generators,
+        with its own denominator, is the holonomy.
 
         When the lattice is refined, the result's ``Binv`` holds the integer
         B^-1, which maps old lattice coordinates to new ones; on an
@@ -302,7 +305,7 @@ class CrystalGroup:
         table, translations, d = _coset_closure(n, self.generators)
         if not translations:
             gens = [AffineElement(g.linear, tuple(x % 1 for x in g.translation)) for g in self.generators]
-            gram = self.gram
+            gram = self.gram_int
         else:
             H, U = ra.hnf([[d * int(i == j) for j in range(n)] for i in range(n)] + translations)
             Ht = tuple(zip(*H[:n]))  # d B
@@ -314,14 +317,14 @@ class CrystalGroup:
                     raise NotCrystallographicError("refined lattice is not invariant under a generator")
                 v = tuple(sum(map(mul, row, g.translation)) % 1 for row in Binv)
                 gens.append(AffineElement(tuple(tuple(x // d for x in row) for row in M), v))
-            Gi, dg = self._gram_int
-            gram = [[Fraction(x, dg * d**2) for x in row] for row in _int_mul(_int_mul(H[:n], Gi), Ht)]
+            Gi, dg = self.gram_int
+            gram = ra.lowest_terms(_int_mul(_int_mul(H[:n], Gi), Ht), dg * d**2)
             table, translations, d = _coset_closure(n, tuple(gens))
             if translations:
                 raise NotCrystallographicError("refined lattice misses a translation of the group")
         # drop the identity and repeats, keeping the first of each
-        gens = tuple(g for g in dict.fromkeys(gens) if g != AffineElement.identity(n))
-        out = CrystalGroup(n=n, generators=gens, gram=gram, name=self.name)
+        one = AffineElement.identity(n)
+        out = CrystalGroup(n, tuple(g for g in dict.fromkeys(gens) if g != one), gram, self.name)
         out._holonomy = HolonomyData(n, tuple(sorted(table)), table, d)
         out.Binv = Binv
         return out
@@ -346,9 +349,9 @@ class CrystalGroup:
 
     @cached_property
     def _torsion(self) -> TorsionReport:
-        hol = self.holonomy()
+        hol, one = self.holonomy(), _int_identity(self.n)
         for A in hol.elements:
-            if A == _int_identity(self.n):
+            if A == one:
                 continue
             found = _fixed_point(A, hol.numerators[A], hol.denominator)
             if found is not None:
@@ -358,7 +361,7 @@ class CrystalGroup:
 
     def volume(self) -> float:
         """sqrt(det G) / |H|; det G = 4^k r is split exactly, so only r near 1 meets ``sqrt``."""
-        Gi, d = self._gram_int
+        Gi, d = self.gram_int
         det = Fraction((-1) ** self.n * ra.char_poly(Gi)[0], d**self.n)
         k = (det.numerator.bit_length() - det.denominator.bit_length()) // 2
         order = self.holonomy().order

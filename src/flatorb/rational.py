@@ -1,19 +1,22 @@
 """Exact linear algebra over the rationals for small dense systems.
 
 Matrices are lists (or tuples) of rows and vectors are lists.  A rational
-matrix enters integer arithmetic in one place, ``clear_denominators``.  The
-two products, ``mat_mul`` and ``mat_vec`` (and ``groups._int_mul``, which is
-``mat_mul`` on tuples), take every entry as sum(map(mul, row, col)).
-Integer matrices stay in Python integers: products, ``char_poly``,
-``adjugate``, ``matrix_order``, ``hnf`` and ``unimodular_inverse`` never
-leave them, and the last five reject a non-integral entry; the group layer,
-``wallpaper`` and ``collapse`` eliminate through these alone.  Elimination
-over the rationals divides, so ``rref``, ``det`` and everything built on
-them (``rank``, ``kernel``, ``solve``, ``inverse``) return ``Fraction``
-entries, whether they were given ints or Fractions.  The library calls
-``rref`` for the reduced bases of ``collapse._span_basis``,
-``reps._eigenspaces`` and ``lattices.rational_span``, and ``kernel`` for
-those of ``collapse._sublattice_basis``; ``rank``, ``det``, ``inverse`` and
+matrix enters integer arithmetic in one place, ``clear_denominators``;
+``lowest_terms`` takes an integer matrix over d to its least denominator.
+The two products, ``mat_mul`` and ``mat_vec`` (and ``groups._int_mul``,
+which is ``mat_mul`` on tuples), take every entry as
+sum(map(mul, row, col)).  Integer matrices stay in Python integers:
+products, ``char_poly``, ``adjugate``, ``matrix_order``, ``hnf`` and
+``unimodular_inverse`` never leave them, and the last five reject a
+non-integral entry of any type, comparing the rows with their int() values;
+the group layer, ``wallpaper`` and ``collapse`` eliminate through these
+alone.  Elimination over the rationals divides, so ``rref``, ``det`` and
+everything built on them (``rank``, ``kernel``, ``solve``, ``inverse``)
+return ``Fraction`` entries, whether they were given ints or Fractions.
+The library calls ``rref`` for the reduced bases of
+``collapse._span_basis``, ``reps._eigenspaces`` and
+``lattices.rational_span``, and ``kernel`` for those of
+``collapse._sublattice_basis``; ``rank``, ``det``, ``inverse`` and
 ``solve`` are references for the tests.  Sizes stay tiny (n <= 8), so the
 routines favour clarity and exactness over asymptotics.
 """
@@ -88,6 +91,12 @@ def clear_denominators(M) -> tuple[list[list[int]], int]:
     return [[x.numerator * (d // x.denominator) for x in row] for row in Q], d
 
 
+def lowest_terms(M, d: int) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The integer matrix M over d > 0 as (M / g, d / g), g = gcd(d, M): d / g is the least denominator."""
+    g = gcd(d, *(x for row in M for x in row))
+    return tuple(tuple(x // g for x in row) for row in M), d // g
+
+
 def primitive(v) -> list[int]:
     """The primitive integer vector on the line of a nonzero rational v.
 
@@ -104,8 +113,8 @@ def primitive(v) -> list[int]:
 
 def _int_rows(M) -> list[list[int]]:
     """The entries of M as Python integers; ValueError on a non-integral one."""
-    rows = [[int(x) for x in row] for row in M]
-    if any(x != y for row, ints in zip(M, rows) for x, y in zip(row, ints)):
+    rows = [list(map(int, row)) for row in M]
+    if rows != list(map(list, M)):
         raise ValueError("integer matrix required")
     return rows
 

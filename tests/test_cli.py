@@ -139,6 +139,10 @@ BAD_GROUP_FILES = {
     "wrong-dimension": '{"dimension": 2, "generators": [{"linear": [[1, 0, 0], [0, -1, 0], [0, 0, 1]], "translation": ["1/2", 0, 0]}]}',
     "shear-on-hexagonal-gram": '{"dimension": 2, "gram": [[1, "1/2"], ["1/2", 1]], "generators": [{"linear": [[1, 1], [0, 1]], "translation": [0, 0]}]}',
     "boolean-dimension": '{"dimension": true, "generators": []}',
+    "ragged-gram-row": '{"dimension": 2, "gram": [[1, 0], [0]], "generators": []}',
+    "non-numeric-gram-entry": '{"dimension": 2, "gram": [[1, "x"], ["x", 1]], "generators": []}',
+    "zero-denominator-gram-entry": '{"dimension": 2, "gram": [[1, "1/0"], ["1/0", 1]], "generators": []}',
+    "gram-not-a-list": '{"dimension": 2, "gram": 1, "generators": []}',
 }
 
 

@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -21,6 +22,9 @@ from flatorb.groups import (
     group_from_dict,
     group_to_dict,
 )
+
+# the package re-exports a function named collapse, so import the module by path
+collapse_module = importlib.import_module("flatorb.collapse")
 
 
 def klein_bottle():
@@ -269,6 +273,75 @@ def test_refined_gram_form_matches_the_fraction_formula():
     assert len(refined) == 9 + 42
     for raw, grp in refined:
         assert [list(row) for row in grp.gram] == _refined_gram_reference(raw), raw.name
+
+
+def _quotient_gram_reference(grp, res):
+    """B^T G B in Fractions: B = P C^T (C C^T)^-1 spans the quotient lattice in old coordinates.
+
+    P = I - W^T (W G W^T)^-1 W G is the G-orthogonal projection along the
+    collapsed span W, and C the coordinate map with the quotient's own
+    refinement folded in, so column i of B is the complement point that the
+    quotient calls e_i.
+    """
+    G, W, C = ra.mat(grp.gram), ra.mat(res.subspace), ra.mat(res.coord_map)
+    WG = ra.mat_mul(W, G)
+    WtK = ra.mat_mul(ra.transpose(W), ra.inverse(ra.mat_mul(WG, ra.transpose(W))))
+    P = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(ra.mat_mul(WtK, WG))]
+    B = ra.mat_mul(P, ra.mat_mul(ra.transpose(C), ra.inverse(ra.mat_mul(C, ra.transpose(C)))))
+    return ra.mat_mul(ra.transpose(B), ra.mat_mul(G, B))
+
+
+def test_integer_gram_form_matches_the_fraction_formulas(monkeypatch):
+    # the Fraction Gram forms a group used to hold, each against the integer
+    # form (Gi, d) it holds now: the input read entry by entry through
+    # ra.frac (every entry as stored, and the seeded presentations of
+    # test_normalize_absorbs_hidden_translations), the refined form
+    # H G H^T / d^2 of normalize, and the quotient form of every collapse
+    # the Theorem C survey makes
+    made = []
+    make = CrystalGroup.make
+
+    def recording_make(n, generators=(), gram=None, name=None):
+        grp = make(n, generators, gram, name)
+        made.append((grp, tuple(tuple(map(ra.frac, row)) for row in (ra.identity(n) if gram is None else gram))))
+        return grp
+
+    monkeypatch.setattr(CrystalGroup, "make", staticmethod(recording_make))
+    small = [(key, catalog_get(key).group) for key in sorted(catalog_list())]
+    small = [(key, grp) for key, grp in small if grp.n <= 3]
+    made.clear()
+    for key in sorted(catalog_list()):
+        groups.load_group(catalog.DATA_DIR / catalog._index()["entries"][key]["file"])
+    for key, grp in small:
+        rng = random.Random(key)
+        for _ in range(2):
+            _hidden_translation_presentation(grp, rng)
+    assert len(made) == 49 + 2 * 41
+    checked = []
+    for raw, stored in made:
+        grp = raw.normalize()
+        checked += [(raw, stored), (grp, stored if grp.Binv is None else _refined_gram_reference(raw))]
+    assert sum(grp.Binv is not None for grp, _ in checked[1::2]) > 9
+
+    quotients = []
+    collapse_fn = collapse_module.collapse
+
+    def recording_collapse(grp, basis, **kwargs):
+        res = collapse_fn(grp, basis, **kwargs)
+        quotients.append((res.quotient, _quotient_gram_reference(grp.normalize(), res) if res.quotient.n else ()))
+        return res
+
+    monkeypatch.setattr(collapse_module, "collapse", recording_collapse)
+    collapse_module.survey_collapses(catalog.three_manifold_groups())
+    assert len(quotients) == 282
+    checked += quotients
+
+    for grp, reference in checked:
+        Gi, d = grp.gram_int
+        assert (list(map(list, Gi)), d) == ra.clear_denominators(grp.gram), grp.name
+        assert math.gcd(d, *(x for row in Gi for x in row)) == 1, grp.name
+        assert [list(row) for row in grp.gram] == [list(row) for row in reference], grp.name
+        assert group_to_dict(grp)["gram"] == [[ra.fraction_str(x) for x in row] for row in reference], grp.name
 
 
 def test_closure_multiplies_by_the_generators_alone(monkeypatch):

@@ -1,5 +1,7 @@
+import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -163,11 +165,15 @@ def test_matrix_order_of_an_infinite_order_matrix():
 
 @pytest.mark.parametrize("fn", [ra.char_poly, ra.matrix_order, ra.hnf, ra.adjugate])
 def test_integer_routines_reject_a_non_integral_entry(fn):
-    with pytest.raises(ValueError):
-        fn([[1, Fraction(1, 2)], [0, 1]])
-    with pytest.raises(ValueError):
-        fn([[1, "1/2"], [0, 1]])
-    assert fn(ra.mat([[0, -1], [1, 0]])) == fn(((0, -1), (1, 0)))
+    for bad in (Fraction(1, 2), "1/2", 2.5):
+        with pytest.raises(ValueError):
+            fn([[1, bad], [0, 1]])
+    want = fn(((0, -1), (1, 0)))
+    for M in (ra.mat([[0, -1], [1, 0]]), np.array([[0, -1], [1, 0]], dtype=np.int64)):
+        got = fn(M)
+        assert got == want
+        # json refuses Fraction and numpy integers: every entry comes back as int
+        json.dumps(got)
 
 
 @given(
