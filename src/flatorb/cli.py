@@ -50,11 +50,13 @@ def _coerce_entry(x: str):
     # decimal notation signals a float (possibly irrational) direction;
     # exact rationals are integers or p/q strings
     try:
-        if "." in x or "e" in x or "E" in x:
-            return float(x)
-        return ra.frac(x)
+        f = float(x) if "." in x or "e" in x or "E" in x else ra.frac(x)
     except (ValueError, ZeroDivisionError):
         raise InvalidSubspaceError(f"subspace entry {x!r} is not a number") from None
+    # a decimal with a nonzero digit before its exponent is not zero, even where its float is
+    if f == 0 and type(f) is float and any(c in "123456789" for c in x.lower().partition("e")[0]):
+        raise InvalidSubspaceError(f"subspace entry {x!r} is nonzero but rounds to 0.0; give it as p/q")
+    return f
 
 
 def _parse_subspace(text: str):

@@ -10,14 +10,13 @@ products, ``char_poly``, ``adjugate``, ``matrix_order``, ``hnf`` and
 ``unimodular_inverse`` never leave them, and the last five reject a
 non-integral entry of any type, comparing the rows with their int() values;
 the group layer, ``wallpaper`` and ``collapse`` eliminate through these
-alone.  Elimination over the rationals divides, so ``rref``, ``det`` and
-everything built on them (``rank``, ``kernel``, ``solve``, ``inverse``)
-return ``Fraction`` entries, whether they were given ints or Fractions.
-The library calls ``rref`` for the reduced bases of
-``collapse._span_basis``, ``reps._eigenspaces`` and
-``lattices.rational_span``, and ``kernel`` for those of
-``collapse._sublattice_basis``; ``rank``, ``det``, ``inverse`` and
-``solve`` are references for the tests.  Sizes stay tiny (n <= 8), so the
+alone.  Elimination over the rationals is integral too: ``echelon``
+(fraction-free Gauss-Jordan, Bareiss 1968; Cohen 1993, section 2.2) gives
+the reduced row echelon form as an integer matrix over its least
+denominator, ``kernel`` reads integer vectors off it, and ``rref`` and
+``rank`` are ``Fraction`` views over it for the bases documented as
+reduced row echelon (``collapse._span_basis``, ``lattices.rational_span``);
+``reps`` keeps the integer form.  Sizes stay tiny (n <= 8), so the
 routines favour clarity and exactness over asymptotics.
 """
 
@@ -47,20 +46,12 @@ def vec(xs) -> Vec:
     return [frac(x) for x in xs]
 
 
-def mat(rows) -> Mat:
-    return [[frac(x) for x in row] for row in rows]
-
-
 def identity(n: int) -> Mat:
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def zeros(m: int, n: int) -> Mat:
     return [[Fraction(0)] * n for _ in range(m)]
-
-
-def transpose(M: Mat) -> Mat:
-    return [list(col) for col in zip(*M)]
 
 
 def mat_mul(A: Mat, B: Mat) -> Mat:
@@ -78,10 +69,6 @@ def mat_vec(A: Mat, v: Vec) -> Vec:
 
 def vec_add(u: Vec, v: Vec) -> Vec:
     return [a + b for a, b in zip(u, v)]
-
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return [a - b for a, b in zip(u, v)]
 
 
 def clear_denominators(M) -> tuple[list[list[int]], int]:
@@ -119,94 +106,47 @@ def _int_rows(M) -> list[list[int]]:
     return rows
 
 
-def rref(M: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form and pivot column indices."""
-    R = mat(M)
-    rows = len(R)
-    cols = len(R[0]) if rows else 0
+def echelon(M) -> tuple[list[list[int]], int, list[int]]:
+    """(E, d, pivots) with E / d the reduced row echelon form of M, E integral, d > 0 least.
+
+    Fraction-free Gauss-Jordan (Bareiss, Math. Comp. 1968) takes every other
+    row x to (p x - x[c] y) / prev for the pivot row y, its pivot p and the
+    last pivot prev: the division is exact, every entry being a minor of the
+    cleared M.  The gcd of the entries, signed by the pivot, is divided out last.
+    """
+    E, _ = clear_denominators(M)
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if R[i][c] != 0), None)
+    prev = 1
+    for c in range(len(E[0]) if E else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(E)) if E[i][c]), None)
         if piv is None:
             continue
-        R[r], R[piv] = R[piv], R[r]
-        inv = 1 / R[r][c]
-        R[r] = [x * inv for x in R[r]]
-        for i in range(rows):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+        E[r], E[piv] = E[piv], E[r]
+        y, p = E[r], E[r][c]
+        E = [x if i == r else [(p * a - x[c] * b) // prev for a, b in zip(x, y)] for i, x in enumerate(E)]
+        prev = p
         pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return R, pivots
+    g = (gcd(*(x for row in E for x in row)) or 1) * (1 if prev > 0 else -1)
+    return [[x // g for x in row] for row in E], prev // g, pivots
 
 
-def rank(M: Mat) -> int:
+def rref(M) -> tuple[Mat, list[int]]:
+    """Reduced row echelon form and pivot column indices: ``echelon`` over its denominator."""
+    E, d, pivots = echelon(M)
+    return [[Fraction(x, d) for x in row] for row in E], pivots
+
+
+def rank(M) -> int:
     return len(rref(M)[1])
 
 
-def det(M: Mat) -> Fraction:
-    n = len(M)
-    A = mat(M)
-    d = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if A[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            A[c], A[piv] = A[piv], A[c]
-            d = -d
-        d *= A[c][c]
-        inv = 1 / A[c][c]
-        for i in range(c + 1, n):
-            if A[i][c] != 0:
-                f = A[i][c] * inv
-                A[i] = [x - f * y for x, y in zip(A[i], A[c])]
-    return d
-
-
-def inverse(M: Mat) -> Mat:
-    n = len(M)
-    A = [list(row) + ident_row for row, ident_row in zip(M, identity(n))]
-    R, pivots = rref(A)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in R]
-
-
-def solve(A: Mat, b: Vec) -> Vec | None:
-    """Particular solution of A x = b, or None if inconsistent."""
-    if len(A) != len(b):
-        raise ValueError("dimension mismatch in solve")
-    n = len(A[0])
-    aug = [list(row) + [bv] for row, bv in zip(A, b)]
-    R, pivots = rref(aug)
-    if n in pivots:
-        return None
-    x = [Fraction(0)] * n
-    for r, c in enumerate(pivots):
-        x[c] = R[r][n]
-    return x
-
-
-def kernel(A: Mat) -> list[Vec]:
-    """Basis of the right kernel of A."""
+def kernel(A) -> list[list[int]]:
+    """Integer right-kernel basis of A: per free column f, d at f and -E[r][f] at the pivot of row r."""
+    E, d, pivots = echelon(A)
+    row = {c: r for r, c in enumerate(pivots)}
     n = len(A[0]) if A else 0
-    if not A:
-        return [e for e in identity(n)]
-    R, pivots = rref(A)
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -R[r][f]
-        basis.append(v)
-    return basis
+    return [[-E[row[j]][f] if j in row else d * (j == f) for j in range(n)] for f in range(n) if f not in row]
 
 
 def hnf(M) -> tuple[list[list[int]], list[list[int]]]:

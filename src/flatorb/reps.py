@@ -27,22 +27,21 @@ multiplicity m is
     m^2        complex type,
     m(2m-1)    quaternionic type.
 
-Floats only give gram-orthonormal bases to subspaces whose dimensions are
-already known exactly, and only when ``IsotypicComponent.basis`` is read.
-A component with k > 1 is split by the eigenspaces of a self-adjoint
-central element whose minimal polynomial on V is checked exactly to have
-degree k.  The summed factor dimensions are checked against the dimension
-of the invariant symmetric forms, read off independently over a generating
-set from the rank of an integer system by HNF.  Nothing is drawn at
-random, so the same group always gives the same report.
+No step uses floats.  A subspace is carried as the integer rows of its
+``rational.echelon`` form over one denominator, and the class sums act on
+it as integer matrices; ``Fraction`` rows appear only in the reduced row
+echelon bases that ``rational_components`` returns.  A real component is
+known by these numbers alone.  The summed factor dimensions are checked
+against the dimension of the invariant symmetric forms, read off
+independently over a generating set from the rank of an integer system by
+HNF.  Nothing is drawn at random, so the same group always gives the same
+report.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -50,12 +49,10 @@ from . import rational as ra
 from .groups import CrystalGroup, FlatOrbError, _freeze_int_mat
 
 if TYPE_CHECKING:
-    from collections.abc import Callable
-
     import numpy as np
 
-# numpy is imported inside the functions that build the int64 class tables
-# and the float bases, so the exact verbs that never reach them do not load it.
+# numpy is imported inside the functions that build the int64 class tables,
+# so the exact verbs that never reach them do not load it.
 
 # Entry bound for the int64 arithmetic on elements, class sums and scaled
 # bases: with n * |H| < 2^23 no product below can reach 2^63.
@@ -74,17 +71,6 @@ class IsotypicComponent:
     multiplicity: int
     division_type: str  # 'R', 'C' or 'H'
     factor_dim: int
-    _blocks: Callable[[], list[np.ndarray]] = field(repr=False, compare=False)  # shared by the k conjugates
-    _index: int = field(repr=False, compare=False)
-
-    @property
-    def basis(self) -> np.ndarray:
-        """Columns: gram-orthonormal float vectors in lattice coordinates, built on first read."""
-        return self._blocks()[self._index]
-
-    @property
-    def dim(self) -> int:
-        return self.irreducible_dim * self.multiplicity
 
     def signature(self) -> tuple[int, int, str, int]:
         return (self.irreducible_dim, self.multiplicity, self.division_type, self.factor_dim)
@@ -155,7 +141,6 @@ class _Classes:
     classes: tuple[tuple[int, ...], ...]  # element indices per conjugacy class
     sums: np.ndarray  # class sums, one n x n integer matrix per class
     square: tuple[int, ...]  # class of g^2 for g in each class
-    inverse: tuple[int, ...]  # class of g^-1
     rational: tuple[tuple[int, ...], ...]  # class indices per rational class
 
 
@@ -204,7 +189,7 @@ def _conjugacy_classes(elements) -> _Classes:
                     members.append(perm[x])
         classes.append(members)
 
-    square, inverse, rational, merged = [], [], [], set()
+    square, rational, merged = [], [], set()
     for ci, members in enumerate(classes):
         g = mats[members[0]]
         powers = [members[0]]  # g, g^2, ..., g^order = 1
@@ -214,33 +199,24 @@ def _conjugacy_classes(elements) -> _Classes:
             powers.extend(lookup([P]))
         order = len(powers)
         square.append(label[powers[1 % order]])
-        inverse.append(label[powers[(order - 2) % order]])
         if ci not in merged:
             rclass = sorted({label[powers[k - 1]] for k in range(1, order + 1) if math.gcd(k, order) == 1})
             merged.update(rclass)
             rational.append(tuple(rclass))
     sums = np.array([mats[c].sum(axis=0) for c in classes])
-    return _Classes(
-        mats, tuple(right), tuple(map(tuple, classes)), sums, tuple(square), tuple(inverse), tuple(rational)
-    )
+    return _Classes(mats, tuple(right), tuple(map(tuple, classes)), sums, tuple(square), tuple(rational))
 
 
 # -- exact Q-isotypic components ----------------------------------------------
 
 
-def _scaled_columns(B: ra.Mat) -> tuple[np.ndarray, list[int], int]:
-    """delta * B^T as integers, the pivots of B and the common denominator delta.
-
-    For an invariant subspace with reduced row echelon basis B, the rows
-    ``pivots`` of Z @ (delta * B^T) are delta times the matrix of Z on it.
-    """
-    Bi, delta = ra.clear_denominators(B)
-    return _int64(Bi).T, [next(j for j, x in enumerate(row) if x) for row in B], delta
+_Piece = tuple[list[list[int]], int, list[int]]  # nonzero rows of rational.echelon: (E, delta, pivots)
 
 
-def _restrict(Z: np.ndarray, cols: np.ndarray, pivots: list[int]) -> np.ndarray:
-    """delta times the matrices Z (stacked or single) on the subspace."""
-    return (Z @ cols)[..., pivots, :]
+def _restrict(Z: np.ndarray, piece: _Piece) -> np.ndarray:
+    """delta times the matrices Z (stacked or single) on the subspace: the rows ``pivots`` of Z @ E^T."""
+    E, _, pivots = piece
+    return (Z @ _int64(E).T)[..., pivots, :]
 
 
 def _is_scalar(M: np.ndarray) -> bool:
@@ -249,13 +225,13 @@ def _is_scalar(M: np.ndarray) -> bool:
     return bool(np.all(M == M[..., :1, :1] * np.eye(M.shape[-1], dtype=M.dtype)))
 
 
-def _eigenspaces(Z: np.ndarray, bound: int, B: ra.Mat) -> list[ra.Mat]:
-    """Eigenspaces of Z on span(B); the eigenvalues are integers in [-bound, bound]."""
-    cols, pivots, delta = _scaled_columns(B)
-    M = _restrict(Z, cols, pivots)
+def _eigenspaces(Z: np.ndarray, bound: int, piece: _Piece) -> list[_Piece]:
+    """Eigenspaces of Z on the piece; the eigenvalues are integers in [-bound, bound]."""
+    E, delta, _ = piece
+    M = _restrict(Z, piece)
     if _is_scalar(M):
-        return [B]
-    Mt, Bi = M.T.tolist(), cols.T.tolist()
+        return [piece]
+    Mt = M.T.tolist()
     poly = ra.char_poly(Mt)  # roots delta * lambda
     pieces = []
     for lam in range(-bound, bound + 1):
@@ -263,19 +239,20 @@ def _eigenspaces(Z: np.ndarray, bound: int, B: ra.Mat) -> list[ra.Mat]:
             continue
         # the rows of U on zero rows of H = U (M^T - lambda delta I) span the kernel of M - lambda delta I
         H, U = ra.hnf([[x - lam * delta if i == j else x for j, x in enumerate(row)] for i, row in enumerate(Mt)])
-        R, rank_pivots = ra.rref(ra.mat_mul([u for h, u in zip(H, U) if not any(h)], Bi))
-        pieces.append(R[: len(rank_pivots)])
-    if sum(map(len, pieces)) != len(B):
+        R, d, pivots = ra.echelon(ra.mat_mul([u for h, u in zip(H, U) if not any(h)], E))
+        pieces.append((R[: len(pivots)], d, pivots))
+    if sum(len(p[0]) for p in pieces) != len(E):
         raise FlatOrbError("a class sum is not diagonalisable over Q; the matrices do not form a finite group")
     return pieces
 
 
-def _q_components(cl: _Classes) -> list[ra.Mat]:
-    pieces = [ra.identity(cl.mats.shape[1])]
+def _q_components(cl: _Classes) -> list[_Piece]:
+    n = cl.mats.shape[1]
+    pieces = [([[int(i == j) for j in range(n)] for i in range(n)], 1, list(range(n)))]
     for rclass in cl.rational:
         Z = cl.sums[list(rclass)].sum(axis=0)
         bound = sum(len(cl.classes[c]) for c in rclass)
-        pieces = [sub for B in pieces for sub in _eigenspaces(Z, bound, B)]
+        pieces = [sub for piece in pieces for sub in _eigenspaces(Z, bound, piece)]
     return pieces
 
 
@@ -285,7 +262,8 @@ def rational_components(elements) -> list[ra.Mat]:
     ``elements`` is the complete list of group elements.  Each component is
     returned as the reduced row echelon basis of its span.
     """
-    return _q_components(_conjugacy_classes(list(elements)))
+    pieces = _q_components(_conjugacy_classes(list(elements)))
+    return [[[Fraction(x, d) for x in row] for row in E] for E, d, _ in pieces]
 
 
 # -- real components and their types -------------------------------------------
@@ -297,61 +275,18 @@ def _whole(q: Fraction, what: str) -> int:
     return int(q)
 
 
-def _splitting_element(cl: _Classes, cols, pivots, k: int) -> np.ndarray:
-    """A self-adjoint central element whose minimal polynomial on V has degree k.
-
-    Each sum Z_C + Z_{C^-1} is tried, then the combinations with weights
-    1, t, t^2, ...; two real components differ in some such sum, so at most
-    (number of sums - 1) values of t per pair of components can fail.
-    """
-    import numpy as np
-
-    pairs = [
-        (cl.sums[i] + cl.sums[cl.inverse[i]]).astype(object)
-        for i in range(len(cl.sums))
-        if i <= cl.inverse[i]
-    ]
-    weighted = (sum(t**j * Y for j, Y in enumerate(pairs)) for t in range(2, 2 + len(pairs) * k * k))
-    cols = cols.astype(object)
-    for y in itertools.chain(pairs, weighted):
-        Y = _restrict(y, cols, pivots)
-        powers = [np.eye(len(pivots), dtype=object)]
-        for _ in range(k):
-            powers.append(Y @ powers[-1])
-        if _rank([P.ravel() for P in powers]) == k:
-            return y.astype(float)
-    raise FlatOrbError("no central element separates the real components")
-
-
-def _gram_orthonormal_blocks(cl: _Classes, B: ra.Mat, gram: ra.Mat, k: int) -> list[np.ndarray]:
-    """A gram-orthonormal float basis of span(B), split into k eigenspaces of equal size."""
-    import numpy as np
-
-    G = np.array([[float(x) for x in row] for row in gram])
-    Bf = np.array(B, dtype=float).T
-    Q = Bf @ np.linalg.inv(np.linalg.cholesky(Bf.T @ G @ Bf)).T
-    if k == 1:
-        return [Q]
-    cols, pivots, _ = _scaled_columns(B)
-    y = _splitting_element(cl, cols, pivots, k)
-    Y = Q.T @ G @ y @ Q
-    _, U = np.linalg.eigh((Y + Y.T) / 2)
-    size = len(B) // k
-    return [Q @ U[:, i * size : (i + 1) * size] for i in range(k)]
-
-
-def _real_components(cl: _Classes, B: ra.Mat, gram: ra.Mat) -> list[IsotypicComponent]:
+def _real_components(cl: _Classes, piece: _Piece) -> list[IsotypicComponent]:
     h = len(cl.mats)
-    cols, pivots, delta = _scaled_columns(B)
+    E, delta, _ = piece
     reps = cl.mats[[c[0] for c in cl.classes]]
-    chi = [Fraction(int(M.trace()), delta) for M in _restrict(reps, cols, pivots)]
+    chi = [Fraction(int(M.trace()), delta) for M in _restrict(reps, piece)]
     sizes = [len(c) for c in cl.classes]
     c = _whole(sum(size * x * x for size, x in zip(sizes, chi)) / h, "commutant dimension")
     s = _whole(
         sum(size * (x * x + chi[sq]) for size, x, sq in zip(sizes, chi, cl.square)) / (2 * h),
         "number of invariant forms",
     )
-    restricted = _restrict(cl.sums, cols, pivots)
+    restricted = _restrict(cl.sums, piece)
     d = 1 if _is_scalar(restricted) else _rank(M.ravel() for M in restricted)
     if 2 * s > c:
         dtype, k, m = "R", d, _whole(Fraction(c, 2 * s - c), "multiplicity")
@@ -361,9 +296,8 @@ def _real_components(cl: _Classes, B: ra.Mat, gram: ra.Mat) -> list[IsotypicComp
             raise FlatOrbError("character sums give an inconsistent complex-type component")
     else:
         dtype, k, m = "H", d, _whole(Fraction(c, 2 * c - 4 * s), "multiplicity")
-    irreducible_dim = _whole(Fraction(len(B), k * m), "irreducible dimension")
-    blocks = functools.cache(lambda: _gram_orthonormal_blocks(cl, B, gram, k))
-    return [IsotypicComponent(irreducible_dim, m, dtype, FACTOR_DIM[dtype](m), blocks, i) for i in range(k)]
+    irreducible_dim = _whole(Fraction(len(E), k * m), "irreducible dimension")
+    return [IsotypicComponent(irreducible_dim, m, dtype, FACTOR_DIM[dtype](m))] * k
 
 
 def isotypic_decompose(elements, gram) -> IsotypicReport:
@@ -377,7 +311,7 @@ def isotypic_decompose(elements, gram) -> IsotypicReport:
     elements = list(elements)
     n = len(gram)
     cl = _conjugacy_classes(elements)
-    comps = [comp for B in _q_components(cl) for comp in _real_components(cl, B, gram)]
+    comps = [comp for piece in _q_components(cl) for comp in _real_components(cl, piece)]
     comps.sort(key=lambda c: (c.irreducible_dim, c.multiplicity, c.division_type))
     total = sum(c.factor_dim for c in comps)
     exact = invariant_form_dim([elements[g] for g in cl.generators], n)

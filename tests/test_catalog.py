@@ -20,6 +20,8 @@ from flatorb.groups import FlatOrbError
 from flatorb.reps import teich_report
 from flatorb.wallpaper import classify2
 
+import reference_algebra as ref
+
 
 def test_catalog_has_required_entries():
     keys = set(catalog_list())
@@ -112,14 +114,14 @@ def test_holonomy_isomorphism_types_of_three_manifolds():
 
 def test_b2_gram_projection_constraint():
     entry = catalog_get("B2")
-    G = ra.mat(entry.group.gram)
+    G = ref.mat(entry.group.gram)
     # g13 = (g11 + g12) / 2 and g23 = (g12 + g22) / 2
     assert G[0][2] == (G[0][0] + G[0][1]) / 2
     assert G[1][2] == (G[0][1] + G[1][1]) / 2
     # equivalently: the third basis vector projects onto the midpoint of the
     # first two in the plane they span; the G-orthogonal projection c1 e1 +
     # c2 e2 solves the normal equations G[:2, :2] c = G[:2, 2]
-    c = ra.solve([G[0][:2], G[1][:2]], [G[0][2], G[1][2]])
+    c = ref.solve([G[0][:2], G[1][:2]], [G[0][2], G[1][2]])
     proj = c + [0]
     assert proj == ra.vec(["1/2", "1/2", 0])
 
@@ -174,11 +176,11 @@ def test_volume_examples():
 def test_all_holonomy_elements_preserve_gram_and_lattice():
     for key in catalog_list():
         grp = catalog_get(key).group
-        G = ra.mat(grp.gram)
+        G = ref.mat(grp.gram)
         for A in grp.holonomy().elements:
-            M = ra.mat(A)
-            assert abs(ra.det(M)) == 1, key  # A Z^n = Z^n
-            assert ra.mat_mul(ra.transpose(M), ra.mat_mul(G, M)) == G, key
+            M = ref.mat(A)
+            assert abs(ref.det(M)) == 1, key  # A Z^n = Z^n
+            assert ra.mat_mul(ref.transpose(M), ra.mat_mul(G, M)) == G, key
 
 
 def test_build_catalog_script_reproduces_the_shipped_data(tmp_path, monkeypatch):

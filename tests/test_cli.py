@@ -94,13 +94,26 @@ def test_collapse_irrational_subspace(capsys):
 
 @pytest.mark.parametrize(
     "subspace",
-    ["1,0", "", "a,1,0", "0,0,0", "0.0,0,0", "1,0,0;0,0,0", "1e400,0,0"],
+    ["1,0", "", "a,1,0", "0,0,0", "0.0,0,0", "1,0,0;0,0,0", "1e400,0,0", "1e-400,1,0", "1e-400,0,0"],
 )
 def test_collapse_bad_subspace_is_a_domain_error(capsys, subspace):
     code, _, err = run(capsys, "collapse", "--catalog", "G6", "--subspace", subspace)
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("subspace, limit", [("1e-400,1,0", "limit is a point"), ("1e-400,0,0", "S2(3,3,3;)")])
+def test_collapse_refuses_a_nonzero_decimal_that_rounds_to_zero(capsys, subspace, limit):
+    # read as 0.0, the first entry would drop out of the direction
+    code, _, err = run(capsys, "collapse", "--catalog", "G3", "--subspace", subspace)
+    assert code == 1
+    assert err == "error: subspace entry '1e-400' is nonzero but rounds to 0.0; give it as p/q\n"
+    exact = subspace.replace("1e-400", "1/1" + "0" * 400)
+    code, out, _ = run(capsys, "collapse", "--catalog", "G3", "--subspace", exact)
+    assert code == 0 and limit in out
+    code, out, _ = run(capsys, "collapse", "--catalog", "G3", "--subspace", "0e-400,1,0")
+    assert code == 0 and "circle" in out
 
 
 LIMIT = ["limit-seq", "--lattice", "1,0;0,1", "--subspace", "0,1", "--schedule"]

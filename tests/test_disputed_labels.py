@@ -32,6 +32,8 @@ from flatorb.collapse import collapse, rational_isotypic_components
 from flatorb.groups import AffineElement
 from flatorb.wallpaper import cone_point_classes, singular_locus
 
+import reference_algebra as ref
+
 
 def _quotient(key, comp_index):
     grp = catalog_get(key).group
@@ -40,7 +42,7 @@ def _quotient(key, comp_index):
 
 
 def _dets(grp):
-    return sorted(int(ra.det(ra.mat(A))) for A in grp.holonomy().elements)
+    return sorted(int(ref.det(ref.mat(A))) for A in grp.holonomy().elements)
 
 
 def _has_mirror(grp):
@@ -109,11 +111,11 @@ def test_disputed_quotients_still_satisfy_all_group_invariants():
             fixed = False
             hol = q.holonomy()
             for A in hol.elements:
-                M = ra.mat(A)
-                if ra.det(M) != 1 or ra.matrix_order(M, cap=12) != order:
+                M = ref.mat(A)
+                if ref.det(M) != 1 or ra.matrix_order(M, cap=12) != order:
                     continue
                 img = ra.vec_add(ra.mat_vec(M, list(pt)), list(hol.translations[A]))
-                if all(x.denominator == 1 for x in ra.vec_sub(img, list(pt))):
+                if all(x.denominator == 1 for x in ref.vec_sub(img, list(pt))):
                     fixed = True
             assert fixed
 
@@ -127,14 +129,14 @@ def _restriction_image(grp, W):
     Matrices are written in a rational basis of the complement; order,
     determinants and cyclicity do not depend on that basis.
     """
-    G = ra.mat(grp.gram)
+    G = ref.mat(grp.gram)
     perp = ra.kernel([ra.mat_vec(G, ra.vec(w)) for w in W])
-    B = ra.transpose(perp)
+    B = ref.transpose(perp)
     image = set()
     for A in grp.holonomy().elements:
-        cols = [ra.solve(B, ra.mat_vec(ra.mat(A), b)) for b in perp]
+        cols = [ref.solve(B, ra.mat_vec(ref.mat(A), b)) for b in perp]
         assert None not in cols  # the complement of an invariant subspace is invariant
-        image.add(tuple(map(tuple, ra.transpose(cols))))
+        image.add(tuple(map(tuple, ref.transpose(cols))))
     return image
 
 
@@ -143,18 +145,18 @@ def _point_group(key):
 
 
 def _order_and_dets(mats):
-    return len(mats), {int(ra.det(ra.mat(M))) for M in mats}
+    return len(mats), {int(ref.det(ref.mat(M))) for M in mats}
 
 
 def _is_cyclic(mats):
-    return any(ra.matrix_order(ra.mat(M)) == len(mats) for M in mats)
+    return any(ra.matrix_order(ref.mat(M)) == len(mats) for M in mats)
 
 
 def _w1_fixed_pointwise(grp):
     """W1 of the survey, checked to be fixed by every holonomy element."""
     (w,) = rational_isotypic_components(grp)[0]
     for A in grp.holonomy().elements:
-        assert ra.mat_vec(ra.mat(A), ra.vec(w)) == ra.vec(w)
+        assert ra.mat_vec(ref.mat(A), ra.vec(w)) == ra.vec(w)
     return [w]
 
 
@@ -203,7 +205,7 @@ def _invariant_lines_of_sign_group(grp):
     line lies in a joint eigenspace of the generators; when every joint
     eigenspace is at most a line, these are all the invariant lines.
     """
-    gens = [ra.mat(g.linear) for g in grp.generators]
+    gens = [ref.mat(g.linear) for g in grp.generators]
     lines = []
     for signs in itertools.product((1, -1), repeat=len(gens)):
         space = ra.kernel([row for A, s in zip(gens, signs) for row in _shift(A, s)])
@@ -253,7 +255,7 @@ def _centring_index(grp):
 
     It is 1 for a rectangular lattice (pm, pg) and 2 for a centred one (cm).
     """
-    (R,) = [ra.mat(A) for A in grp.holonomy().elements if ra.det(ra.mat(A)) == -1]
+    (R,) = [ref.mat(A) for A in grp.holonomy().elements if ref.det(ref.mat(A)) == -1]
     (u,) = ra.kernel(_shift(R, 1))
     (v,) = ra.kernel(_shift(R, -1))
     u, v = _primitive(u), _primitive(v)

@@ -23,6 +23,8 @@ from flatorb.groups import (
     group_to_dict,
 )
 
+import reference_algebra as ref
+
 # the package re-exports a function named collapse, so import the module by path
 collapse_module = importlib.import_module("flatorb.collapse")
 
@@ -98,7 +100,7 @@ def test_normalize_absorbs_half_translation():
         name="centered-presentation",
     ).normalize()
     # lattice refined: gram determinant drops by the index squared
-    assert ra.det(ra.mat(grp.gram)) == Fraction(1, 4)
+    assert ref.det(ref.mat(grp.gram)) == Fraction(1, 4)
     assert grp.holonomy().order == 2
 
 
@@ -110,7 +112,7 @@ def test_normalize_refines_scaled_lattice():
         [([[1, 0], [0, 1]], [0, "1/2"])],
         gram=[[1, 0], [0, 4]],
     ).normalize()
-    assert ra.mat(grp.gram) == ra.identity(2)
+    assert ref.mat(grp.gram) == ra.identity(2)
     assert grp.holonomy().order == 1
 
 
@@ -120,10 +122,10 @@ def test_basis_change_is_noted_only_when_the_lattice_is_refined():
     cycle = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
     grp = CrystalGroup.make(3, [(cycle, ["1/3", 0, 0])]).normalize()
     assert all(type(x) is int for row in grp.Binv for x in row)
-    assert ra.det(grp.Binv) == 3
+    assert ref.det(grp.Binv) == 3
     assert all(x.denominator == 1 for x in ra.mat_vec(grp.Binv, ra.vec(["1/3", "1/3", "1/3"])))
-    B = ra.inverse(grp.Binv)
-    assert ra.mat(grp.gram) == ra.mat_mul(ra.transpose(B), B)
+    B = ref.inverse(grp.Binv)
+    assert ref.mat(grp.gram) == ra.mat_mul(ref.transpose(B), B)
     assert grp.holonomy().order == 3
 
 
@@ -158,16 +160,16 @@ def _hidden_translation_presentation(grp, rng, ks=(2, 3, 4, 6)):
     n = grp.n
     k = rng.choice(ks)
     P = _random_unimodular(rng, n)
-    Pinv = ra.inverse(P)
+    Pinv = ref.inverse(P)
     gens = []
     for g in grp.generators:
-        A = ra.mat_mul(Pinv, ra.mat_mul(ra.mat(g.linear), P))
+        A = ra.mat_mul(Pinv, ra.mat_mul(ref.mat(g.linear), P))
         gens.append((A, [x / k for x in ra.mat_vec(Pinv, list(g.translation))]))
     shifts = [[Fraction(rng.randint(-k, k), k) for _ in range(n)] for _ in range(rng.randint(1, 2))]
     shifts += [[Fraction(int(i == j), k) for j in range(n)] for i in range(n) if rng.random() < 0.5]
     gens += [(ra.identity(n), t) for t in shifts]
     rng.shuffle(gens)
-    gram = ra.mat_mul(ra.transpose(P), ra.mat_mul(ra.mat(grp.gram), P))
+    gram = ra.mat_mul(ref.transpose(P), ra.mat_mul(ref.mat(grp.gram), P))
     return CrystalGroup.make(n, gens, gram=[[x * k * k for x in row] for row in gram]), shifts
 
 
@@ -251,7 +253,7 @@ def _refined_gram_reference(raw):
     d = math.lcm(*(x.denominator for t in translations for x in t))
     rows = [[d * int(i == j) for j in range(n)] for i in range(n)]
     H = ra.hnf(rows + [[int(d * x) for x in t] for t in translations])[0][:n]
-    return [[x / d**2 for x in row] for row in ra.mat_mul(H, ra.mat_mul(ra.mat(raw.gram), ra.transpose(H)))]
+    return [[x / d**2 for x in row] for row in ra.mat_mul(H, ra.mat_mul(ref.mat(raw.gram), ref.transpose(H)))]
 
 
 REFINED_CATALOG_KEYS = ["K2", "K3", "K5", "K7", "plane-G3", "plane-G4", "plane-G5", "plane-G6", "plane-G7"]
@@ -283,12 +285,12 @@ def _quotient_gram_reference(grp, res):
     refinement folded in, so column i of B is the complement point that the
     quotient calls e_i.
     """
-    G, W, C = ra.mat(grp.gram), ra.mat(res.subspace), ra.mat(res.coord_map)
+    G, W, C = ref.mat(grp.gram), ref.mat(res.subspace), ref.mat(res.coord_map)
     WG = ra.mat_mul(W, G)
-    WtK = ra.mat_mul(ra.transpose(W), ra.inverse(ra.mat_mul(WG, ra.transpose(W))))
+    WtK = ra.mat_mul(ref.transpose(W), ref.inverse(ra.mat_mul(WG, ref.transpose(W))))
     P = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(ra.mat_mul(WtK, WG))]
-    B = ra.mat_mul(P, ra.mat_mul(ra.transpose(C), ra.inverse(ra.mat_mul(C, ra.transpose(C)))))
-    return ra.mat_mul(ra.transpose(B), ra.mat_mul(G, B))
+    B = ra.mat_mul(P, ra.mat_mul(ref.transpose(C), ref.inverse(ra.mat_mul(C, ref.transpose(C)))))
+    return ra.mat_mul(ref.transpose(B), ra.mat_mul(G, B))
 
 
 def test_integer_gram_form_matches_the_fraction_formulas(monkeypatch):
@@ -396,14 +398,14 @@ def test_torsion_is_invariant_under_basis_and_origin_change(key):
     rng = random.Random(sum(map(ord, key)))
     for _ in range(3):
         P = _random_unimodular(rng, n)
-        Pinv = ra.inverse(P)
+        Pinv = ref.inverse(P)
         s = [Fraction(rng.randint(-12, 12), rng.choice([1, 2, 3, 4, 6])) for _ in range(n)]
         gens = []
         for g in grp.generators:
-            A = ra.mat_mul(Pinv, ra.mat_mul(ra.mat(g.linear), P))
-            v = ra.vec_add(ra.mat_vec(Pinv, list(g.translation)), ra.vec_sub(s, ra.mat_vec(A, s)))
+            A = ra.mat_mul(Pinv, ra.mat_mul(ref.mat(g.linear), P))
+            v = ra.vec_add(ra.mat_vec(Pinv, list(g.translation)), ref.vec_sub(s, ra.mat_vec(A, s)))
             gens.append((A, v))
-        gram = ra.mat_mul(ra.transpose(P), ra.mat_mul(ra.mat(grp.gram), P))
+        gram = ra.mat_mul(ref.transpose(P), ra.mat_mul(ref.mat(grp.gram), P))
         rep = CrystalGroup.make(n, gens, gram=gram).normalize().is_torsion_free()
         assert rep.torsion_free == entry.expected["torsion_free"], (P, s)
         if not rep.torsion_free:
@@ -415,12 +417,12 @@ def _quotient_map_fixed_point(A, v):
     # R^n / im(I - A), Q v integral, w = v - R Q v and a Fraction solve of (I - A) x = w
     n = len(v)
     ImA = [[int(i == j) - A[i][j] for j in range(n)] for i in range(n)]
-    Q, R = ra.quotient_map(ra.transpose(ImA), n)
+    Q, R = ra.quotient_map(ref.transpose(ImA), n)
     qv = [sum(q * x for q, x in zip(row, v)) for row in Q]
     if any(c.denominator != 1 for c in qv):
         return None
     w = tuple(x - sum(r * c for r, c in zip(row, qv)) for x, row in zip(v, R))
-    return w, tuple(ra.solve(ImA, list(w)))
+    return w, tuple(ref.solve(ImA, list(w)))
 
 
 def test_fixed_point_matches_the_quotient_map_and_solve():
@@ -454,7 +456,7 @@ def test_volume_matches_the_float_square_root_on_the_catalog():
     # the exponent split changes no bit where det G is a normal double
     for key in catalog_list():
         grp = catalog_get(key).group
-        assert grp.volume() == math.sqrt(float(ra.det(grp.gram))) / grp.holonomy().order, key
+        assert grp.volume() == math.sqrt(float(ref.det(grp.gram))) / grp.holonomy().order, key
 
 
 def test_betti_torus_binomial():
@@ -499,7 +501,7 @@ def _fixed_exterior_dim(grp, k):
     rows = []
     for A in grp.holonomy().elements:
         for r, rs in enumerate(subsets):
-            minors = [ra.det([[ra.frac(A[i][j]) for j in cs] for i in rs]) for cs in subsets]
+            minors = [ref.det([[ra.frac(A[i][j]) for j in cs] for i in rs]) for cs in subsets]
             rows.append([m - (r == c) for c, m in enumerate(minors)])
     return len(ra.kernel(rows))
 
@@ -523,10 +525,10 @@ def test_betti_rejects_a_sum_no_group_gives():
 
 def test_gram_preserved_by_holonomy():
     for grp in (klein_bottle(), pillowcase()):
-        G = ra.mat(grp.gram)
+        G = ref.mat(grp.gram)
         for A in grp.holonomy().elements:
-            M = ra.mat(A)
-            assert ra.mat_mul(ra.transpose(M), ra.mat_mul(G, M)) == G
+            M = ref.mat(A)
+            assert ra.mat_mul(ref.transpose(M), ra.mat_mul(G, M)) == G
 
 
 HEXAGONAL = [[1, "1/2"], ["1/2", 1]]
@@ -558,7 +560,7 @@ def test_validate_names_each_bad_input(linear, gram, message):
 
 
 def _leading_minors_positive(G):
-    return all(ra.det([row[: k + 1] for row in G[: k + 1]]) > 0 for k in range(len(G)))
+    return all(ref.det([row[: k + 1] for row in G[: k + 1]]) > 0 for k in range(len(G)))
 
 
 @st.composite

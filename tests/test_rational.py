@@ -1,5 +1,10 @@
+import inspect
 import json
+import random
+import re
 from fractions import Fraction
+from math import lcm
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flatorb import rational as ra
+
+import reference_algebra as ref
 
 
 def test_hnf_already_reduced():
@@ -18,8 +25,8 @@ def test_hnf_already_reduced():
 def test_hnf_standard_example():
     H, U = ra.hnf([[1, 2], [3, 4]])
     assert H == [[1, 0], [0, 2]]
-    UM = ra.mat_mul(ra.mat(U), ra.mat([[1, 2], [3, 4]]))
-    assert UM == ra.mat(H)
+    UM = ra.mat_mul(ref.mat(U), ref.mat([[1, 2], [3, 4]]))
+    assert UM == ref.mat(H)
 
 
 def test_hnf_zero():
@@ -43,8 +50,8 @@ small_int_mats = st.integers(min_value=1, max_value=4).flatmap(
 @settings(max_examples=150, deadline=None)
 def test_hnf_properties(M):
     H, U = ra.hnf(M)
-    assert abs(ra.det(ra.mat(U))) == 1
-    assert ra.mat_mul(ra.mat(U), ra.mat(M)) == ra.mat(H)
+    assert abs(ref.det(ref.mat(U))) == 1
+    assert ra.mat_mul(ref.mat(U), ref.mat(M)) == ref.mat(H)
     # echelon with positive pivots, entries above reduced into [0, pivot)
     last = -1
     for row in H:
@@ -63,14 +70,14 @@ def test_hnf_properties(M):
 
 
 def test_solve_identity():
-    x = ra.solve(ra.identity(2), ra.vec([1, 2]))
+    x = ref.solve(ra.identity(2), ra.vec([1, 2]))
     assert x == ra.vec([1, 2])
     assert ra.kernel(ra.identity(2)) == []
 
 
 def test_solve_underdetermined():
-    A = ra.mat([[1, 1]])
-    x = ra.solve(A, ra.vec([0]))
+    A = ref.mat([[1, 1]])
+    x = ref.solve(A, ra.vec([0]))
     assert x is not None
     assert ra.mat_vec(A, x) == ra.vec([0])
     ker = ra.kernel(A)
@@ -80,20 +87,20 @@ def test_solve_underdetermined():
 
 
 def test_solve_inconsistent():
-    assert ra.solve(ra.mat([[1, 0], [1, 0]]), ra.vec([0, 1])) is None
+    assert ref.solve(ref.mat([[1, 0], [1, 0]]), ra.vec([0, 1])) is None
 
 
 def test_solve_dim_mismatch():
     with pytest.raises(ValueError):
-        ra.solve(ra.mat([[1, 0]]), ra.vec([1, 2]))
+        ref.solve(ref.mat([[1, 0]]), ra.vec([1, 2]))
 
 
 @given(small_int_mats, st.lists(st.integers(-5, 5), min_size=1, max_size=4))
 @settings(max_examples=100, deadline=None)
 def test_solve_postconditions(M, bvals):
-    A = ra.mat(M)
+    A = ref.mat(M)
     b = ra.vec(bvals[: len(M)] + [0] * max(0, len(M) - len(bvals)))
-    x = ra.solve(A, b)
+    x = ref.solve(A, b)
     if x is None:
         return
     assert ra.mat_vec(A, x) == b
@@ -102,11 +109,11 @@ def test_solve_postconditions(M, bvals):
 
 
 def test_char_poly_and_order():
-    A = ra.mat([[0, -1], [1, -1]])  # order 3
+    A = ref.mat([[0, -1], [1, -1]])  # order 3
     assert ra.matrix_order(A) == 3
     # x^2 + x + 1
     assert ra.char_poly(A) == ra.vec([1, 1, 1])
-    shift = ra.mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
+    shift = ref.mat([[0, 0, 1], [1, 0, 0], [0, 1, 0]])
     assert ra.matrix_order(shift) == 3
     assert ra.char_poly(shift) == ra.vec([-1, 0, 0, 1])
 
@@ -128,7 +135,7 @@ def _check_char_poly(A):
     assert poly[n] == 1 and all(type(c) is int for c in poly)
     for x in range(n + 1):
         xI_A = [[x * (i == j) - A[i][j] for j in range(n)] for i in range(n)]
-        assert sum(c * x**k for k, c in enumerate(poly)) == ra.det(xI_A), (A, x)
+        assert sum(c * x**k for k, c in enumerate(poly)) == ref.det(xI_A), (A, x)
 
 
 def test_char_poly_and_order_of_every_catalog_holonomy_element():
@@ -169,7 +176,7 @@ def test_integer_routines_reject_a_non_integral_entry(fn):
         with pytest.raises(ValueError):
             fn([[1, bad], [0, 1]])
     want = fn(((0, -1), (1, 0)))
-    for M in (ra.mat([[0, -1], [1, 0]]), np.array([[0, -1], [1, 0]], dtype=np.int64)):
+    for M in (ref.mat([[0, -1], [1, 0]]), np.array([[0, -1], [1, 0]], dtype=np.int64)):
         got = fn(M)
         assert got == want
         # json refuses Fraction and numpy integers: every entry comes back as int
@@ -190,7 +197,7 @@ def test_integer_routines_reject_a_non_integral_entry(fn):
 @example([[1, 2], [2, 4]])
 @example([[0] * 6 for _ in range(6)])
 def test_adjugate_matches_det_and_inverse(M):
-    det = ra.det(M)
+    det = ref.det(M)
     if det == 0:
         with pytest.raises(ValueError, match="^matrix is singular$"):
             ra.adjugate(M)
@@ -198,7 +205,7 @@ def test_adjugate_matches_det_and_inverse(M):
     adj, d = ra.adjugate(M)
     assert type(d) is int and d == det
     assert all(type(x) is int for row in adj for x in row)
-    assert adj == [[det * x for x in row] for row in ra.inverse(M)]
+    assert adj == [[det * x for x in row] for row in ref.inverse(M)]
 
 
 def test_clear_denominators_scales_by_the_lcm():
@@ -213,17 +220,18 @@ def test_elimination_of_an_int_matrix_gives_fractions():
     A = ((2, 1, 0), (1, 3, 1), (0, 1, 4))
     S = [[1, 2, 3], [2, 4, 6]]
     results = {
-        "det": [[ra.det(A)]],
-        "inverse": ra.inverse(A),
-        "kernel": ra.kernel(S),
+        "det": [[ref.det(A)]],
+        "inverse": ref.inverse(A),
         "rref": ra.rref(S)[0],
-        "solve": [ra.solve(A, [1, 0, 0])],
+        "solve": [ref.solve(A, [1, 0, 0])],
     }
     for name, M in results.items():
         assert all(type(x) is Fraction for row in M for x in row), name
-    assert ra.det(A) == 18
-    assert ra.mat_mul(A, ra.inverse(A)) == _int_identity(3)
+    assert ref.det(A) == 18
+    assert ra.mat_mul(A, ref.inverse(A)) == _int_identity(3)
+    # the kernel is read off the fraction-free echelon: d times the rref vectors, in ints
     assert ra.kernel(S) == [[-2, 1, 0], [-3, 0, 1]]
+    assert all(type(x) is int for row in ra.kernel(S) for x in row)
 
 
 def test_primitive_scales_to_a_primitive_integer_vector():
@@ -277,7 +285,7 @@ def test_unimodular_inverse_rejects_determinants_zero_and_two(n, ops, row):
     row %= n
     doubled = [[2 * x for x in r] if i == row else r for i, r in enumerate(M)]
     repeated = [M[(row + 1) % n] if i == row else r for i, r in enumerate(M)]
-    assert abs(ra.det(doubled)) == 2 and ra.det(repeated) == 0
+    assert abs(ref.det(doubled)) == 2 and ref.det(repeated) == 0
     for bad in (doubled, repeated):
         with pytest.raises(ValueError):
             ra.unimodular_inverse(bad)
@@ -303,3 +311,55 @@ def test_quotient_map_on_random_rational_subspaces(case):
         assert [sum(a * x for a, x in zip(row, w)) for row in A] == [0] * m
     if m:
         assert ra.mat_mul(A, R) == _int_identity(m)
+
+
+def _parity_cases():
+    """Seeded integer and Fraction matrices: wide, tall, square, rank-deficient, zero and one-row."""
+    rng = random.Random(1968)
+    cases = [[[0, 0, 0]], [[0], [0]], [[3, -6, 9]], [[Fraction(2, 3)]], [[1, 2, 3], [2, 4, 6]]]
+    for t in range(600):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        if t % 3 == 2:  # rank at most k, as a product of m x k and k x n
+            k = rng.randint(0, min(m, n))
+            A = [[rng.randint(-4, 4) for _ in range(k)] for _ in range(m)]
+            B = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+            cases.append([[sum(row[i] * B[i][j] for i in range(k)) for j in range(n)] for row in A])
+        elif t % 3 == 1:
+            cases.append([[Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)] for _ in range(m)])
+        else:
+            cases.append([[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)])
+    return cases
+
+
+def test_echelon_rref_and_kernel_match_the_fraction_reference():
+    seen = set()
+    for M in _parity_cases():
+        R, pivots = ref.rref(M)
+        E, d, epivots = ra.echelon(M)
+        assert epivots == pivots, M
+        assert all(type(x) is int for row in E for x in row) and type(d) is int
+        assert d == lcm(*(x.denominator for row in R for x in row)), M
+        assert [[Fraction(x, d) for x in row] for row in E] == R, M
+        assert ra.rref(M) == (R, pivots), M
+        K = ra.kernel(M)
+        assert all(type(x) is int for v in K for x in v)
+        assert K == [[d * x for x in v] for v in ref.kernel(M)], M
+        m, n, r = len(M), len(M[0]), len(pivots)
+        kinds = {"wide": n > m, "tall": m > n, "rank-deficient": r < min(m, n), "zero": r == 0, "one-row": m == 1}
+        seen.update(kind for kind, hit in kinds.items() if hit)
+        seen.add(type(M[0][0]).__name__)
+    assert seen == {"wide", "tall", "rank-deficient", "zero", "one-row", "int", "Fraction"}
+
+
+def test_every_public_rational_function_has_a_caller():
+    # anything exported needs a caller outside the tests; test-only algebra lives in tests/reference_algebra.py
+    root = Path(__file__).resolve().parents[1]
+    text = "\n".join(p.read_text() for d in ("src", "scripts", "perfbench") for p in (root / d).rglob("*.py"))
+    public = [
+        name
+        for name, fn in inspect.getmembers(ra, inspect.isfunction)
+        if fn.__module__ == ra.__name__ and not name.startswith("_")
+    ]
+    assert "echelon" in public
+    uncalled = [name for name in public if not re.search(rf"\bra\.{name}\(|\brational\.{name}\b", text)]
+    assert uncalled == []
