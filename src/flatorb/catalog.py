@@ -31,17 +31,29 @@ class UnknownCatalogKeyError(FlatOrbError):
 
 @dataclass(frozen=True)
 class CatalogEntry:
+    """A loaded catalog group with its index metadata.
+
+    ``expected`` and ``provenance`` are deep copies of the index's dicts,
+    made on first read, so a caller that reads only ``group`` copies nothing.
+    """
+
     key: str
     group: CrystalGroup
-    expected: dict
-    provenance: dict
     notes: tuple[str, ...] = field(default=())
     aliases: tuple[str, ...] = field(default=())
+
+    @functools.cached_property
+    def expected(self) -> dict:
+        return copy.deepcopy(_index()["entries"][self.key].get("expected", {}))
+
+    @functools.cached_property
+    def provenance(self) -> dict:
+        return copy.deepcopy(_index()["entries"][self.key].get("provenance", {}))
 
 
 @functools.cache
 def _index() -> dict:
-    # parsed once per process; catalog_get copies what it hands out
+    # parsed once per process; a CatalogEntry copies the metadata it hands out
     with open(DATA_DIR / "index.json", "r", encoding="utf-8") as fh:
         return json.load(fh)
 
@@ -84,8 +96,6 @@ def catalog_get(key: str) -> CatalogEntry:
     return CatalogEntry(
         key=canonical,
         group=group,
-        expected=copy.deepcopy(meta.get("expected", {})),
-        provenance=copy.deepcopy(meta.get("provenance", {})),
         notes=tuple(meta.get("notes", [])),
         aliases=tuple(meta.get("aliases", [])),
     )

@@ -255,18 +255,19 @@ class CrystalGroup:
         """Check the Gram form and that each generator is an isometry of it.
 
         Every test runs in Python integers, on the form Gi of ``gram_int``.
-        Gi must be symmetric and positive definite: its roots are real, so
-        the coefficients of its characteristic polynomial must alternate
-        strictly in sign.  Each generator's n x n integer linear part A must
-        satisfy A^T Gi A = Gi, which forces det A = (-1)^n c_0(A) = +-1, so
-        only a failing A is tested for that.
+        Gi must be symmetric and positive definite, which for a symmetric
+        form is Sylvester's criterion: every leading principal minor, read
+        off the fraction-free pivots of ``ra.leading_minors``, is positive;
+        the pivots stop at the first that is not.  Each generator's n x n
+        integer linear part A must satisfy A^T Gi A = Gi, which forces
+        det A = (-1)^n c_0(A) = +-1, so only a failing A is tested for that.
         """
         Gi, _ = self.gram_int
         if len(Gi) != self.n or any(len(r) != self.n for r in Gi):
             raise InvalidGroupError("gram form has the wrong shape")
         if Gi != tuple(zip(*Gi)):
             raise InvalidGroupError("gram form must be symmetric")
-        if any(c * (-1) ** k <= 0 for k, c in enumerate(reversed(ra.char_poly(Gi)))):
+        if any(m <= 0 for m in ra.leading_minors(Gi)):
             raise InvalidGroupError("gram form must be positive definite")
         for g in self.generators:
             A = g.linear
@@ -360,11 +361,16 @@ class CrystalGroup:
         return TorsionReport(True)
 
     def volume(self) -> float:
-        """sqrt(det G) / |H|; det G = 4^k r is split exactly, so only r near 1 meets ``sqrt``."""
-        Gi, d = self.gram_int
-        det = Fraction((-1) ** self.n * ra.char_poly(Gi)[0], d**self.n)
-        k = (det.numerator.bit_length() - det.denominator.bit_length()) // 2
+        """sqrt(det G) / |H|; det G = 4^k r is split exactly, so only r near 1 meets ``sqrt``.
+
+        A group with a holonomy was validated by ``normalize``, so every
+        leading minor of Gi is positive and the last is det Gi.
+        """
         order = self.holonomy().order
+        Gi, d = self.gram_int
+        *_, det_Gi = ra.leading_minors(Gi)
+        det = Fraction(det_Gi, d**self.n)
+        k = (det.numerator.bit_length() - det.denominator.bit_length()) // 2
         try:
             vol = math.ldexp(math.sqrt(det / Fraction(4) ** k), k) / order
         except OverflowError:

@@ -180,7 +180,10 @@ def _ball(frame: _Frame, queries: Sequence[tuple[float, np.ndarray | None]]) -> 
         rkk, pk = cols[k][k], partial[k]
         span = math.sqrt(max(budget, 0.0)) / abs(rkk)
         if span > ENUM_CAP:
-            raise LatticeEnumerationError("short-vector enumeration cap exceeded; radius too large")
+            raise LatticeEnumerationError(
+                f"short-vector enumeration cap exceeded: a coordinate range {2 * span:.3g} integers wide"
+                f" passes ENUM_CAP = {ENUM_CAP}"
+            )
         lo = math.ceil(-pk / rkk - span - 1e-12)
         hi = math.floor(-pk / rkk + span + 1e-12)
         if half and not any(prefix):  # every later coordinate is zero: keep the positive member
@@ -194,7 +197,9 @@ def _ball(frame: _Frame, queries: Sequence[tuple[float, np.ndarray | None]]) -> 
                 return
             count += (2 if half else 1) * (hi - lo + 1)
             if count > ENUM_CAP:
-                raise LatticeEnumerationError("short-vector enumeration cap exceeded; radius too large")
+                raise LatticeEnumerationError(
+                    f"short-vector enumeration cap exceeded: {count} vectors listed, more than ENUM_CAP = {ENUM_CAP}"
+                )
             runs.append([q, lo, hi - lo + 1, *prefix])
             return
         for zk in range(lo, hi + 1):
@@ -302,7 +307,9 @@ def _search_bases(Z, V, lengths, coords, *, angle_bound, start):
         for idx in pool:
             nodes += 1
             if nodes > COMBO_CAP:
-                raise LatticeEnumerationError("basis search cap exceeded")
+                raise LatticeEnumerationError(
+                    f"basis search cap exceeded: {nodes} primitive prefixes visited, more than COMBO_CAP = {COMBO_CAP}"
+                )
             if best_key is not None:
                 prefix = tuple(rounded[i] for i in combo) + (rounded[idx],)
                 if prefix > best_key[0][: depth + 1]:

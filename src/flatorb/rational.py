@@ -6,11 +6,11 @@ matrix enters integer arithmetic in one place, ``clear_denominators``;
 The two products, ``mat_mul`` and ``mat_vec`` (and ``groups._int_mul``,
 which is ``mat_mul`` on tuples), take every entry as
 sum(map(mul, row, col)).  Integer matrices stay in Python integers:
-products, ``char_poly``, ``adjugate``, ``matrix_order``, ``hnf`` and
-``unimodular_inverse`` never leave them, and the last five reject a
-non-integral entry of any type, comparing the rows with their int() values;
-the group layer, ``wallpaper`` and ``collapse`` eliminate through these
-alone.  Elimination over the rationals is integral too: ``echelon``
+products, ``char_poly``, ``leading_minors``, ``adjugate``,
+``matrix_order``, ``hnf`` and ``unimodular_inverse`` never leave them, and
+the last six reject a non-integral entry of any type, comparing the rows
+with their int() values; the group layer, ``wallpaper`` and ``collapse``
+eliminate through these alone.  Elimination over the rationals is integral too: ``echelon``
 (fraction-free Gauss-Jordan, Bareiss 1968; Cohen 1993, section 2.2) gives
 the reduced row echelon form as an integer matrix over its least
 denominator, ``kernel`` reads integer vectors off it, and ``rref`` and
@@ -31,15 +31,30 @@ Mat = list[list[Fraction]]
 
 
 def frac(x) -> Fraction:
-    """Coerce ints, strings like '3/2' or '0.25', and Fractions exactly."""
+    """Coerce ints, strings like '3/2' or '0.25', and Fractions exactly.
+
+    A string is read by ``int`` first, which accepts exactly the integer
+    literals ``Fraction`` does and skips its regular expression; any other
+    string goes to ``Fraction``.
+    """
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, str):
+        return Fraction(_literal(x))
+    if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
         # decimal literal semantics: 0.1 -> 1/10, not the binary expansion
         return Fraction(repr(x))
     raise TypeError(f"cannot interpret {x!r} as a rational number")
+
+
+def _literal(s: str) -> int | Fraction:
+    """The string s as an int when it is an integer literal, else as a Fraction."""
+    try:
+        return int(s)
+    except ValueError:
+        return Fraction(s)
 
 
 def vec(xs) -> Vec:
@@ -73,7 +88,7 @@ def vec_add(u: Vec, v: Vec) -> Vec:
 
 def clear_denominators(M) -> tuple[list[list[int]], int]:
     """(d M, d) with d the lcm of the denominators of M's entries: d M is integral."""
-    Q = [[x if type(x) is int else frac(x) for x in row] for row in M]
+    Q = [[x if type(x) is int else _literal(x) if type(x) is str else frac(x) for x in row] for row in M]
     d = lcm(*(x.denominator for row in Q for x in row))
     return [[x.numerator * (d // x.denominator) for x in row] for row in Q], d
 
@@ -241,6 +256,26 @@ def _faddeev_leverrier(M) -> tuple[list[int], list[list[int]]]:
         for i in range(n):
             A[i][i] += c[n - k]
     return c, N
+
+
+def leading_minors(M):
+    """The leading principal minors of the square integer matrix M, up to the first zero one.
+
+    Fraction-free elimination without row exchanges (Bareiss, Math. Comp.
+    1968): pivot k is the k-th leading minor, and every later row x goes to
+    (p x - x[k] y) // prev for the pivot row y, its pivot p and the last
+    pivot prev, an exact division.  A generator, so a caller may stop early.
+    """
+    E = _int_rows(M)
+    prev = 1
+    for k in range(len(E)):
+        y = E[k]
+        p = y[k]
+        yield p
+        if p == 0:
+            return
+        E[k + 1 :] = [[(p * a - x[k] * b) // prev for a, b in zip(x, y)] for x in E[k + 1 :]]
+        prev = p
 
 
 def char_poly(M) -> list[int]:

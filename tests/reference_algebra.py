@@ -3,7 +3,9 @@
 The tests check the library's integer routines against these: ``rref`` is
 the textbook Gauss-Jordan elimination that ``rational.echelon`` replaces,
 and ``det``, ``inverse`` and ``solve`` are built on the same elimination.
-Nothing in the library calls them.
+``positive_definite`` is the characteristic-polynomial test that
+``CrystalGroup.validate`` replaced by Sylvester's criterion.  Nothing in
+the library calls them.
 """
 
 from fractions import Fraction
@@ -107,3 +109,10 @@ def solve(A: Mat, b: Vec) -> Vec | None:
     for r, c in enumerate(pivots):
         x[c] = R[r][n]
     return x
+
+
+def positive_definite(G) -> bool:
+    """A symmetric integer G is positive definite iff its eigenvalues, all real,
+    are positive, iff the coefficients of its characteristic polynomial
+    alternate strictly in sign."""
+    return all(c * (-1) ** k > 0 for k, c in enumerate(reversed(ra.char_poly(G))))

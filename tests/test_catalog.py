@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from flatorb import catalog
+from flatorb import catalog, cli
 from flatorb import rational as ra
 from flatorb.catalog import (
     UnknownCatalogKeyError,
@@ -69,6 +69,18 @@ def test_entries_share_no_mutable_dict_with_the_index():
     assert again.expected["collapse"]["W1"] == "S2(3,3,3;)"
     assert again.expected["holonomy_order"] == 3
     assert again.provenance == {"expected": "computed", "generators": "reference presentation"}
+
+
+def test_group_only_callers_copy_no_metadata(monkeypatch, capsys):
+    def no_copy(*args, **kwargs):
+        raise AssertionError("catalog metadata copied")
+
+    monkeypatch.setattr(catalog.copy, "deepcopy", no_copy)
+    assert cli.main(["collapse", "--catalog", "G3", "--subspace", "0,1,0", "--json"]) == 0
+    assert catalog_get("K7").group.holonomy().order == 7
+    with pytest.raises(AssertionError, match="^catalog metadata copied$"):
+        cli.main(["catalog", "G3", "--json"])  # reads expected and provenance
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("key", sorted(catalog_list()))

@@ -199,6 +199,14 @@ def test_reduce_lattice_at_a_collapse_scale(capsys):
     assert json.loads(json_out)["norms"] == pytest.approx([1e-6, 1e-7], rel=1e-12)
 
 
+def test_reduce_lattice_past_the_enumeration_cap_says_what_it_counted(capsys):
+    # the second coordinate of the LLL ball of diag(1, 1e-9) ranges over about 2e9 integers
+    code, out, err = run(capsys, "reduce-lattice", "1,0;0,1e-9")
+    assert code == 1 and out == ""
+    counted = "a coordinate range 2e+09 integers wide passes ENUM_CAP = 1000000"
+    assert err == f"error: short-vector enumeration cap exceeded: {counted}\n"
+
+
 def test_limit_seq(capsys):
     code, out, _ = run(
         capsys,

@@ -579,14 +579,58 @@ def _symmetric_int_matrices(draw):
 @example([[1, "-1/2"], ["-1/2", 1]])
 @example([[1, 2], [2, 1]])
 def test_validate_tests_definiteness_as_sylvester_does(gram):
-    # validate reads definiteness off the signs of the characteristic
-    # polynomial; Sylvester's leading minors are the reference
+    # validate reads definiteness off the fraction-free pivots; the
+    # determinants of the leading blocks, by Fraction elimination, are the reference
     grp = CrystalGroup.make(len(gram), [], gram=gram)
     if _leading_minors_positive(gram):
         grp.validate()
     else:
         with pytest.raises(InvalidGroupError, match="^gram form must be positive definite$"):
             grp.validate()
+
+
+def _seeded_symmetric_forms():
+    """(kind, G) for seeded symmetric integer forms, n = 1..8, some with entries near 10^24."""
+    rng = random.Random(1968)
+    forms = [("indefinite", [[0, 1], [1, 0]]), ("semidefinite", [[1, 0, 0], [0, 0, 0], [0, 0, 5]])]
+    kinds = ["definite", "semidefinite", "indefinite", "negative definite"]
+    for t in range(480):
+        kind = kinds[t % 4]
+        n = rng.randint(2 if kind == "indefinite" else 1, 8)
+        size = 10**12 if t % 5 == 0 else 4
+        rows = n - rng.randint(1, n) if kind == "semidefinite" else n
+        B = [[rng.randint(-size, size) for _ in range(n)] for _ in range(rows)]
+        signs = [1] * rows
+        if kind == "indefinite":  # singular when B is, and indefinite otherwise
+            signs = [rng.choice((1, -1)) for _ in range(rows)]
+            signs[:2] = [1, -1]
+        shift = int(kind in ("definite", "negative definite"))  # B^T B + I is definite for any B
+        G = [
+            [sum(s * B[k][i] * B[k][j] for k, s in enumerate(signs)) + shift * (i == j) for j in range(n)]
+            for i in range(n)
+        ]
+        if kind == "negative definite":
+            G = [[-x for x in row] for row in G]
+        forms.append((kind, G))
+    return forms
+
+
+def test_validate_agrees_with_the_char_poly_rule():
+    seen = {}
+    for kind, G in _seeded_symmetric_forms():
+        definite = ref.positive_definite(G)
+        assert definite == (kind == "definite"), (kind, G)
+        seen[kind] = seen.get(kind, 0) + 1
+        grp = CrystalGroup.make(len(G), [], gram=G)
+        if definite:
+            grp.validate()
+        else:
+            with pytest.raises(InvalidGroupError, match="^gram form must be positive definite$"):
+                grp.validate()
+        minors = [ref.det([row[: k + 1] for row in G[: k + 1]]) for k in range(len(G))]
+        stop = next((k + 1 for k, m in enumerate(minors) if m == 0), len(G))
+        assert list(ra.leading_minors(G)) == minors[:stop], G
+    assert min(seen.values()) >= 100 and len(seen) == 4
 
 
 def test_json_roundtrip():

@@ -961,6 +961,23 @@ def test_special_basis_past_the_enumeration_cap_is_reported():
         special_basis(Lattice(np.diag([1.0, 1e-6])))
 
 
+def test_cap_errors_name_the_cap_and_the_count(monkeypatch):
+    monkeypatch.setattr(lattices, "COMBO_CAP", 3)
+    message = "basis search cap exceeded: 4 primitive prefixes visited, more than COMBO_CAP = 3"
+    with pytest.raises(LatticeEnumerationError, match=f"^{message}$"):
+        special_basis(Lattice.from_rows(SHORT_DIRECTION_4D))
+    # the radius-10 ball of Z^2 holds 316 nonzero vectors, each coordinate range only 21 wide
+    monkeypatch.setattr(lattices, "ENUM_CAP", 100)
+    prefix = "short-vector enumeration cap exceeded: "
+    with pytest.raises(LatticeEnumerationError) as exc:
+        short_vectors(Lattice(np.eye(2)), 10.0)
+    count = int(str(exc.value).removeprefix(prefix).split()[0])
+    assert str(exc.value) == f"{prefix}{count} vectors listed, more than ENUM_CAP = 100" and count > 100
+    message = "a coordinate range 2e\\+03 integers wide passes ENUM_CAP = 100"
+    with pytest.raises(LatticeEnumerationError, match=f"^{prefix}{message}$"):
+        short_vectors(Lattice(np.diag([1.0, 1e-3])), 1.0)
+
+
 # a 4-D lattice with one short direction (LLL norms 0.0036, 1.52, 2.24, 2.95)
 SHORT_DIRECTION_4D = [[-2, 1, -2, 3], [0, -3, 3, -1], [0.002, 0, 0, -0.003], [2, 2, -2, 3]]
 

@@ -125,6 +125,26 @@ def test_frac_parsing():
     assert ra.frac(-2) == Fraction(-2)
 
 
+def test_frac_and_clear_denominators_parse_strings_as_fraction_does():
+    rng = random.Random(29)
+    strings = ["0", "-0", "+3", " 1 ", "1_0", "\u0663", "1/2", " -7/3 ", "0.25", "1e-3"]
+    strings += [f"{rng.randint(-10**12, 10**12)}/{rng.randint(1, 10**6)}" for _ in range(100)]
+    strings += [str(rng.randint(-10**30, 10**30)) for _ in range(20)]
+    for s in strings:
+        want = Fraction(s)
+        got = ra.frac(s)
+        assert type(got) is Fraction and got == want, s
+        [[x]], d = ra.clear_denominators([[s]])
+        assert type(x) is int and (x, d) == (want.numerator, want.denominator), s
+    for s in ["", "abc", "1/0", "1.5.2"]:
+        with pytest.raises(Exception) as want:
+            Fraction(s)
+        for parse in (ra.frac, lambda s: ra.clear_denominators([[s]])):
+            with pytest.raises(Exception) as got:
+                parse(s)
+            assert got.type is want.type, s
+
+
 def _int_identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
@@ -170,7 +190,9 @@ def test_matrix_order_of_an_infinite_order_matrix():
     assert ra.matrix_order([[1, 1], [0, 1]]) is None
 
 
-@pytest.mark.parametrize("fn", [ra.char_poly, ra.matrix_order, ra.hnf, ra.adjugate])
+@pytest.mark.parametrize(
+    "fn", [ra.char_poly, ra.matrix_order, ra.hnf, ra.adjugate, lambda M: list(ra.leading_minors(M))]
+)
 def test_integer_routines_reject_a_non_integral_entry(fn):
     for bad in (Fraction(1, 2), "1/2", 2.5):
         with pytest.raises(ValueError):
