@@ -20,19 +20,40 @@ and the line before it as ``details``.  At the end the script prints, for
 each workload and end-to-end metric, the median and quartiles of each side
 and the number of pairs in which the change is lower (every end-to-end
 metric of the benchmark is lower-is-better).
+
+The benchmark's workloads run in one warm process, so they never see a
+cold start.  After the runs the script therefore times fresh processes of
+
+    python3 -m flatorb.cli VERB
+
+with ``PYTHONPATH=<tree>/src``, for each VERB of ``COLD_VERBS``, in nine
+rounds: in each round every verb runs on both trees, the parent first in
+even rounds and the change first in odd ones.  Their wall times go into the
+BENCH file under ``cold_start``, with the median and quartiles of each side
+per verb, and are printed below the workload table.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 PAIRS = 10  # seeds 2-11: the fewest pairs a claimed gain is judged on
 COMMAND = "python3 perfbench/run.py --workload all --seed S --seconds {seconds} --trace 0"
+COLD_ROUNDS = 9
+COLD_VERBS = (
+    "catalog",
+    "analyze --catalog K7",
+    "teich --catalog G3",
+    "verify-theorem-c",
+    "collapse --catalog G3 --subspace 1,0,0",
+)
 
 
 def run_once(tree: Path, seed: int, seconds: int, trace: int) -> dict:
@@ -44,6 +65,51 @@ def run_once(tree: Path, seed: int, seconds: int, trace: int) -> dict:
     if proc.returncode != 0 or len(lines) < 2:
         raise SystemExit(f"error: {' '.join(argv)} exited {proc.returncode}: {proc.stderr.strip()}")
     return {"result": json.loads(lines[-1]), "details": json.loads(lines[-2])}
+
+
+def time_cold(tree: Path, verb: str) -> float:
+    """Wall seconds of one fresh ``python3 -m flatorb.cli VERB`` process on ``tree``'s ``src/``."""
+    argv = [sys.executable, "-m", "flatorb.cli", *verb.split()]
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    elapsed = time.perf_counter() - start
+    if proc.returncode != 0:
+        raise SystemExit(f"error: {' '.join(argv)} in {tree} exited {proc.returncode}: {proc.stderr.strip()}")
+    return elapsed
+
+
+def cold_start(trees: dict[str, Path]) -> dict:
+    """``COLD_ROUNDS`` alternating rounds of ``time_cold`` over ``COLD_VERBS`` on both trees.
+
+    Per verb and side: the wall times in the order they ran and their
+    inclusive quartiles ``q1``, ``median``, ``q3``.
+    """
+    times = {verb: {"parent": [], "change": []} for verb in COLD_VERBS}
+    for r in range(COLD_ROUNDS):
+        order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
+        for verb in COLD_VERBS:
+            for side in order:
+                times[verb][side].append(time_cold(trees[side], verb))
+    out = {}
+    for verb, sides in times.items():
+        out[verb] = {}
+        for side, values in sides.items():
+            q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+            out[verb][side] = {"q1": q1, "median": median, "q3": q3, "runs": values}
+    return out
+
+
+def cold_report(cold: dict) -> str:
+    lines = []
+    for verb, s in cold.items():
+        p, c = s["parent"], s["change"]
+        lines.append(
+            f"cold {verb:38s} parent {p['median']:.3f} s [{p['q1']:.3f}, {p['q3']:.3f}]  "
+            f"change {c['median']:.3f} s [{c['q1']:.3f}, {c['q3']:.3f}]  "
+            f"{100 * (c['median'] - p['median']) / p['median']:+.1f} %"
+        )
+    return "\n".join(lines)
 
 
 def summarize(runs: list[dict]) -> dict[tuple[str, str], dict]:
@@ -112,7 +178,17 @@ def main(argv=None) -> int:
             doc["runs"].append({"side": side, "seed": seed, "trace": trace, **run})
             out.write_text(json.dumps(doc, indent=1) + "\n")
             print(f"{side} seed {seed} trace {trace}: done", file=sys.stderr)
+    doc["cold_start"] = {
+        "command": "python3 -m flatorb.cli VERB, PYTHONPATH=<tree>/src, one fresh process per run",
+        "pairing": (
+            f"{COLD_ROUNDS} rounds; each round runs every verb on both trees, "
+            "parent first in even rounds, change first in odd ones"
+        ),
+        "verbs": cold_start(trees),
+    }
+    out.write_text(json.dumps(doc, indent=1) + "\n")
     print(report(summarize(doc["runs"])))
+    print(cold_report(doc["cold_start"]["verbs"]))
     return 0
 
 

@@ -7,8 +7,9 @@ plain text, or a stable JSON document with ``--json``.  Exit codes:
 2 usage error.  When the reader of stdout goes away early (``flatorb ...
 | head``), stdout is pointed at ``os.devnull`` and the exit code is 1,
 as the Python documentation advises for SIGPIPE ("Note on SIGPIPE").
-Only the lattice verbs import ``lattices`` and numpy, when they run, so
-the exact verbs start without them.
+Only the lattice verbs and ``collapse`` with a float ``--subspace``
+import ``lattices`` and numpy, when they run, so the exact verbs start
+without them.
 """
 
 from __future__ import annotations

@@ -386,7 +386,7 @@ def rational_isotypic_components(group: CrystalGroup) -> list[list[list[Fraction
     trivial component comes first, then by leading coordinate.
     """
     grp = group.normalize()
-    pieces = rational_components(grp.holonomy().elements)
+    pieces = rational_components(grp.holonomy())
     pieces.sort(key=lambda p: _component_sort_key(grp, p))
     return pieces
 

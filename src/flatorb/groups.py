@@ -145,6 +145,13 @@ class HolonomyData:
         N = self.denominator
         return {A: tuple(Fraction(x, N) for x in self.numerators[A]) for A in self.elements}
 
+    @cached_property
+    def class_table(self):
+        """The class table (``reps._Classes``) that ``reps`` and ``CrystalGroup.betti`` read, built on first read."""
+        from .reps import _conjugacy_classes  # reps imports this module
+
+        return _conjugacy_classes(self.elements)
+
     def cocycle_defects(self) -> list[tuple[IntMat, IntMat]]:
         """Pairs violating v_{AB} = A v_B + v_A (mod Z^n); empty when valid."""
         N, a = self.denominator, self.numerators
@@ -384,7 +391,9 @@ class CrystalGroup:
 
         That is the character sum (1/|H|) sum_A tr(Lambda^k A), where
         tr(Lambda^k A) = (-1)^k c_{n-k}(A) for the characteristic
-        polynomial sum_j c_j(A) x^j of A.
+        polynomial sum_j c_j(A) x^j of A.  The characteristic polynomial is
+        a class function, so the sum takes one per conjugacy class of the
+        holonomy's class table, weighted by the class size.
         """
         if not 0 <= k <= self.n:
             raise ValueError("degree out of range")
@@ -396,8 +405,9 @@ class CrystalGroup:
 
     @cached_property
     def _char_poly_sum(self) -> list[int]:
-        """Coefficientwise sum of the characteristic polynomials of the holonomy."""
-        polys = [ra.char_poly(A) for A in self.holonomy().elements]
+        """Coefficientwise sum of the characteristic polynomials of the holonomy, one per class."""
+        cl = self.holonomy().class_table
+        polys = [[len(c) * x for x in ra.char_poly(cl.mats[c[0]])] for c in cl.classes]
         return [sum(coeffs) for coeffs in zip(*polys)]
 
 

@@ -27,15 +27,24 @@ multiplicity m is
     m^2        complex type,
     m(2m-1)    quaternionic type.
 
-No step uses floats.  A subspace is carried as the integer rows of its
-``rational.echelon`` form over one denominator, and the class sums act on
-it as integer matrices; ``Fraction`` rows appear only in the reduced row
-echelon bases that ``rational_components`` returns.  A real component is
-known by these numbers alone.  The summed factor dimensions are checked
-against the dimension of the invariant symmetric forms, read off
-independently over a generating set from the rank of an integer system by
-HNF.  Nothing is drawn at random, so the same group always gives the same
-report.
+Every step runs on Python integers.  The class table is built once per
+holonomy (``HolonomyData.class_table``, which ``CrystalGroup.betti`` reads
+too): right multiplication by each greedy generator is an index
+permutation, the only matrix products being the |H| right products per
+generator; left multiplication L_g is read off a breadth-first tree of
+words, conjugation by g is R_g^-1 L_g, and the powers of a class
+representative follow its word (Holt, Eick and O'Brien, *Handbook of
+Computational Group Theory*, 2005, section 4.2).  A subspace is carried as
+the integer rows of its ``rational.echelon`` form over one denominator
+delta, on which the class sums act as integer matrices; a character is
+kept as the integer trace of delta times a class representative, so c, s
+and the multiplicities are integer sums divided once.  ``Fraction`` rows
+appear only in the reduced row echelon bases that ``rational_components``
+returns.  A real component is known by these numbers alone.  The summed
+factor dimensions are checked against the dimension of the invariant
+symmetric forms, read off independently over a generating set from the
+rank of an integer system by HNF.  Nothing is drawn at random, so the same
+group always gives the same report.
 """
 
 from __future__ import annotations
@@ -43,20 +52,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
+from operator import mul
 
 from . import rational as ra
-from .groups import CrystalGroup, FlatOrbError, _freeze_int_mat
-
-if TYPE_CHECKING:
-    import numpy as np
-
-# numpy is imported inside the functions that build the int64 class tables,
-# so the exact verbs that never reach them do not load it.
-
-# Entry bound for the int64 arithmetic on elements, class sums and scaled
-# bases: with n * |H| < 2^23 no product below can reach 2^63.
-ENTRY_CAP = 2**20
+from .groups import CrystalGroup, FlatOrbError, HolonomyData, IntMat, _freeze_int_mat, _int_identity, _int_mul
 
 FACTOR_DIM = {
     "R": lambda m: m * (m + 1) // 2,
@@ -97,27 +96,25 @@ class IsotypicReport:
 
 
 def _rank(rows) -> int:
-    """Rank of integer rows, given as lists or arrays: the nonzero rows of their Hermite form."""
+    """Rank of integer rows: the nonzero rows of their Hermite form."""
     return sum(1 for h in ra.hnf(list(rows))[0] if any(h))
 
 
 def invariant_form_dim(elements, n: int) -> int:
     """Dimension of the symmetric S with A^T S A = S for every element.
 
-    That is n(n+1)/2 minus the rank of the integer system in S_ij, i <= j, by HNF.
+    That is n(n+1)/2 minus the rank of the integer system in S_kl, k <= l,
+    by HNF: with a, b the columns i, j of A, the row of (A^T S A - S)_ij has
+    a_k b_l + a_l b_k at S_kl (a_k b_k at S_kk), less 1 at S_ij.
     """
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    index = {p: k for k, p in enumerate(pairs)}
+    pairs = [(k, l) for k in range(n) for l in range(k, n)]
     rows: list[list[int]] = []
     for A in elements:
-        for i, j in pairs:
-            row = [0] * len(pairs)
-            # (A^T S A - S)_{ij} = sum_{k,l} A_ki S_kl A_lj - S_ij
-            for k in range(n):
-                for l in range(n):
-                    key = (k, l) if k <= l else (l, k)
-                    row[index[key]] += A[k][i] * A[l][j]
-            row[index[(i, j)]] -= 1
+        cols = list(zip(*A))
+        for p, (i, j) in enumerate(pairs):
+            a, b = cols[i], cols[j]
+            row = [a[k] * b[l] + a[l] * b[k] if k != l else a[k] * b[k] for k, l in pairs]
+            row[p] -= 1
             rows.append(row)
     return len(pairs) - _rank(rows)
 
@@ -125,55 +122,60 @@ def invariant_form_dim(elements, n: int) -> int:
 # -- conjugacy classes ---------------------------------------------------------
 
 
-def _int64(rows) -> np.ndarray:
-    import numpy as np
-
-    arr = np.array(rows, dtype=object)
-    if arr.size and np.abs(arr).max() > ENTRY_CAP:
-        raise FlatOrbError(f"matrix entries exceed the cap {ENTRY_CAP} of the exact int64 class sums")
-    return arr.astype(np.int64)
-
-
 @dataclass(frozen=True)
 class _Classes:
-    mats: np.ndarray  # (|H|, n, n) integer elements
+    mats: tuple[IntMat, ...]  # the |H| integer elements
     generators: tuple[int, ...]  # element indices, picked greedily
     classes: tuple[tuple[int, ...], ...]  # element indices per conjugacy class
-    sums: np.ndarray  # class sums, one n x n integer matrix per class
+    sums: tuple[IntMat, ...]  # class sums, one n x n integer matrix per class
     square: tuple[int, ...]  # class of g^2 for g in each class
     rational: tuple[tuple[int, ...], ...]  # class indices per rational class
 
 
-def _conjugacy_classes(elements) -> _Classes:
-    import numpy as np
+def _mat_sum(mats) -> IntMat:
+    return tuple(tuple(map(sum, zip(*rows))) for rows in zip(*mats))
 
-    mats = _int64([_freeze_int_mat(A) for A in elements])
-    h, n = len(mats), len(elements[0])
-    index = {m.tobytes(): i for i, m in enumerate(mats)}
 
-    def lookup(products) -> list[int]:
+def _conjugacy_classes(mats: tuple[IntMat, ...]) -> _Classes:
+    """The class table of the finite group ``mats``; L_g(y) = R_s(L_g(p)) for y = p s in the tree of words."""
+    h, n = len(mats), len(mats[0])
+    index = {A: i for i, A in enumerate(mats)}
+
+    def lookup(A) -> int:
         try:
-            return [index[p.tobytes()] for p in products]
+            return index[A]
         except KeyError:
             raise FlatOrbError("the matrices do not form a group") from None
 
-    ident = lookup([np.eye(n, dtype=np.int64)])[0]
-    right: dict[int, list[int]] = {}  # generator -> (i -> index of mats[i] @ g)
-    reached = {ident}
+    ident = lookup(_int_identity(n))
+    right: dict[int, list[int]] = {}  # generator g -> (i -> index of mats[i] g)
+    tree: dict[int, tuple[int, int]] = {ident: (ident, ident)}  # y -> (p, s) with y = p s, parents first
     for g in range(h):
-        if g in reached:
+        if g in tree:
             continue
-        right[g] = lookup(mats @ mats[g])
-        frontier = list(reached)
+        right[g] = [lookup(_int_mul(A, mats[g])) for A in mats]
+        if len(set(right[g])) < h:  # g is singular, or an element is listed twice
+            raise FlatOrbError("the matrices do not form a group")
+        frontier = list(tree)
         while frontier:
             new = []
             for i in frontier:
-                for perm in right.values():
-                    if perm[i] not in reached:
-                        reached.add(perm[i])
+                for s, perm in right.items():
+                    if perm[i] not in tree:
+                        tree[perm[i]] = (i, s)
                         new.append(perm[i])
             frontier = new
-    conj = [lookup(mats[g] @ mats @ mats[perm.index(ident)]) for g, perm in right.items()]
+    words = list(tree.items())[1:]
+    conj = []
+    for g, perm in right.items():
+        left = [0] * h
+        left[ident] = g
+        for y, (p, s) in words:
+            left[y] = right[s][left[p]]
+        undo = [0] * h  # R_g^-1
+        for i, j in enumerate(perm):
+            undo[j] = i
+        conj.append([undo[x] for x in left])
 
     label = [-1] * h
     classes: list[list[int]] = []
@@ -191,20 +193,31 @@ def _conjugacy_classes(elements) -> _Classes:
 
     square, rational, merged = [], [], set()
     for ci, members in enumerate(classes):
-        g = mats[members[0]]
+        word, y = [], members[0]
+        while y != ident:
+            y, s = tree[y]
+            word.append(right[s])
         powers = [members[0]]  # g, g^2, ..., g^order = 1
-        P = g
         while powers[-1] != ident:
-            P = P @ g
-            powers.extend(lookup([P]))
+            P = powers[-1]
+            for perm in reversed(word):
+                P = perm[P]
+            powers.append(P)
         order = len(powers)
         square.append(label[powers[1 % order]])
         if ci not in merged:
             rclass = sorted({label[powers[k - 1]] for k in range(1, order + 1) if math.gcd(k, order) == 1})
             merged.update(rclass)
             rational.append(tuple(rclass))
-    sums = np.array([mats[c].sum(axis=0) for c in classes])
+    sums = tuple(_mat_sum(mats[i] for i in c) for c in classes)
     return _Classes(mats, tuple(right), tuple(map(tuple, classes)), sums, tuple(square), tuple(rational))
+
+
+def _class_table(elements) -> _Classes:
+    """The cached table of a ``HolonomyData``, or a new one for a list of elements."""
+    if isinstance(elements, HolonomyData):
+        return elements.class_table
+    return _conjugacy_classes(tuple(_freeze_int_mat(A) for A in elements))
 
 
 # -- exact Q-isotypic components ----------------------------------------------
@@ -213,25 +226,30 @@ def _conjugacy_classes(elements) -> _Classes:
 _Piece = tuple[list[list[int]], int, list[int]]  # nonzero rows of rational.echelon: (E, delta, pivots)
 
 
-def _restrict(Z: np.ndarray, piece: _Piece) -> np.ndarray:
-    """delta times the matrices Z (stacked or single) on the subspace: the rows ``pivots`` of Z @ E^T."""
+def _restrict(Z, piece: _Piece) -> list[list[int]]:
+    """delta times the transpose of Z on the subspace: row j holds the pivot entries of Z e_j, e_j row j of E."""
     E, _, pivots = piece
-    return (Z @ _int64(E).T)[..., pivots, :]
+    rows = [Z[p] for p in pivots]
+    return [[sum(map(mul, r, e)) for r in rows] for e in E]
 
 
-def _is_scalar(M: np.ndarray) -> bool:
-    import numpy as np
+def _trace(Z, piece: _Piece) -> int:
+    """delta times the trace of Z on the subspace: the diagonal of ``_restrict`` alone."""
+    E, _, pivots = piece
+    return sum(sum(map(mul, Z[p], e)) for p, e in zip(pivots, E))
 
-    return bool(np.all(M == M[..., :1, :1] * np.eye(M.shape[-1], dtype=M.dtype)))
+
+def _is_scalar(M) -> bool:
+    d = M[0][0]
+    return all(x == (d if i == j else 0) for i, row in enumerate(M) for j, x in enumerate(row))
 
 
-def _eigenspaces(Z: np.ndarray, bound: int, piece: _Piece) -> list[_Piece]:
+def _eigenspaces(Z, bound: int, piece: _Piece) -> list[_Piece]:
     """Eigenspaces of Z on the piece; the eigenvalues are integers in [-bound, bound]."""
     E, delta, _ = piece
-    M = _restrict(Z, piece)
-    if _is_scalar(M):
+    Mt = _restrict(Z, piece)
+    if _is_scalar(Mt):
         return [piece]
-    Mt = M.T.tolist()
     poly = ra.char_poly(Mt)  # roots delta * lambda
     pieces = []
     for lam in range(-bound, bound + 1):
@@ -247,10 +265,10 @@ def _eigenspaces(Z: np.ndarray, bound: int, piece: _Piece) -> list[_Piece]:
 
 
 def _q_components(cl: _Classes) -> list[_Piece]:
-    n = cl.mats.shape[1]
+    n = len(cl.mats[0])
     pieces = [([[int(i == j) for j in range(n)] for i in range(n)], 1, list(range(n)))]
     for rclass in cl.rational:
-        Z = cl.sums[list(rclass)].sum(axis=0)
+        Z = _mat_sum(cl.sums[c] for c in rclass)
         bound = sum(len(cl.classes[c]) for c in rclass)
         pieces = [sub for piece in pieces for sub in _eigenspaces(Z, bound, piece)]
     return pieces
@@ -259,44 +277,48 @@ def _q_components(cl: _Classes) -> list[_Piece]:
 def rational_components(elements) -> list[ra.Mat]:
     """Exact Q-isotypic components of a finite group of integer matrices.
 
-    ``elements`` is the complete list of group elements.  Each component is
+    ``elements`` is the complete list of group elements, or a
+    ``HolonomyData``, whose cached class table is read.  Each component is
     returned as the reduced row echelon basis of its span.
     """
-    pieces = _q_components(_conjugacy_classes(list(elements)))
+    pieces = _q_components(_class_table(elements))
     return [[[Fraction(x, d) for x in row] for row in E] for E, d, _ in pieces]
 
 
 # -- real components and their types -------------------------------------------
 
 
-def _whole(q: Fraction, what: str) -> int:
-    if q.denominator != 1 or q < 0:
+def _whole(num: int, den: int, what: str) -> int:
+    """num / den, for den > 0, when it is a nonnegative integer."""
+    q, r = divmod(num, den)
+    if r or q < 0:
         raise FlatOrbError(f"character sums give a non-integral {what}")
-    return int(q)
+    return q
 
 
 def _real_components(cl: _Classes, piece: _Piece) -> list[IsotypicComponent]:
-    h = len(cl.mats)
+    """The real components of one Q-isotypic piece; the character of class C is ``_trace`` / delta."""
     E, delta, _ = piece
-    reps = cl.mats[[c[0] for c in cl.classes]]
-    chi = [Fraction(int(M.trace()), delta) for M in _restrict(reps, piece)]
+    t = [_trace(cl.mats[c[0]], piece) for c in cl.classes]
     sizes = [len(c) for c in cl.classes]
-    c = _whole(sum(size * x * x for size, x in zip(sizes, chi)) / h, "commutant dimension")
+    den = len(cl.mats) * delta * delta
+    c = _whole(sum(size * x * x for size, x in zip(sizes, t)), den, "commutant dimension")
     s = _whole(
-        sum(size * (x * x + chi[sq]) for size, x, sq in zip(sizes, chi, cl.square)) / (2 * h),
+        sum(size * (x * x + delta * t[sq]) for size, x, sq in zip(sizes, t, cl.square)),
+        2 * den,
         "number of invariant forms",
     )
-    restricted = _restrict(cl.sums, piece)
-    d = 1 if _is_scalar(restricted) else _rank(M.ravel() for M in restricted)
+    restricted = [_restrict(S, piece) for S in cl.sums]
+    d = 1 if all(map(_is_scalar, restricted)) else _rank([x for row in M for x in row] for M in restricted)
     if 2 * s > c:
-        dtype, k, m = "R", d, _whole(Fraction(c, 2 * s - c), "multiplicity")
+        dtype, k, m = "R", d, _whole(c, 2 * s - c, "multiplicity")
     elif 2 * s == c:
         dtype, k, m = "C", d // 2, math.isqrt(c // d)
         if d % 2 or m * m * d != c:
             raise FlatOrbError("character sums give an inconsistent complex-type component")
     else:
-        dtype, k, m = "H", d, _whole(Fraction(c, 2 * c - 4 * s), "multiplicity")
-    irreducible_dim = _whole(Fraction(len(E), k * m), "irreducible dimension")
+        dtype, k, m = "H", d, _whole(c, 2 * c - 4 * s, "multiplicity")
+    irreducible_dim = _whole(len(E), k * m, "irreducible dimension")
     return [IsotypicComponent(irreducible_dim, m, dtype, FACTOR_DIM[dtype](m))] * k
 
 
@@ -304,17 +326,17 @@ def isotypic_decompose(elements, gram) -> IsotypicReport:
     """Decompose the action into real isotypic components, exactly.
 
     ``elements`` is the complete list of point-group matrices (integer
-    entries) preserving ``gram``.  The summed factor dimensions are checked
-    against the invariant-form dimension, read off over a generating set
-    from the rank of an integer system by HNF.
+    entries) preserving ``gram``, or a ``HolonomyData``, whose cached class
+    table is read.  The summed factor dimensions are checked against the
+    invariant-form dimension, read off over a generating set from the rank
+    of an integer system by HNF.
     """
-    elements = list(elements)
     n = len(gram)
-    cl = _conjugacy_classes(elements)
+    cl = _class_table(elements)
     comps = [comp for piece in _q_components(cl) for comp in _real_components(cl, piece)]
     comps.sort(key=lambda c: (c.irreducible_dim, c.multiplicity, c.division_type))
     total = sum(c.factor_dim for c in comps)
-    exact = invariant_form_dim([elements[g] for g in cl.generators], n)
+    exact = invariant_form_dim([cl.mats[g] for g in cl.generators], n)
     if total != exact:
         raise FlatOrbError(
             f"character sums give {total} invariant forms, the integer system {exact}"
@@ -328,7 +350,7 @@ def teich_report(group: CrystalGroup) -> IsotypicReport:
     """Holonomy, then decomposition; enforces the reducibility consequences."""
     grp = group.normalize()
     hol = grp.holonomy()
-    report = isotypic_decompose(hol.elements, grp.gram)
+    report = isotypic_decompose(hol, grp.gram_int[0])
     if grp.is_torsion_free().torsion_free and hol.order > 1:
         if len(report.components) < 2 or report.total_dim < 2:
             raise FlatOrbError(

@@ -1,4 +1,4 @@
-"""numpy is loaded only by the verbs that reach the class tables or the lattice layer."""
+"""numpy is loaded only by the verbs that reach the lattice layer or a float subspace."""
 
 import os
 import subprocess
@@ -33,10 +33,13 @@ print("numpy" in sys.modules)
         (["collapse", "--catalog", "G3", "--subspace", "1,0,0"], False),
         (["resolve", "--orbifold", "catalog:p2", "--manifold", "catalog:pg"], False),
         (["render-svg", "--catalog", "p4m", "--out", "p4m.svg"], False),
-        # the class tables and the lattice layer do need it
-        (["teich", "--catalog", "G3"], True),
+        (["teich", "--catalog", "G3"], False),
+        # the lattice layer and the rational span of a float subspace do need it
         (["reduce-lattice", "1,0;0.5,0.5"], True),
         (["collapse", "--catalog", "G2", "--subspace", "0,1.0,1.7320508075688772"], True),
+        # the class tables are built in Python integers
+        (["analyze", "--catalog", "K7"], False),
+        (["verify-theorem-c"], False),
     ],
 )
 def test_numpy_is_loaded_only_where_needed(tmp_path, argv, loads_numpy):

@@ -1,13 +1,18 @@
+import importlib.util
 import random
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from flatorb import rational as ra
 from flatorb.catalog import catalog_get, catalog_list
-from flatorb.groups import CrystalGroup
+from flatorb.groups import CrystalGroup, FlatOrbError, group_from_dict
 from flatorb.reps import (
     _conjugacy_classes,
     invariant_form_dim,
     isotypic_decompose,
+    rational_components,
     teich_report,
 )
 
@@ -56,6 +61,13 @@ def test_invariant_form_dim_matches_the_fraction_kernel_on_every_catalog_holonom
         generators = [elements[g] for g in _conjugacy_classes(elements).generators]
         for subset in (generators, elements):
             assert invariant_form_dim(subset, grp.n) == _kernel_form_dim(subset, grp.n), key
+
+
+def test_a_singular_or_repeated_element_is_not_a_group():
+    I, R = [[1, 0], [0, 1]], [[-1, 0], [0, 1]]
+    for elements in ([I, [[0, 0], [0, 0]]], [I, R, R]):
+        with pytest.raises(FlatOrbError, match="do not form a group"):
+            isotypic_decompose(elements, I)
 
 
 def test_decompose_klein_bottle():
@@ -157,3 +169,33 @@ def test_seed_stability():
 def test_summary_format():
     rep = teich_report(kb())
     assert rep.summary() == "components: (m=1,R,d=1),(m=1,R,d=1); dim 2"
+
+
+def _seeded_point_groups(seeds):
+    """The random point groups of the benchmark's ``catalog-verbs`` workload, normalized."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for seed in seeds:
+        for op in workloads.build_ops("catalog-verbs", seed):
+            if op["check"]["type"] == "point-group":
+                yield f"seed {seed} {op['group']['name']}", group_from_dict(op["group"]).normalize()
+
+
+def test_class_tables_match_the_int64_reference():
+    groups = [(key, catalog_get(key).group) for key in catalog_list()]
+    groups += list(_seeded_point_groups(range(1, 6)))
+    assert len(groups) == 49 + 5 * 24
+    for key, grp in groups:
+        hol = grp.holonomy()
+        cl, want = hol.class_table, ref.conjugacy_classes(hol.elements)
+        assert cl.generators == want["generators"], key
+        assert [set(c) for c in cl.classes] == [set(c) for c in want["classes"]], key
+        assert (cl.square, cl.rational) == (want["square"], want["rational"]), key
+        assert [list(map(list, S)) for S in cl.sums] == want["sums"].tolist(), key
+        assert rational_components(hol) == ref.rational_components(hol.elements), key
+        assert isotypic_decompose(hol.elements, grp.gram).signature() == ref.isotypic_signature(hol.elements), key
+        for k in range(grp.n + 1):
+            per_element = sum((-1) ** k * ra.char_poly(A)[grp.n - k] for A in hol.elements)
+            assert grp.betti(k) * hol.order == per_element, (key, k)
