@@ -17,9 +17,14 @@ parent first.  The runs are written, in the order they ran, to
 the keys ``parent_commit``, ``change``, ``command``, ``pairing`` and
 ``runs``; each run keeps the last line of ``run.py``'s output as ``result``
 and the line before it as ``details``.  At the end the script prints, for
-each workload and end-to-end metric, the median and quartiles of each side
-and the number of pairs in which the change is lower (every end-to-end
-metric of the benchmark is lower-is-better).
+each workload and end-to-end metric, the median and quartiles of each side,
+the number of pairs in which the change is lower (every end-to-end metric
+of the benchmark is lower-is-better), whether the gain rule holds (the
+change is lower in at least nine tenths of the pairs, and the parent's
+median exceeds the change's by more than the parent's q3 - q1), and a
+flag where the change's median is worse than the parent's by more than
+the metric's ``bound`` in the parent's ``BENCHMARK.json``, a share of the
+parent's median.
 
 The benchmark's workloads run in one warm process, so they never see a
 cold start.  After the runs the script therefore times fresh processes of
@@ -134,15 +139,27 @@ def summarize(runs: list[dict]) -> dict[tuple[str, str], dict]:
     return out
 
 
-def report(summary: dict[tuple[str, str], dict]) -> str:
+def gain_holds(s: dict) -> bool:
+    """The gain rule on one summary entry: lower in >= 9/10 of the pairs, median gap over the parent's q3 - q1."""
+    (p1, pm, p3), (_, cm, _) = s["parent"], s["change"]
+    return 10 * s["wins"] >= 9 * s["pairs"] and pm - cm > p3 - p1
+
+
+def report(summary: dict[tuple[str, str], dict], bounds: dict[str, float] | None = None) -> str:
+    """One line per (workload, metric); ``bounds`` maps a metric to its allowed worsening, a share of the parent's median."""
     lines = []
     for (workload, metric), s in summary.items():
         (p1, pm, p3), (c1, cm, c3) = s["parent"], s["change"]
         change = f"{100 * (cm - pm) / pm:+.1f} %" if pm else "n/a"
-        lines.append(
+        line = (
             f"{workload:17s} {metric:12s} parent {pm:.4g} [{p1:.4g}, {p3:.4g}]  "
-            f"change {cm:.4g} [{c1:.4g}, {c3:.4g}]  {change}  lower in {s['wins']}/{s['pairs']}"
+            f"change {cm:.4g} [{c1:.4g}, {c3:.4g}]  {change}  lower in {s['wins']}/{s['pairs']}  "
+            f"gain {'holds' if gain_holds(s) else 'not met'}"
         )
+        bound = (bounds or {}).get(metric)
+        if bound is not None and cm > pm * (1 + bound):
+            line += f"  WORSE beyond its bound {100 * bound:.0f} %"
+        lines.append(line)
     return "\n".join(lines)
 
 
@@ -157,7 +174,9 @@ def main(argv=None) -> int:
     for tree in trees.values():
         if not (tree / "perfbench" / "run.py").is_file():
             raise SystemExit(f"error: no perfbench/run.py under {tree}")
-    seconds = json.loads((trees["parent"] / "BENCHMARK.json").read_text())["run_seconds"]
+    benchmark = json.loads((trees["parent"] / "BENCHMARK.json").read_text())
+    seconds = benchmark["run_seconds"]
+    bounds = {m["name"]: m["bound"] for m in benchmark.get("end_to_end", []) if "bound" in m}
     doc = {
         "parent_commit": args.parent_commit,
         "change": args.change,
@@ -187,7 +206,7 @@ def main(argv=None) -> int:
         "verbs": cold_start(trees),
     }
     out.write_text(json.dumps(doc, indent=1) + "\n")
-    print(report(summarize(doc["runs"])))
+    print(report(summarize(doc["runs"]), bounds))
     print(cold_report(doc["cold_start"]["verbs"]))
     return 0
 

@@ -91,7 +91,7 @@ def _span_basis(vectors) -> list[list[Fraction]]:
 
 def _hermite_rows(vectors) -> list[list[int]]:
     """Nonzero Hermite rows of the primitive rows: an integer basis of the span."""
-    H, _ = ra.hnf([ra.primitive(v) for v in vectors])
+    H, _ = ra.hnf([ra.primitive(v) for v in vectors], transform=False)
     return [h for h in H if any(h)]
 
 
@@ -120,7 +120,9 @@ def _saturate(group: CrystalGroup, vectors) -> list[list[int]]:
 
         exact.extend(rational_span(np.array(floats, dtype=float).T))
     # the images A v over the whole finite point group already span an
-    # invariant subspace, since B (A v) = (B A) v
+    # invariant subspace, since B (A v) = (B A) v; the input is echeloned
+    # first, and its Hermite rows, which ``_hermite_rows`` makes primitive,
+    # can span more than the primitive inputs do
     rows = _hermite_rows(exact)
     images = dict.fromkeys(
         tuple(sum(a * x for a, x in zip(r, v)) for r in A) for A in group.holonomy().elements for v in rows
@@ -207,8 +209,10 @@ def collapse(group: CrystalGroup, subspace, *, closure: bool = True) -> Collapse
     # G-orthogonal projection P along W onto C = ker WG, whose coordinates are
     # the non-pivot columns of WG.  With S the rows D (P e_i)[free] and U S =
     # [H; 0] their Hermite form, the quotient lattice P Z^n has the Hermite
-    # basis H^T / D; the first m columns of U^-1 are S H^-1, so they map x to
-    # Hermite coordinates, and the first m rows of U form a right inverse R.
+    # basis H^T / D; the first m columns of U^-1 are S H[:m]^-1, so they map
+    # x to Hermite coordinates, and the first m rows of U form a right
+    # inverse R.  Since H[:m] is upper triangular, coord_map = (S H[:m]^-1)^T
+    # is one right division (rational.right_divide), with no inverse of U.
     # (M, v) acts as (coord_map M R, coord_map v); the Gram form is
     # R^T G P R = U[:m] Gi DP R / (q D).
     Gi, q = grp.gram_int
@@ -216,10 +220,11 @@ def collapse(group: CrystalGroup, subspace, *, closure: bool = True) -> Collapse
     adj, D = ra.adjugate(_int_mul(WG, Wt))
     WaWG = _int_mul(_int_mul(Wt, adj), WG)
     DP = [[D * (i == j) - x for j, x in enumerate(row)] for i, row in enumerate(WaWG)]
-    pivots = {next(j for j, x in enumerate(h) if x) for h in ra.hnf(WG)[0]}
+    pivots = {next(j for j, x in enumerate(h) if x) for h in ra.hnf(WG, transform=False)[0]}
     free = [j for j in range(n) if j not in pivots]
-    _, U = ra.hnf([[DP[j][i] for j in free] for i in range(n)])
-    coord_map = tuple(zip(*(row[:m] for row in ra.unimodular_inverse(U))))
+    S = [[DP[j][i] for j in free] for i in range(n)]
+    H, U = ra.hnf(S)
+    coord_map = tuple(zip(*ra.right_divide(S, H[:m])))
     R = tuple(zip(*U[:m]))
     gens = tuple(
         AffineElement(_int_mul(coord_map, _int_mul(g.linear, R)), tuple(ra.mat_vec(coord_map, g.translation)))

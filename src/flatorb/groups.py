@@ -29,7 +29,13 @@ Conventions:
     denominators, so coset translations v_A = a_A / N lie in [0,1)^n; only
     ``AffineElement.translation``, JSON and the properties built on read,
     ``HolonomyData.translations`` and ``CrystalGroup.gram``, hold
-    ``Fraction``s.  Integer products use sum(map(mul, row, col)).
+    ``Fraction``s.  ``_int_mul`` builds row i of A B as the sum of
+    A[i][k] B[k] over the nonzero A[i][k].
+
+The invariants read the holonomy's class table (``reps._Classes``): the
+Betti numbers take the traces of each class's powers through Newton's
+identities, and the torsion test runs on one element per rational class
+of prime order (``CrystalGroup.is_torsion_free``).
 """
 
 from __future__ import annotations
@@ -88,9 +94,20 @@ def _int_identity(n: int) -> IntMat:
 
 
 def _int_mul(A: IntMat, B: IntMat) -> IntMat:
-    """Product of two integer matrices, kept in Python integers."""
-    cols = tuple(zip(*B))
-    return tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in A)
+    """Product of two integer matrices in Python integers, row by row.
+
+    Row i of A B is the sum of A[i][k] B[k] over the nonzero A[i][k]: a
+    signed permutation row costs one copy of a row of B.
+    """
+    zero = (0,) * (len(B[0]) if B else 0)
+    out = []
+    for row in A:
+        acc = zero
+        for a, b in zip(row, B):
+            if a:
+                acc = b if acc is zero and a == 1 else [x + a * y for x, y in zip(acc, b)]
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -204,9 +221,11 @@ def _fixed_point(A: IntMat, a: IntVec, N: int) -> tuple[FracVec, FracVec] | None
     iff U a = 0 (mod N) on the zero rows of the Hermite form H = U (I - A).
     Only then does back-substitution on the other rows of H x = U a / N,
     with the non-pivot entries of x set to 0, give the point x and the
-    witness w = (I - A) x.
+    witness w = (I - A) x; a zero translation fixes the origin.
     """
     n = len(a)
+    if not any(a):
+        return (Fraction(0),) * n, (Fraction(0),) * n
     ImA = [[int(i == j) - A[i][j] for j in range(n)] for i in range(n)]
     H, U = ra.hnf(ImA)
     r = sum(1 for h in H if any(h))
@@ -294,8 +313,9 @@ class CrystalGroup:
         the translation lattice T together with Z^n, as numerators over its
         denominator d.  If there are any, T has the Hermite basis B = H^T / d,
         H the Hermite form of d Z^n and those numerators.  B^-1 is an integer
-        matrix since Z^n lies in T: with U the Hermite transform, the input
-        rows d I equal (U^-1)[:n,:n] H, so that block is d H^-1 = (B^-1)^T.
+        matrix since Z^n lies in T: (B^-1)^T = d H^-1, the right division of
+        d I by the upper triangular H[:n] (``rational.right_divide``), so no
+        Hermite transform is built.
         Each linear part is rewritten as B^-1 A B = (B^-1 A H^T) / d,
         integral since T is normal, and the Gram form as B^T G B =
         H Gi H^T / (d_G d^2) with Gi = d_G G, in lowest terms; an unchanged
@@ -315,9 +335,10 @@ class CrystalGroup:
             gens = [AffineElement(g.linear, tuple(x % 1 for x in g.translation)) for g in self.generators]
             gram = self.gram_int
         else:
-            H, U = ra.hnf([[d * int(i == j) for j in range(n)] for i in range(n)] + translations)
+            dI = [[d * int(i == j) for j in range(n)] for i in range(n)]
+            H, _ = ra.hnf(dI + translations, transform=False)
             Ht = tuple(zip(*H[:n]))  # d B
-            Binv = tuple(zip(*(row[:n] for row in ra.unimodular_inverse(U)[:n])))
+            Binv = tuple(zip(*ra.right_divide(dI, H[:n])))
             gens = []
             for g in self.generators:
                 M = _int_mul(_int_mul(Binv, g.linear), Ht)
@@ -347,20 +368,28 @@ class CrystalGroup:
     # -- invariants ----------------------------------------------------
 
     def is_torsion_free(self) -> TorsionReport:
-        """Exact fixed-point test per holonomy class, computed once per group.
+        """Exact fixed-point test, one element per rational class of prime order, computed once per group.
 
-        Some translate (A, v_A + l), l in Z^n, fixes a point iff
-        v_A lies in im(I - A) + Z^n; the first class that passes gives the
-        witness and its fixed point (see ``_fixed_point``).
+        Some translate (A, v_A + l), l in Z^n, fixes a point iff v_A lies
+        in im(I - A) + Z^n (see ``_fixed_point``).  A torsion element has a
+        power of prime order, and an element of finite order fixes a point
+        and has the order of its linear part.  Conjugation and powers
+        coprime to the order keep "some translate fixes a point", so it
+        holds on whole rational classes (``reps._Classes``), and one
+        representative per rational class of prime order decides.  The
+        first that passes gives the witness and its fixed point.
         """
         return self._torsion
 
     @cached_property
     def _torsion(self) -> TorsionReport:
-        hol, one = self.holonomy(), _int_identity(self.n)
-        for A in hol.elements:
-            if A == one:
+        hol = self.holonomy()
+        cl = hol.class_table
+        for rclass in cl.rational:
+            order = len(cl.powers[rclass[0]])
+            if order < 2 or any(order % p == 0 for p in range(2, math.isqrt(order) + 1)):
                 continue
+            A = cl.mats[cl.classes[rclass[0]][0]]
             found = _fixed_point(A, hol.numerators[A], hol.denominator)
             if found is not None:
                 w, x = found
@@ -390,25 +419,38 @@ class CrystalGroup:
         """Dimension of the holonomy-fixed subspace of the k-th exterior power.
 
         That is the character sum (1/|H|) sum_A tr(Lambda^k A), where
-        tr(Lambda^k A) = (-1)^k c_{n-k}(A) for the characteristic
-        polynomial sum_j c_j(A) x^j of A.  The characteristic polynomial is
-        a class function, so the sum takes one per conjugacy class of the
-        holonomy's class table, weighted by the class size.
+        tr(Lambda^k A) = e_k(A), the k-th elementary symmetric function of
+        the eigenvalues of A.  It is a class function, so the sum takes one
+        per conjugacy class of the holonomy's class table, weighted by the
+        class size (see ``_exterior_traces``).
         """
         if not 0 <= k <= self.n:
             raise ValueError("degree out of range")
         order = self.holonomy().order
-        total = (-1) ** k * self._char_poly_sum[self.n - k]
+        total = self._exterior_traces[k]
         if total % order:
             raise FlatOrbError(f"Betti character sum {total} is not divisible by the holonomy order {order}")
         return total // order
 
     @cached_property
-    def _char_poly_sum(self) -> list[int]:
-        """Coefficientwise sum of the characteristic polynomials of the holonomy, one per class."""
-        cl = self.holonomy().class_table
-        polys = [[len(c) * x for x in ra.char_poly(cl.mats[c[0]])] for c in cl.classes]
-        return [sum(coeffs) for coeffs in zip(*polys)]
+    def _exterior_traces(self) -> list[int]:
+        """sum_A e_k(A) over the holonomy, k = 0..n, by Newton's identities per class.
+
+        With the power traces p_i = tr(A^i), k e_k = sum_{i=1}^k (-1)^(i-1)
+        e_{k-i} p_i.  A^i lies in the class ``powers[c][(i - 1) % order]``
+        of the class table, so each p_i is the trace of a class
+        representative and no characteristic polynomial is formed.
+        """
+        n, cl = self.n, self.holonomy().class_table
+        trace = [sum(cl.mats[c[0]][i][i] for i in range(n)) for c in cl.classes]
+        sums = [0] * (n + 1)
+        for members, powers in zip(cl.classes, cl.powers):
+            p = [trace[powers[i % len(powers)]] for i in range(n)]  # p[i] = tr(A^(i+1))
+            e = [1]
+            for k in range(1, n + 1):
+                e.append(sum((-1) ** i * e[k - 1 - i] * p[i] for i in range(k)) // k)
+            sums = [s + len(members) * x for s, x in zip(sums, e)]
+        return sums
 
 
 # -- JSON interchange ---------------------------------------------------

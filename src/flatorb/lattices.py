@@ -405,7 +405,7 @@ def _float_span(y: np.ndarray) -> list[list[int]]:
     y = y / np.abs(y).max()  # first into the unit cube, so that the norm cannot overflow
     y = y / np.linalg.norm(y)
     fine, coarse = (ra.quotient_map(_relations_at(y, scale), len(y))[0] for scale in RELATION_SCALES)
-    if ra.hnf(fine)[0] != ra.hnf(coarse)[0]:
+    if ra.hnf(fine, transform=False)[0] != ra.hnf(coarse, transform=False)[0]:
         raise FlatOrbError("cannot decide the rational closure at double precision")
     return fine
 

@@ -3,14 +3,18 @@
 Matrices are lists (or tuples) of rows and vectors are lists.  A rational
 matrix enters integer arithmetic in one place, ``clear_denominators``;
 ``lowest_terms`` takes an integer matrix over d to its least denominator.
-The two products, ``mat_mul`` and ``mat_vec`` (and ``groups._int_mul``,
-which is ``mat_mul`` on tuples), take every entry as
+The two products, ``mat_mul`` and ``mat_vec``, take every entry as
 sum(map(mul, row, col)).  Integer matrices stay in Python integers:
 products, ``char_poly``, ``leading_minors``, ``adjugate``,
-``matrix_order``, ``hnf`` and ``unimodular_inverse`` never leave them, and
-the last six reject a non-integral entry of any type, comparing the rows
-with their int() values; the group layer, ``wallpaper`` and ``collapse``
-eliminate through these alone.  Elimination over the rationals is integral too: ``echelon``
+``matrix_order``, ``hnf``, ``right_divide`` and ``unimodular_inverse``
+never leave them, and the last seven reject a non-integral entry of any
+type, comparing the rows with their int() values; the group layer,
+``wallpaper`` and ``collapse`` eliminate through these alone.  ``hnf``
+builds its transform only for the callers that read it, and an inverse
+that is a triangular division by a Hermite block (``normalize``'s B^-1,
+``collapse``'s coordinate map) is ``right_divide``, a forward
+substitution, not ``unimodular_inverse``, a second Hermite form.
+Elimination over the rationals is integral too: ``echelon``
 (fraction-free Gauss-Jordan, Bareiss 1968; Cohen 1993, section 2.2) gives
 the reduced row echelon form as an integer matrix over its least
 denominator, ``kernel`` reads integer vectors off it, and ``rref`` and
@@ -164,56 +168,74 @@ def kernel(A) -> list[list[int]]:
     return [[-E[row[j]][f] if j in row else d * (j == f) for j in range(n)] for f in range(n) if f not in row]
 
 
-def hnf(M) -> tuple[list[list[int]], list[list[int]]]:
-    """Row Hermite normal form H = U @ M with U unimodular.
+def hnf(M, *, transform: bool = True) -> tuple[list[list[int]], list[list[int]] | None]:
+    """Row Hermite normal form H = U @ M with U unimodular; U is None unless ``transform``.
 
     Pivots are positive, entries above a pivot are reduced into [0, pivot).
-    Zero matrices are fine (H = 0, U = I).
+    Zero matrices are fine (H = 0, U = I).  In each column the rows with a
+    nonzero entry are reduced by the one of least absolute value until one
+    is left; a row that reaches zero there stays zero, so only the others
+    are scanned again (Cohen 1993, section 2.4).  With ``transform`` the
+    rows carry the identity beside them, so U comes out of the same row
+    operations; callers that read only H leave it off.
     """
     H = _int_rows(M)
     m = len(H)
     cols = len(H[0]) if m else 0
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-
-    def rowop_sub(i, j, q):
-        # row_i -= q * row_j
-        H[i] = [a - q * b for a, b in zip(H[i], H[j])]
-        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
-
+    if transform:
+        H = [row + [int(i == j) for j in range(m)] for i, row in enumerate(H)]
     r = 0
     for c in range(cols):
-        while True:
-            nz = [i for i in range(r, m) if H[i][c] != 0]
-            if not nz:
-                break
+        nz = [i for i in range(r, m) if H[i][c]]
+        while len(nz) > 1:
             i0 = min(nz, key=lambda i: abs(H[i][c]))
-            progressed = False
+            y, p = H[i0], H[i0][c]
             for i in nz:
-                if i == i0:
-                    continue
-                q = H[i][c] // H[i0][c]
-                rowop_sub(i, i0, q)
-                progressed = True
-            if not progressed:
-                break
-        nz = [i for i in range(r, m) if H[i][c] != 0]
+                q = H[i][c] // p
+                if q and i != i0:
+                    H[i] = [a - q * b for a, b in zip(H[i], y)]
+            nz = [i for i in nz if H[i][c]]
         if not nz:
             continue
         i0 = nz[0]
-        if i0 != r:
-            H[r], H[i0] = H[i0], H[r]
-            U[r], U[i0] = U[i0], U[r]
+        H[r], H[i0] = H[i0], H[r]
         if H[r][c] < 0:
             H[r] = [-x for x in H[r]]
-            U[r] = [-x for x in U[r]]
+        y, p = H[r], H[r][c]
         for i in range(r):
-            q = H[i][c] // H[r][c]
+            q = H[i][c] // p
             if q:
-                rowop_sub(i, r, q)
+                H[i] = [a - q * b for a, b in zip(H[i], y)]
         r += 1
         if r == m:
             break
-    return H, U
+    if not transform:
+        return H, None
+    return [row[:cols] for row in H], [row[cols:] for row in H]
+
+
+def right_divide(S, H) -> list[list[int]]:
+    """The integer X with X H = S, for a square upper triangular integer H with nonzero diagonal.
+
+    Each row x of X follows from s = x H by forward substitution,
+    x_j = (s_j - sum_{i<j} x_i H_ij) / H_jj, so no inverse is formed;
+    ValueError when H is not of that shape or X is not integral.
+    """
+    H, S = _int_rows(H), _int_rows(S)
+    n = len(H)
+    shaped = all(len(row) == n for row in H + S) and all(H[i][i] for i in range(n))
+    if not shaped or any(H[i][j] for i in range(n) for j in range(i)):
+        raise ValueError("right_divide needs a square upper triangular matrix with nonzero diagonal")
+    X = []
+    for s in S:
+        x = []
+        for j in range(n):
+            q, rem = divmod(s[j] - sum(xi * H[i][j] for i, xi in enumerate(x)), H[j][j])
+            if rem:
+                raise ValueError("the quotient S H^-1 is not integral")
+            x.append(q)
+        X.append(x)
+    return X
 
 
 def unimodular_inverse(M) -> list[list[int]]:

@@ -28,13 +28,17 @@ multiplicity m is
     m(2m-1)    quaternionic type.
 
 Every step runs on Python integers.  The class table is built once per
-holonomy (``HolonomyData.class_table``, which ``CrystalGroup.betti`` reads
-too): right multiplication by each greedy generator is an index
-permutation, the only matrix products being the |H| right products per
-generator; left multiplication L_g is read off a breadth-first tree of
-words, conjugation by g is R_g^-1 L_g, and the powers of a class
-representative follow its word (Holt, Eick and O'Brien, *Handbook of
-Computational Group Theory*, 2005, section 4.2).  A subspace is carried as
+holonomy (``HolonomyData.class_table``, which ``CrystalGroup.betti`` and
+``CrystalGroup.is_torsion_free`` read too): right multiplication by each
+greedy generator is an index permutation, the only matrix products being
+the |H| right products per generator; left multiplication L_g is read off
+a breadth-first tree of words, conjugation by g is R_g^-1 L_g, and the
+powers of a class representative follow its word (Holt, Eick and
+O'Brien, *Handbook of Computational Group Theory*, 2005, section 4.2).
+The table keeps each class's power map, the classes of g, g^2, ...,
+g^order = 1: the square map, the rational classes, the power traces of
+the Betti numbers and the element orders of the torsion test are read
+off it.  A subspace is carried as
 the integer rows of its ``rational.echelon`` form over one denominator
 delta, on which the class sums act as integer matrices; a character is
 kept as the integer trace of delta times a class representative, so c, s
@@ -97,7 +101,7 @@ class IsotypicReport:
 
 def _rank(rows) -> int:
     """Rank of integer rows: the nonzero rows of their Hermite form."""
-    return sum(1 for h in ra.hnf(list(rows))[0] if any(h))
+    return sum(1 for h in ra.hnf(list(rows), transform=False)[0] if any(h))
 
 
 def invariant_form_dim(elements, n: int) -> int:
@@ -128,8 +132,13 @@ class _Classes:
     generators: tuple[int, ...]  # element indices, picked greedily
     classes: tuple[tuple[int, ...], ...]  # element indices per conjugacy class
     sums: tuple[IntMat, ...]  # class sums, one n x n integer matrix per class
-    square: tuple[int, ...]  # class of g^2 for g in each class
+    powers: tuple[tuple[int, ...], ...]  # per class, the classes of g, g^2, ..., g^order = 1
     rational: tuple[tuple[int, ...], ...]  # class indices per rational class
+
+    @property
+    def square(self) -> tuple[int, ...]:
+        """The class of g^2 for g in each class, read off ``powers``."""
+        return tuple(p[1 % len(p)] for p in self.powers)
 
 
 def _mat_sum(mats) -> IntMat:
@@ -191,7 +200,7 @@ def _conjugacy_classes(mats: tuple[IntMat, ...]) -> _Classes:
                     members.append(perm[x])
         classes.append(members)
 
-    square, rational, merged = [], [], set()
+    power_map, rational, merged = [], [], set()
     for ci, members in enumerate(classes):
         word, y = [], members[0]
         while y != ident:
@@ -204,13 +213,13 @@ def _conjugacy_classes(mats: tuple[IntMat, ...]) -> _Classes:
                 P = perm[P]
             powers.append(P)
         order = len(powers)
-        square.append(label[powers[1 % order]])
+        power_map.append(tuple(label[P] for P in powers))
         if ci not in merged:
             rclass = sorted({label[powers[k - 1]] for k in range(1, order + 1) if math.gcd(k, order) == 1})
             merged.update(rclass)
             rational.append(tuple(rclass))
     sums = tuple(_mat_sum(mats[i] for i in c) for c in classes)
-    return _Classes(mats, tuple(right), tuple(map(tuple, classes)), sums, tuple(square), tuple(rational))
+    return _Classes(mats, tuple(right), tuple(map(tuple, classes)), sums, tuple(power_map), tuple(rational))
 
 
 def _class_table(elements) -> _Classes:

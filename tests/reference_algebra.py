@@ -3,8 +3,13 @@
 The tests check the library's integer routines against these: ``rref`` is
 the textbook Gauss-Jordan elimination that ``rational.echelon`` replaces,
 and ``det``, ``inverse`` and ``solve`` are built on the same elimination.
-``positive_definite`` is the characteristic-polynomial test that
-``CrystalGroup.validate`` replaced by Sylvester's criterion.  The int64
+``hnf`` is the Hermite normal form with its transform that
+``rational.hnf`` computed before it skipped the rows already cleared and
+built the transform only on request.  ``positive_definite`` is the
+characteristic-polynomial test that ``CrystalGroup.validate`` replaced by
+Sylvester's criterion, and ``torsion_free`` the fixed-point test over every
+holonomy element that ``CrystalGroup.is_torsion_free`` replaced by one
+element per rational class of prime order.  The int64
 class tables at the end are the numpy builder and decomposition that
 ``reps`` replaced by Python integers.  Nothing in the library calls them.
 """
@@ -112,6 +117,67 @@ def solve(A: Mat, b: Vec) -> Vec | None:
     return x
 
 
+def hnf(M) -> tuple[list[list[int]], list[list[int]]]:
+    """Row Hermite normal form H = U M, as ``rational.hnf`` computed it before it
+    rescanned only the rows still nonzero in a column and built U only on request.
+
+    Every pass over a column scans all rows below the pivot row again, and
+    every row operation is applied to U as well.
+    """
+    H = [[int(x) for x in row] for row in M]
+    m = len(H)
+    cols = len(H[0]) if m else 0
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+
+    def rowop_sub(i, j, q):
+        # row_i -= q * row_j
+        H[i] = [a - q * b for a, b in zip(H[i], H[j])]
+        U[i] = [a - q * b for a, b in zip(U[i], U[j])]
+
+    r = 0
+    for c in range(cols):
+        while True:
+            nz = [i for i in range(r, m) if H[i][c] != 0]
+            if not nz:
+                break
+            i0 = min(nz, key=lambda i: abs(H[i][c]))
+            progressed = False
+            for i in nz:
+                if i == i0:
+                    continue
+                q = H[i][c] // H[i0][c]
+                rowop_sub(i, i0, q)
+                progressed = True
+            if not progressed:
+                break
+        nz = [i for i in range(r, m) if H[i][c] != 0]
+        if not nz:
+            continue
+        i0 = nz[0]
+        if i0 != r:
+            H[r], H[i0] = H[i0], H[r]
+            U[r], U[i0] = U[i0], U[r]
+        if H[r][c] < 0:
+            H[r] = [-x for x in H[r]]
+            U[r] = [-x for x in U[r]]
+        for i in range(r):
+            q = H[i][c] // H[r][c]
+            if q:
+                rowop_sub(i, r, q)
+        r += 1
+        if r == m:
+            break
+    return H, U
+
+
+def torsion_free(group) -> bool:
+    """The fixed-point test of ``groups._fixed_point`` on every non-identity holonomy element."""
+    from flatorb.groups import _fixed_point, _int_identity
+
+    hol, one = group.holonomy(), _int_identity(group.n)
+    return all(_fixed_point(A, hol.numerators[A], hol.denominator) is None for A in hol.elements if A != one)
+
+
 def positive_definite(G) -> bool:
     """A symmetric integer G is positive definite iff its eigenvalues, all real,
     are positive, iff the coefficients of its characteristic polynomial
@@ -141,7 +207,7 @@ def _int64(rows):
 
 
 def conjugacy_classes(elements) -> dict:
-    """mats, generators, classes, sums, square and rational, as ``reps._Classes`` holds them, in int64."""
+    """mats, generators, classes, sums, powers, square and rational, as ``reps._Classes`` reads them, in int64."""
     import math
 
     import numpy as np
@@ -185,7 +251,7 @@ def conjugacy_classes(elements) -> dict:
                     members.append(perm[x])
         classes.append(members)
 
-    square, rational, merged = [], [], set()
+    power_map, square, rational, merged = [], [], [], set()
     for ci, members in enumerate(classes):
         g = mats[members[0]]
         powers = [members[0]]
@@ -194,6 +260,7 @@ def conjugacy_classes(elements) -> dict:
             P = P @ g
             powers.extend(lookup([P]))
         order = len(powers)
+        power_map.append(tuple(label[p] for p in powers))
         square.append(label[powers[1 % order]])
         if ci not in merged:
             rclass = sorted({label[powers[k - 1]] for k in range(1, order + 1) if math.gcd(k, order) == 1})
@@ -202,7 +269,7 @@ def conjugacy_classes(elements) -> dict:
     sums = np.array([mats[c].sum(axis=0) for c in classes])
     return {
         "mats": mats, "generators": tuple(right), "classes": classes, "sums": sums,
-        "square": tuple(square), "rational": tuple(rational),
+        "powers": tuple(power_map), "square": tuple(square), "rational": tuple(rational),
     }
 
 

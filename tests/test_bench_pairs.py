@@ -38,8 +38,36 @@ def test_summary_pairs_runs_by_seed_and_counts_the_changes_wins():
     assert (summary["w", "op_p50_ms"]["wins"], summary["w", "op_p50_ms"]["pairs"]) == (0, 5)
     lines = _script().report(summary).splitlines()
     assert lines[0].split() == [
-        "w", "batch_s", "parent", "3", "[2,", "4]", "change", "3", "[1.5,", "3.5]", "+0.0", "%", "lower", "in", "4/5"
+        "w", "batch_s", "parent", "3", "[2,", "4]", "change", "3", "[1.5,", "3.5]", "+0.0", "%", "lower", "in", "4/5",
+        "gain", "not", "met",
     ]
+
+
+def _entry(parent, change, wins, pairs=10):
+    return {"parent": parent, "change": change, "wins": wins, "pairs": pairs}
+
+
+def test_report_states_the_gain_rule_and_flags_a_median_worse_than_its_bound():
+    summary = {
+        # 9/10 lower and a median gap of 0.02 over the parent's spread of 0.01: a gain
+        ("a", "batch_s"): _entry((0.145, 0.15, 0.155), (0.125, 0.13, 0.135), 9),
+        # 10/10 lower but a gap of 0.005, inside the parent's spread of 0.01
+        ("b", "batch_s"): _entry((0.145, 0.15, 0.155), (0.14, 0.145, 0.15), 10),
+        # a gap far over the spread, but lower in only 8/10
+        ("c", "batch_s"): _entry((0.145, 0.15, 0.155), (0.05, 0.06, 0.07), 8),
+        # 30 % worse against a 24 % bound, and 20 % worse: only the first is flagged
+        ("d", "op_p90_ms"): _entry((0.9, 1.0, 1.1), (1.2, 1.3, 1.4), 0),
+        ("e", "op_p90_ms"): _entry((0.9, 1.0, 1.1), (1.1, 1.2, 1.3), 1),
+        # a metric without a bound is never flagged
+        ("f", "other"): _entry((0.9, 1.0, 1.1), (9.0, 9.0, 9.0), 0),
+    }
+    script = _script()
+    lines = script.report(summary, {"batch_s": 0.24, "op_p90_ms": 0.24}).splitlines()
+    verdicts = [line.split("  gain ")[1] for line in lines]
+    assert verdicts == [
+        "holds", "not met", "not met", "not met  WORSE beyond its bound 24 %", "not met", "not met"
+    ]
+    assert [script.gain_holds(s) for s in summary.values()] == [True, False, False, False, False, False]
 
 
 

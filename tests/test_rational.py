@@ -191,7 +191,15 @@ def test_matrix_order_of_an_infinite_order_matrix():
 
 
 @pytest.mark.parametrize(
-    "fn", [ra.char_poly, ra.matrix_order, ra.hnf, ra.adjugate, lambda M: list(ra.leading_minors(M))]
+    "fn",
+    [
+        ra.char_poly,
+        ra.matrix_order,
+        ra.hnf,
+        ra.adjugate,
+        lambda M: list(ra.leading_minors(M)),
+        pytest.param(lambda M: ra.right_divide(M, ((1, 0), (0, 1))), id="right_divide"),
+    ],
 )
 def test_integer_routines_reject_a_non_integral_entry(fn):
     for bad in (Fraction(1, 2), "1/2", 2.5):
@@ -371,6 +379,91 @@ def test_echelon_rref_and_kernel_match_the_fraction_reference():
         seen.update(kind for kind, hit in kinds.items() if hit)
         seen.add(type(M[0][0]).__name__)
     assert seen == {"wide", "tall", "rank-deficient", "zero", "one-row", "int", "Fraction"}
+
+
+def _hnf_parity_cases():
+    """Seeded integer matrices of each shape the library hands to ``hnf``."""
+    rng = random.Random(1993)
+    cases = {"column": [], "I - A": [], "refinement": [], "projection": []}
+    for _ in range(150):  # k x 1 columns z K, as ``lattices._kernel_step`` sends
+        cases["column"].append([[rng.choice([0, rng.randint(-60, 60)])] for _ in range(rng.randint(1, 6))])
+    for _ in range(150):  # n x n I - A, A a signed permutation times a unimodular shear
+        n = rng.randint(1, 6)
+        perm = rng.sample(range(n), n)
+        A = [[rng.choice((-1, 1)) * (j == perm[i]) for j in range(n)] for i in range(n)]
+        i, j = rng.randrange(n), rng.randrange(n)
+        if i != j:
+            A[i] = [a + rng.randint(-2, 2) * b for a, b in zip(A[i], A[j])]
+        cases["I - A"].append([[int(i == j) - A[i][j] for j in range(n)] for i in range(n)])
+    for _ in range(150):  # (n + t) x n stacks d I over t translation numerators, as ``normalize`` refines
+        n, d, t = rng.randint(1, 6), rng.choice([2, 3, 4, 6, 8, 12]), rng.randint(1, 5)
+        stack = [[d * (i == j) for j in range(n)] for i in range(n)]
+        cases["refinement"].append(stack + [[rng.randrange(d) for _ in range(n)] for _ in range(t)])
+    for _ in range(150):  # n x m of rank at most m, as ``collapse`` projects
+        n = rng.randint(1, 6)
+        m = rng.randint(1, n)
+        k = rng.randint(0, m)
+        X = [[rng.randint(-6, 6) for _ in range(k)] for _ in range(n)]
+        Y = [[rng.randint(-6, 6) for _ in range(m)] for _ in range(k)]
+        # k = 0 gives the zero matrix
+        cases["projection"].append([[sum(x * y for x, y in zip(row, col)) for col in zip(*Y)] or [0] * m for row in X])
+    return cases
+
+
+def _invariant_form_systems(monkeypatch):
+    """The tall integer systems ``reps.invariant_form_dim`` hands to ``hnf``, over the catalog holonomies."""
+    from flatorb import reps
+    from flatorb.catalog import catalog_get, catalog_list
+
+    tables = [catalog_get(key).group.holonomy().class_table for key in catalog_list()]
+    sent, hnf = [], ra.hnf
+    monkeypatch.setattr(ra, "hnf", lambda M, **kw: sent.append([list(row) for row in M]) or hnf(M, **kw))
+    for cl in tables:
+        reps.invariant_form_dim([cl.mats[g] for g in cl.generators], len(cl.mats[0]))
+    monkeypatch.undo()
+    return sent
+
+
+def test_hnf_matches_the_reference_with_and_without_its_transform(monkeypatch):
+    cases = _hnf_parity_cases()
+    cases["invariant forms"] = _invariant_form_systems(monkeypatch)
+    # one system per catalog holonomy, tall wherever its class table has two or more generators (19 do)
+    assert len(cases["invariant forms"]) == 49 and sum(len(M) > len(M[0]) for M in cases["invariant forms"] if M) == 19
+    for shape, Ms in cases.items():
+        for M in Ms:
+            H, U = ref.hnf(M)
+            assert ra.hnf(M) == (H, U), (shape, M)
+            assert ra.hnf(M, transform=False) == (H, None), (shape, M)
+
+
+upper_triangular = st.integers(1, 5).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(st.integers(1, 9).flatmap(lambda p: st.sampled_from([p, -p])), min_size=n, max_size=n),
+        st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=0, max_size=4),
+    )
+)
+
+
+@given(upper_triangular)
+@settings(max_examples=150, deadline=None)
+def test_right_divide_solves_x_h_equals_s(case):
+    entries, diagonal, X = case
+    n = len(diagonal)
+    H = [[diagonal[i] if i == j else entries[i][j] * (j > i) for j in range(n)] for i in range(n)]
+    S = [[sum(x * H[k][j] for k, x in enumerate(row)) for j in range(n)] for row in X]
+    got = ra.right_divide(S, H)
+    assert got == X and all(type(x) is int for row in got for x in row)
+
+
+def test_right_divide_rejects_a_non_integral_quotient_and_a_non_triangular_divisor():
+    with pytest.raises(ValueError, match="not integral"):
+        ra.right_divide([[4, 1]], [[2, 0], [0, 3]])  # x = (2, 1/3)
+    with pytest.raises(ValueError, match="not integral"):
+        ra.right_divide([[1, 0], [0, 4]], [[2, 1], [0, 2]])
+    for H in ([[1, 0], [1, 1]], [[1, 1], [0, 0]], [[1, 0, 0], [0, 1, 0]]):
+        with pytest.raises(ValueError, match="upper triangular"):
+            ra.right_divide([[1, 0]], H)
 
 
 def test_every_public_rational_function_has_a_caller():
