@@ -16,9 +16,10 @@ invariant to the smallest subspace that is both: the span of the images
 A v, over the whole point group, of the exact vectors and of the rational
 span of the float vectors (``lattices.rational_span``).  The vectors are
 scaled to primitive integer vectors first, so the images are integer
-vectors; they are echeloned by ``rational.hnf``.  ``collapse`` takes the
-nonzero Hermite rows as they are, and only ``rational_closure`` reduces
-them to an rref basis.  ``is_invariant`` tests a span against the
+vectors; they are echeloned by ``rational.hnf``.  ``collapse`` always
+collapses the closure and takes its nonzero Hermite rows as they are;
+only ``rational_closure`` reduces them to an rref basis.  ``is_invariant``,
+which only ``invariant_directions`` calls, tests a span against the
 generators' linear parts alone, in integers: invariance under the
 generators is invariance under the group.
 ``rational_isotypic_components`` and ``invariant_directions`` read the
@@ -27,14 +28,14 @@ of ``invariant_directions`` are keyed by their primitive Plücker vectors.
 
 ``product_resolution`` builds the block-diagonal flat manifold that
 resolves an orbifold against a torsion-free partner with isomorphic
-holonomy; collapsing the partner block recovers the orbifold.  The
-holonomy isomorphism is searched for by backtracking: the orbifold's
-generating set is the first set of at most three holonomy elements, in
-element order, that generates, and each generator tries the partner's
-elements of its order, in element order.  A full choice of images is
-walked out from the identity along right multiplication by the
-generators; it is accepted when every edge agrees, phi(x g) = phi(x)
-phi(g), and the walk reaches every element of the partner.
+holonomy; collapsing the partner block recovers the orbifold.  Images of
+the orbifold's generating set, the first set of at most three holonomy
+elements, in element order, that generates, are walked out from the
+identity along right multiplication by the generators; a walk in which
+every edge agrees, phi(x g) = phi(x) phi(g), is a homomorphism.  So a
+supplied pairing is one exactly when the walk from its images reproduces
+it, and the search walks, in element order, each tuple of distinct
+partner elements of the generators' orders (the class tables' power maps).
 
 ``verify_theorem_c`` sweeps every holonomy-invariant rational direction of
 the ten flat 3-manifolds (components, bounded-slope lines and planes in
@@ -52,8 +53,10 @@ from fractions import Fraction
 from . import rational as ra
 from .groups import (
     AffineElement,
+    CapExceededError,
     CrystalGroup,
     FlatOrbError,
+    HolonomyData,
     holonomy_signature,
     IntMat,
     _freeze_int_mat,
@@ -67,10 +70,6 @@ from .wallpaper import OrbifoldLabel, POINT_LABEL, classify_low_dim
 SLOPE_BOUND = 3
 MAX_DEPTH = 3  # iterated collapses in the survey
 PAIRING_CAP = 48
-
-
-class NotInvariantError(FlatOrbError):
-    pass
 
 
 class NoIsomorphismError(FlatOrbError):
@@ -183,17 +182,14 @@ class CollapseResult:
         return [ra.mat_vec(self.coord_map, ra.vec(v)) for v in vectors]
 
 
-def collapse(group: CrystalGroup, subspace, *, closure: bool = True) -> CollapseResult:
-    """Collapse a holonomy-invariant rational subspace to its flat limit."""
+def collapse(group: CrystalGroup, subspace) -> CollapseResult:
+    """Collapse the rational closure of ``subspace`` to its flat limit.
+
+    The closure is always taken; an invariant rational subspace is its own closure.
+    """
     grp = group.normalize()
     n = grp.n
-    if closure:
-        W = _saturate(grp, subspace)
-    else:
-        _check_vectors(n, subspace)
-        W = _hermite_rows(subspace)
-        if not is_invariant(grp, W):
-            raise NotInvariantError("subspace is not invariant under the holonomy action")
+    W = _saturate(grp, subspace)
     k = len(W)
     log = [f"collapsing a {k}-dimensional invariant rational subspace of R^{n}"]
     m = n - k
@@ -268,42 +264,39 @@ def _extend(gens, images, phi: dict[IntMat, IntMat]) -> dict[IntMat, IntMat] | N
     return phi
 
 
-def _iso_search(els_a: tuple[IntMat, ...], els_b: tuple[IntMat, ...]) -> dict[IntMat, IntMat] | None:
-    """Group isomorphism els_a -> els_b, or None."""
-    na = len(els_a)
-    if na != len(els_b):
-        return None
-    ia, ib = _int_identity(len(els_a[0])), _int_identity(len(els_b[0]))
-    # the first generating set of at most three elements, in element order;
-    # the identity map walks out the subgroup a candidate set generates
-    rest = [A for A in els_a if A != ia]
-    gens = next(
+def _generating_set(els: tuple[IntMat, ...], identity: IntMat) -> list[IntMat]:
+    """The first set of at most three elements, in element order, that generates; else all of them."""
+    rest = [A for A in els if A != identity]
+    return next(
         (
             list(combo)
             for size in range(1, 4)
             for combo in itertools.combinations(rest, size)
-            if len(_extend(combo, combo, {ia: ia})) == na
+            if len(_extend(combo, combo, {identity: identity})) == len(els)
         ),
         rest,
     )
-    # an element's order divides the group order
-    by_order: dict[int, list[IntMat]] = {}
-    for B in els_b:
-        by_order.setdefault(ra.matrix_order(B, cap=na), []).append(B)
-    candidates = [by_order.get(ra.matrix_order(g, cap=na), []) for g in gens]
 
-    def backtrack(images):
-        if len(images) == len(gens):
-            phi = _extend(gens, images, {ia: ib})
-            return phi if phi is not None and len(set(phi.values())) == na else None
-        for cand in candidates[len(images)]:
-            if cand not in images:
-                found = backtrack(images + [cand])
-                if found is not None:
-                    return found
+
+def _element_orders(hol: HolonomyData) -> dict[IntMat, int]:
+    """Each element's order: the length of its class's power map."""
+    cl = hol.class_table
+    return {cl.mats[i]: len(powers) for members, powers in zip(cl.classes, cl.powers) for i in members}
+
+
+def _iso_search(hol_a: HolonomyData, hol_b: HolonomyData) -> dict[IntMat, IntMat] | None:
+    """Group isomorphism of the holonomy matrices hol_a -> hol_b, or None."""
+    if hol_a.order != hol_b.order:
         return None
-
-    return backtrack([])
+    ia, ib = _int_identity(hol_a.n), _int_identity(hol_b.n)
+    gens = _generating_set(hol_a.elements, ia)
+    # an isomorphism keeps element orders
+    orders_a, orders_b = _element_orders(hol_a), _element_orders(hol_b)
+    for images in itertools.product(*([B for B in hol_b.elements if orders_b[B] == orders_a[g]] for g in gens)):
+        phi = _extend(gens, images, {ia: ib}) if len(set(images)) == len(images) else None
+        if phi is not None and len(set(phi.values())) == hol_a.order:
+            return phi
+    return None
 
 
 def product_resolution(
@@ -315,8 +308,8 @@ def product_resolution(
     """Block-diagonal flat manifold resolving ``orb`` against ``mfd``.
 
     ``pairing`` maps each holonomy matrix of ``orb`` to one of ``mfd`` and
-    must be a group isomorphism; without one, a backtracking search runs
-    (holonomy order capped at 48).  The result is torsion-free and
+    must be a group isomorphism; without one, a search runs, for holonomy
+    of order at most ``PAIRING_CAP`` (48).  The result is torsion-free and
     collapsing its second block returns the orbifold.
     """
     orb = orb.normalize()
@@ -327,18 +320,21 @@ def product_resolution(
     hol_m = mfd.holonomy()
     if pairing is None:
         if hol_o.order > PAIRING_CAP:
-            raise NoIsomorphismError("holonomy too large for the pairing search; pass one explicitly")
-        pairing = _iso_search(hol_o.elements, hol_m.elements)
+            raise CapExceededError(
+                f"holonomy of order {hol_o.order} is above the pairing search cap PAIRING_CAP = {PAIRING_CAP}; "
+                "pass the isomorphism as product_resolution's pairing= argument"
+            )
+        pairing = _iso_search(hol_o, hol_m)
         if pairing is None:
             raise NoIsomorphismError("no isomorphism between the holonomy groups")
     else:
         pairing = {_freeze_int_mat(k): _freeze_int_mat(v) for k, v in pairing.items()}
         if set(pairing) != set(hol_o.elements) or not set(pairing.values()) <= set(hol_m.elements):
             raise NoIsomorphismError("supplied pairing is not a map between the holonomy groups")
-        for A in hol_o.elements:
-            for B in hol_o.elements:
-                if pairing[_int_mul(A, B)] != _int_mul(pairing[A], pairing[B]):
-                    raise NoIsomorphismError("supplied pairing is not a homomorphism")
+        ia = _int_identity(orb.n)
+        walked = _generating_set(hol_o.elements, ia)
+        if _extend(walked, [pairing[g] for g in walked], {ia: _int_identity(mfd.n)}) != pairing:
+            raise NoIsomorphismError("supplied pairing is not a homomorphism")
         if len(set(pairing.values())) != hol_m.order:
             raise NoIsomorphismError("supplied pairing is not a bijection")
 
@@ -358,7 +354,7 @@ def product_resolution(
     if not product.is_torsion_free().torsion_free:
         raise NoIsomorphismError("pairing produced torsion; invalid resolution")
     block_w = [[int(j == n + i) for j in range(n + m)] for i in range(m)]
-    back = collapse(product, block_w, closure=False)
+    back = collapse(product, block_w)
     if holonomy_signature(back.quotient) != holonomy_signature(orb):
         raise FlatOrbError("collapse of the resolved manifold does not recover the orbifold")
     return product

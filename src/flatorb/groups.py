@@ -24,9 +24,9 @@ Conventions:
     (A, v) * (B, w) = (A B, A w + v), inverse (A^-1, -A^-1 v);
   * linear parts are integer matrices in lattice coordinates; a matrix A
     is an isometry of the metric iff A^T G A = G;
-  * the closure, the cocycle check and the fixed-point test carry a
-    translation v as a = N v mod N, N the lcm of the generators' translation
-    denominators, so coset translations v_A = a_A / N lie in [0,1)^n; only
+  * the closure and the fixed-point test carry a translation v as
+    a = N v mod N, N the lcm of the generators' translation denominators,
+    so coset translations v_A = a_A / N lie in [0,1)^n; only
     ``AffineElement.translation``, JSON and the properties built on read,
     ``HolonomyData.translations`` and ``CrystalGroup.gram``, hold
     ``Fraction``s.  ``_int_mul`` builds row i of A B as the sum of
@@ -168,12 +168,6 @@ class HolonomyData:
         from .reps import _conjugacy_classes  # reps imports this module
 
         return _conjugacy_classes(self.elements)
-
-    def cocycle_defects(self) -> list[tuple[IntMat, IntMat]]:
-        """Pairs violating v_{AB} = A v_B + v_A (mod Z^n); empty when valid."""
-        N, a = self.denominator, self.numerators
-        compose = lambda A, B: tuple((sum(map(mul, row, a[B])) + t) % N for row, t in zip(A, a[A]))
-        return [(A, B) for A in self.elements for B in self.elements if a[_int_mul(A, B)] != compose(A, B)]
 
 
 def _coset_closure(n: int, generators: tuple[AffineElement, ...]) -> tuple[dict[IntMat, IntVec], list[IntVec], int]:
@@ -493,12 +487,6 @@ def load_group(path: str | Path) -> CrystalGroup:
         except ValueError as exc:
             raise InvalidGroupError(f"{path} is not JSON: {exc}") from None
     return group_from_dict(d)
-
-
-def dump_group(group: CrystalGroup, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(group_to_dict(group), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def holonomy_signature(group: CrystalGroup) -> tuple:

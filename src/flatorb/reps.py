@@ -75,9 +75,6 @@ class IsotypicComponent:
     division_type: str  # 'R', 'C' or 'H'
     factor_dim: int
 
-    def signature(self) -> tuple[int, int, str, int]:
-        return (self.irreducible_dim, self.multiplicity, self.division_type, self.factor_dim)
-
 
 @dataclass(frozen=True)
 class IsotypicReport:
@@ -85,9 +82,6 @@ class IsotypicReport:
     components: tuple[IsotypicComponent, ...]
     total_dim: int
     invariant_form_dim: int
-
-    def signature(self) -> tuple:
-        return tuple(sorted(c.signature() for c in self.components))
 
     def summary(self) -> str:
         parts = ",".join(

@@ -302,29 +302,6 @@ def singular_locus(group: CrystalGroup) -> SingularLocus:
     return SingularLocus(centers, to_floats(mirrors), to_floats(glides))
 
 
-def cone_point_classes(group: CrystalGroup) -> list[int]:
-    """Orders of rotation centers, one per group orbit (not per cell).
-
-    The group is the cosets (A, v_A) + Z^2, so the orbit of a center mod
-    Z^2 is its images under the coset representatives alone, taken on
-    numerators over a common denominator D of the centers and the v_A.
-    """
-    grp = group.normalize()
-    hol = grp.holonomy()
-    centers = dict(singular_locus(grp).rotation_centers)
-    N = hol.denominator
-    D = math.lcm(N, *(x.denominator for pt in centers for x in pt))
-    order_at = {tuple(int(x * D) for x in pt): k for pt, k in centers.items()}
-    orders = []
-    remaining = set(order_at)
-    while remaining:
-        p = min(remaining)
-        orders.append(order_at[p])
-        for A, a in hol.numerators.items():
-            remaining.discard(tuple((x + t * (D // N)) % D for x, t in zip(ra.mat_vec(A, p), a)))
-    return sorted(orders)
-
-
 SVG_COLORS = {
     "cell": "#000000",
     "center": "#cc0000",

@@ -9,12 +9,17 @@ built the transform only on request.  ``positive_definite`` is the
 characteristic-polynomial test that ``CrystalGroup.validate`` replaced by
 Sylvester's criterion, and ``torsion_free`` the fixed-point test over every
 holonomy element that ``CrystalGroup.is_torsion_free`` replaced by one
-element per rational class of prime order.  The int64
+element per rational class of prime order.  ``cocycle_defects`` checks
+the cocycle identity of a holonomy pair by pair, and
+``cone_point_classes`` counts the rotation centres of a plane group one
+per orbit; both were library methods that only the tests called.  The int64
 class tables at the end are the numpy builder and decomposition that
 ``reps`` replaced by Python integers.  Nothing in the library calls them.
 """
 
+import math
 from fractions import Fraction
+from operator import mul
 
 from flatorb import rational as ra
 
@@ -178,6 +183,40 @@ def torsion_free(group) -> bool:
     return all(_fixed_point(A, hol.numerators[A], hol.denominator) is None for A in hol.elements if A != one)
 
 
+def cocycle_defects(hol) -> list:
+    """Pairs (A, B) of holonomy elements violating v_{AB} = A v_B + v_A (mod Z^n); empty when valid."""
+    from flatorb.groups import _int_mul
+
+    N, a = hol.denominator, hol.numerators
+    compose = lambda A, B: tuple((sum(map(mul, row, a[B])) + t) % N for row, t in zip(A, a[A]))
+    return [(A, B) for A in hol.elements for B in hol.elements if a[_int_mul(A, B)] != compose(A, B)]
+
+
+def cone_point_classes(group) -> list[int]:
+    """Orders of rotation centers of a plane group, one per group orbit (not per cell).
+
+    The group is the cosets (A, v_A) + Z^2, so the orbit of a center mod
+    Z^2 is its images under the coset representatives alone, taken on
+    numerators over a common denominator D of the centers and the v_A.
+    """
+    from flatorb.wallpaper import singular_locus
+
+    grp = group.normalize()
+    hol = grp.holonomy()
+    centers = dict(singular_locus(grp).rotation_centers)
+    N = hol.denominator
+    D = math.lcm(N, *(x.denominator for pt in centers for x in pt))
+    order_at = {tuple(int(x * D) for x in pt): k for pt, k in centers.items()}
+    orders = []
+    remaining = set(order_at)
+    while remaining:
+        p = min(remaining)
+        orders.append(order_at[p])
+        for A, a in hol.numerators.items():
+            remaining.discard(tuple((x + t * (D // N)) % D for x, t in zip(ra.mat_vec(A, p), a)))
+    return sorted(orders)
+
+
 def positive_definite(G) -> bool:
     """A symmetric integer G is positive definite iff its eigenvalues, all real,
     are positive, iff the coefficients of its characteristic polynomial
@@ -208,8 +247,6 @@ def _int64(rows):
 
 def conjugacy_classes(elements) -> dict:
     """mats, generators, classes, sums, powers, square and rational, as ``reps._Classes`` reads them, in int64."""
-    import math
-
     import numpy as np
 
     mats = _int64([[[int(x) for x in row] for row in A] for A in elements])
@@ -326,10 +363,15 @@ def _whole(q: Fraction) -> int:
     return int(q)
 
 
+def report_signature(report) -> tuple:
+    """Sorted (irreducible dim, multiplicity, type, factor dim) of an ``IsotypicReport``'s components."""
+    return tuple(
+        sorted((c.irreducible_dim, c.multiplicity, c.division_type, c.factor_dim) for c in report.components)
+    )
+
+
 def isotypic_signature(elements) -> tuple:
     """Sorted (irreducible dim, multiplicity, type, factor dim) of the real components, with Fraction characters."""
-    import math
-
     factor_dim = {"R": lambda m: m * (m + 1) // 2, "C": lambda m: m * m, "H": lambda m: m * (2 * m - 1)}
     cl = conjugacy_classes(elements)
     h = len(cl["mats"])

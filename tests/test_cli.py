@@ -10,7 +10,7 @@ import pytest
 
 from flatorb import groups
 from flatorb.cli import build_parser, main
-from flatorb.groups import dump_group
+from flatorb.groups import group_to_dict
 from flatorb.catalog import catalog_get
 
 
@@ -306,7 +306,7 @@ def test_plane_verbs_on_a_3d_group_are_a_domain_error(tmp_path, monkeypatch, cap
 
 def test_resolve_cli(tmp_path, capsys):
     orb = tmp_path / "orb.json"
-    dump_group(catalog_get("p2").group, orb)
+    orb.write_text(json.dumps(group_to_dict(catalog_get("p2").group)))
     code, out, _ = run(capsys, "resolve", "--orbifold", str(orb), "--manifold", "catalog:pg")
     assert code == 0
     assert "dim 4" in out

@@ -12,11 +12,13 @@ import pytest
 
 from flatorb import rational as ra
 from flatorb.catalog import catalog_get, catalog_list, generalized_klein_bottle, three_manifold_groups, torus
+from flatorb.cli import main
 from flatorb.collapse import (
     _acts_by,
     _iso_search,
     InvalidSubspaceError,
     NoIsomorphismError,
+    PAIRING_CAP,
     collapse,
     invariant_directions,
     is_invariant,
@@ -25,7 +27,7 @@ from flatorb.collapse import (
     rational_isotypic_components,
     verify_theorem_c,
 )
-from flatorb.groups import CrystalGroup, group_to_dict, holonomy_signature
+from flatorb.groups import CapExceededError, CrystalGroup, FlatOrbError, group_to_dict, holonomy_signature
 from flatorb.lattices import rational_span
 
 import reference_algebra as ref
@@ -330,14 +332,13 @@ def test_iterated_collapse_commutes():
                 assert holonomy_signature(direct.quotient) == holonomy_signature(step2.quotient)
 
 
-def test_collapse_rejects_noninvariant_without_closure():
+def test_collapse_closes_noninvariant_subspaces():
     g3 = catalog_get("G3").group
-    from flatorb.collapse import NotInvariantError
-
     for subspace in ([[0, 1, 0]], [[1, 0, 0], [0, 1, 0]]):
         assert not _is_invariant_oracle(g3, subspace)
-        with pytest.raises(NotInvariantError):
-            collapse(g3, subspace, closure=False)
+        res = collapse(g3, subspace)
+        assert res.collapsed_dim > len(subspace)
+        assert is_invariant(g3, res.subspace)
 
 
 def test_collapse_quotient_invariants():
@@ -349,7 +350,7 @@ def test_collapse_quotient_invariants():
             if q.n == 0:
                 continue
             q.validate()
-            assert q.holonomy().cocycle_defects() == []
+            assert ref.cocycle_defects(q.holonomy()) == []
 
 
 # -- product resolution -------------------------------------------------------
@@ -409,19 +410,49 @@ def test_resolution_rejects_bad_pairing(pairing):
         product_resolution(catalog_get("p2").group, catalog_get("pg").group, pairing=pairing)
 
 
+def test_resolution_rejects_a_pairing_that_agrees_with_an_isomorphism_on_the_generators_only():
+    # p4's holonomy is generated by the quarter turn Q; swapping the images of Q^2 and Q^3
+    # keeps a bijection that fixes the identity and Q, but is no homomorphism
+    o, m = catalog_get("p4").group, catalog_get("G4").group
+    phi = _iso_search(o.holonomy(), m.holonomy())
+    Q = ((0, -1), (1, 0))
+    Q2, Q3 = ((-1, 0), (0, -1)), ((0, 1), (-1, 0))
+    swapped = {**phi, Q2: phi[Q3], Q3: phi[Q2]}
+    assert swapped[I2] == phi[I2] and swapped[Q] == phi[Q] and len(set(swapped.values())) == 4
+    with pytest.raises(NoIsomorphismError, match="not a homomorphism"):
+        product_resolution(o, m, pairing=swapped)
+
+
 @pytest.mark.parametrize("orb,mfd", [("p2", "pg"), ("pmm", "B3"), ("p4", "G4"), ("p6", "G5")])
 def test_resolution_accepts_the_pairing_it_finds(orb, mfd):
     o, m = catalog_get(orb).group, catalog_get(mfd).group
-    pairing = _iso_search(o.holonomy().elements, m.holonomy().elements)
+    pairing = _iso_search(o.holonomy(), m.holonomy())
     assert pairing is not None
     found = product_resolution(o, m, pairing=pairing)
     assert group_to_dict(found) == group_to_dict(product_resolution(o, m))
 
 
+def test_resolution_search_above_the_cap_is_reported_as_a_cap(tmp_path, capsys):
+    # R^4 / B4: every signed permutation matrix, no translations
+    cycle = [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    swap = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    flip = [[-1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    orb = CrystalGroup.make(4, [(A, [0, 0, 0, 0]) for A in (cycle, swap, flip)]).normalize()
+    assert orb.holonomy().order == 384 > PAIRING_CAP
+    with pytest.raises(CapExceededError) as info:
+        product_resolution(orb, catalog_get("pg").group)
+    message = str(info.value)
+    assert "384" in message and f"PAIRING_CAP = {PAIRING_CAP}" in message and "pairing=" in message
+    # the CLI reports it on one error line, exit 1
+    path = tmp_path / "b4.json"
+    path.write_text(json.dumps(group_to_dict(orb)))
+    assert main(["resolve", "--orbifold", str(path), "--manifold", "catalog:pg"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+
+
 def test_resolution_rejects_orbifold_partner():
     p2 = catalog_get("p2").group
-    from flatorb.groups import FlatOrbError
-
     with pytest.raises(FlatOrbError):
         product_resolution(kb(), p2)  # partner has torsion
 
@@ -431,6 +462,34 @@ def test_resolution_scale_parameter():
     prod = product_resolution(p2, kb(), scale=Fraction(1, 4))
     G = ref.mat(prod.gram)
     assert G[2][2] == Fraction(1, 4)
+
+
+# sha256 of product_resolution(o, m) over every catalog pair with equal
+# holonomy order and a torsion-free m, and of the exception type and
+# message for the pairs with no resolution; the value the recursive
+# backtracking search and the |H|^2 pairing check gave
+RESOLUTION_PIN_SHA256 = "fa4a1f566ada15bf0738bd842a863d7936e4355cc030f681049b4aec981ea434"
+
+
+def test_resolutions_are_pinned():
+    groups = {key: catalog_get(key).group.normalize() for key in sorted(catalog_list())}
+    partners = [key for key, g in groups.items() if g.is_torsion_free().torsion_free]
+    digest = hashlib.sha256()
+    count = failed = 0
+    for okey, orb in groups.items():
+        for mkey in partners:
+            mfd = groups[mkey]
+            if orb.holonomy().order != mfd.holonomy().order:
+                continue
+            try:
+                doc = group_to_dict(product_resolution(orb, mfd))
+            except FlatOrbError as exc:
+                doc = [type(exc).__name__, str(exc)]
+                failed += 1
+            digest.update(json.dumps([okey, mkey, doc], sort_keys=True).encode())
+            count += 1
+    assert (count, failed) == (220, 21)
+    assert digest.hexdigest() == RESOLUTION_PIN_SHA256
 
 
 # -- the survey ---------------------------------------------------------------

@@ -240,7 +240,7 @@ def test_normalize_absorbs_hidden_translations(key):
         hol = grp.holonomy()
         assert hol.order == entry.expected["holonomy_order"]
         assert [grp.betti(j) for j in range(grp.n + 1)] == [entry.group.betti(j) for j in range(grp.n + 1)]
-        assert hol.cocycle_defects() == []
+        assert ref.cocycle_defects(hol) == []
         Binv = ra.identity(grp.n) if grp.Binv is None else grp.Binv
         for t in shifts:
             assert all(x.denominator == 1 for x in ra.mat_vec(Binv, t)), (key, t)
@@ -368,7 +368,7 @@ def test_holonomy_torus_trivial():
 
 def test_holonomy_cocycle_identity():
     for grp in (klein_bottle(), pillowcase()):
-        assert grp.holonomy().cocycle_defects() == []
+        assert ref.cocycle_defects(grp.holonomy()) == []
 
 
 def test_torsion_free_klein_bottle():

